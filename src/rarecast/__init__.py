@@ -6,7 +6,7 @@ from .dataset import (
     RarityLevel,
     RarityThresholds,
     TimeSeries,
-    WindowSample,
+    Windows,
     compute_thresholds,
     label_point,
     label_points,
@@ -46,7 +46,7 @@ __all__ = [
     "Router",
     "TimeSeries",
     "TrainedPipeline",
-    "WindowSample",
+    "Windows",
     "build_expert_chain",
     "build_filter_bank",
     "combined_loss",

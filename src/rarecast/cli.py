@@ -19,7 +19,7 @@ import numpy as np
 from . import ewt
 from .bundle import load_bundle, save_bundle
 from .config import PipelineConfig
-from .dataset import RarityLevel, RarityThresholds, label_points, load_csv, stack_windows
+from .dataset import RarityLevel, RarityThresholds, label_points, load_csv, window_view
 from .evaluation import (
     BETA_SWEEP,
     ablate_config,
@@ -249,11 +249,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     t, h = cfg.history_len, cfg.horizon
     if len(values) < t:
         raise ValueError(f"predict: need at least {t} points, got {len(values)}")
-    if args.all_windows:
-        starts = list(range(0, len(values) - t + 1, cfg.stride))
-    else:
-        starts = [len(values) - t]
-    hist = np.stack([values[s : s + t] for s in starts])
+    first, stride = (0, cfg.stride) if args.all_windows else (len(values) - t, 1)
+    hist = np.ascontiguousarray(window_view(values[first:], t, stride))
+    starts = range(first, len(values) - t + 1, stride)
     preds, alphas, sparse = pipeline_predict_batch(tp.experts, tp.router, hist, k=args.k)
     preds = tp.normalizer.invert(preds)
     rows = []
@@ -311,7 +309,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out = _outdir(args)
     data = prepare_data(cfg, normalizer=tp.normalizer, thresholds=tp.thresholds)
     preds, alphas, sparse = predict_windows(tp, data.test_windows, k=args.k)
-    _, targets, _, _ = stack_windows(data.test_windows)
+    targets = data.test_windows.targets
     if args.raw:
         preds = tp.normalizer.invert(preds)
         targets = tp.normalizer.invert(targets)
@@ -400,8 +398,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     report, tp, _ = run_once(data, cfg)
     base = train_baseline(data, cfg)
     base_preds = baseline_predict(base, data.test_windows)
-    _, targets, _, _ = stack_windows(data.test_windows)
-    base_report = evaluate(base_preds, targets, data.thresholds)
+    base_report = evaluate(base_preds, data.test_windows.targets, data.thresholds)
 
     write_rows_csv(report_rows(report), out / "metrics.csv")
     write_rows_csv(report_rows(base_report), out / "metrics_baseline.csv")

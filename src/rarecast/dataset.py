@@ -1,4 +1,4 @@
-"""Series ingestion, rarity labeling, windowing, and synthetic generation.
+"""Series ingestion, rarity labeling, array-backed windows, and synthetic generation.
 
 Rarity is defined from percentile cut points fitted on the training split:
 a point is ExtremeRare above P99, VeryRare in (P95, P99], Moderate in
@@ -32,8 +32,8 @@ class RarityLevel(IntEnum):
 N_LEVELS = len(RarityLevel)
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
+def _readonly(arr: np.ndarray, dtype: type = np.float64) -> np.ndarray:
+    out = np.array(arr, dtype=dtype, order="C", copy=True)
     out.flags.writeable = False
     return out
 
@@ -183,26 +183,47 @@ def label_points(values: np.ndarray, thresholds: RarityThresholds) -> np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
-class WindowSample:
-    """One forecasting sample: T history points, H target points, target labels."""
+class Windows:
+    """N forecasting windows: histories (N, T), targets (N, H), target labels.
 
-    history: np.ndarray
-    target: np.ndarray
+    Row i of every array belongs to window i. window_levels holds each
+    window's rarity, the max over its point levels. All arrays are read-only.
+    """
+
+    histories: np.ndarray
+    targets: np.ndarray
     point_levels: np.ndarray
-    window_level: RarityLevel
+    window_levels: np.ndarray
 
     def __post_init__(self) -> None:
-        hist = _readonly(np.asarray(self.history, dtype=np.float64))
-        targ = _readonly(np.asarray(self.target, dtype=np.float64))
-        lev = np.array(self.point_levels, dtype=np.int64, copy=True)
-        lev.flags.writeable = False
-        if hist.ndim != 1 or targ.ndim != 1 or lev.shape != targ.shape:
-            raise ValueError("WindowSample: history/target must be 1-d, labels match target")
-        if int(lev.max(initial=0)) != int(self.window_level):
-            raise ValueError("WindowSample: window_level must equal max point level")
-        object.__setattr__(self, "history", hist)
-        object.__setattr__(self, "target", targ)
-        object.__setattr__(self, "point_levels", lev)
+        hist, targ = _readonly(self.histories), _readonly(self.targets)
+        plev, wlev = _readonly(self.point_levels, np.int64), _readonly(self.window_levels, np.int64)
+        if hist.ndim != 2 or targ.ndim != 2 or plev.shape != targ.shape:
+            raise ValueError("Windows: histories/targets must be 2-d, labels match targets")
+        if wlev.shape != (targ.shape[0],) or hist.shape[0] != targ.shape[0]:
+            raise ValueError("Windows: every array needs one row per window")
+        if not np.array_equal(plev.max(axis=1, initial=0), wlev):
+            raise ValueError("Windows: window_levels must equal max point level")
+        object.__setattr__(self, "histories", hist)
+        object.__setattr__(self, "targets", targ)
+        object.__setattr__(self, "point_levels", plev)
+        object.__setattr__(self, "window_levels", wlev)
+
+    def __len__(self) -> int:
+        return int(self.window_levels.shape[0])
+
+    def __getitem__(self, key) -> "Windows":
+        """Rows selected by a slice, an index array, or a boolean mask."""
+        if isinstance(key, (int, np.integer)):
+            raise TypeError("Windows: select rows with a slice, index array or mask, not an int")
+        return Windows(
+            self.histories[key], self.targets[key], self.point_levels[key], self.window_levels[key]
+        )
+
+
+def window_view(values: np.ndarray, length: int, stride: int = 1) -> np.ndarray:
+    """Read-only (N, length) view of a 1-d series; row w starts at w * stride."""
+    return np.lib.stride_tricks.sliding_window_view(values, length)[::stride]
 
 
 def make_windows(
@@ -211,10 +232,10 @@ def make_windows(
     horizon: int,
     stride: int,
     thresholds: RarityThresholds,
-) -> list[WindowSample]:
+) -> Windows:
     """Slide a (history, target) window over the series.
 
-    Yields floor((L - T - H) / stride) + 1 samples; target labels come from
+    Yields floor((L - T - H) / stride) + 1 windows; target labels come from
     the supplied thresholds and the window label is their maximum.
     """
     if history_len < 1 or horizon < 1 or stride < 1:
@@ -224,33 +245,10 @@ def make_windows(
         raise ValueError(
             f"make_windows: series of length {n} is shorter than T+H={history_len + horizon}"
         )
-    v = series.values
-    count = (n - history_len - horizon) // stride + 1
-    out = []
-    for w in range(count):
-        i = w * stride
-        target = v[i + history_len : i + history_len + horizon]
-        levels = label_points(target, thresholds)
-        out.append(
-            WindowSample(
-                history=v[i : i + history_len],
-                target=target,
-                point_levels=levels,
-                window_level=RarityLevel(int(levels.max())),
-            )
-        )
-    return out
-
-
-def stack_windows(samples: list[WindowSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack samples into (histories, targets, point_levels, window_levels) arrays."""
-    if not samples:
-        raise ValueError("stack_windows: empty sample list")
-    hist = np.stack([s.history for s in samples])
-    targ = np.stack([s.target for s in samples])
-    plev = np.stack([s.point_levels for s in samples])
-    wlev = np.asarray([int(s.window_level) for s in samples], dtype=np.int64)
-    return hist, targ, plev, wlev
+    w = window_view(series.values, history_len + horizon, stride)
+    targets = w[:, history_len:]
+    levels = label_points(targets, thresholds)
+    return Windows(w[:, :history_len], targets, levels, levels.max(axis=1))
 
 
 @dataclass(frozen=True)

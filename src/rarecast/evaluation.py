@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import PipelineConfig
-from .dataset import RarityLevel, RarityThresholds, label_points, stack_windows
+from .dataset import RarityLevel, RarityThresholds, label_points
 from .pipeline import PreparedData, TrainedPipeline, TrainLogs, predict_windows, train_pipeline
 
 # Benchmark sweep grids and report row order.
@@ -139,8 +139,7 @@ def run_once(
     """Train on the prepared data and evaluate on its test windows."""
     tp, logs = train_pipeline(data, cfg)
     preds, _, _ = predict_windows(tp, data.test_windows)
-    _, targets, _, _ = stack_windows(data.test_windows)
-    report = evaluate(preds, targets, data.thresholds)
+    report = evaluate(preds, data.test_windows.targets, data.thresholds)
     return report, tp, logs
 
 
@@ -179,11 +178,10 @@ def sweep_k(
         if not 1 <= int(k) <= cfg.n_experts:
             raise ValueError(f"sweep_k: k={k} outside [1, {cfg.n_experts}]")
     tp, _ = train_pipeline(data, cfg)
-    _, targets, _, _ = stack_windows(data.test_windows)
     result = SweepResult()
     for k in ks:
         preds, _, _ = predict_windows(tp, data.test_windows, k=int(k))
-        report = evaluate(preds, targets, data.thresholds)
+        report = evaluate(preds, data.test_windows.targets, data.thresholds)
         for row in report_rows(report):
             result.rows.append({"k": int(k), **row})
     return result

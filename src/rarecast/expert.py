@@ -15,8 +15,8 @@ import numpy as np
 
 from . import backbone as bb
 from . import ewt
-from .dataset import N_LEVELS, RarityLevel, WindowSample, stack_windows
-from .losses import kd_loss, rare_loss
+from .dataset import N_LEVELS, RarityLevel, Windows
+from .losses import combined_loss, kd_loss, rare_loss
 from .rng import INIT, SHUFFLE, substream
 
 log = logging.getLogger(__name__)
@@ -149,7 +149,7 @@ def _losses_on(
     beta: float,
     horizon: int,
 ) -> tuple[float, float, float]:
-    """(rare, kd, total) on a full sample set; teacher_preds None means no distillation."""
+    """(rare, kd, total) on a full window set; teacher_preds None means no distillation."""
     preds = _forward(backbones, components)
     rare = rare_loss(preds, targets, point_levels, penalty_level, horizon)
     kd_val = kd_loss(preds, teacher_preds).value if teacher_preds is not None else 0.0
@@ -157,7 +157,7 @@ def _losses_on(
 
 
 def train_expert(
-    samples: list[WindowSample],
+    windows: Windows,
     level: int,
     teacher: ExpertModel | None,
     cfg: ExpertTrainConfig,
@@ -172,12 +172,12 @@ def train_expert(
     trained expert and the per-epoch loss curve; row 0 is the loss before
     any update.
     """
-    if not samples:
+    if not windows:
         raise ValueError(f"train_expert: no samples for level {level}")
-    hist, targ, plev, _ = stack_windows(samples)
+    hist, targ = windows.histories, windows.targets
     n, history_len = hist.shape
     horizon = targ.shape[1]
-    plev = collapse_level(plev, cfg.n_levels)
+    plev = collapse_level(windows.point_levels, cfg.n_levels)
 
     if components is None:
         components = decompose_histories(hist, cfg.n_bands, cfg.mode, bank, cfg.gamma)
@@ -216,11 +216,11 @@ def train_expert(
             idx = order[start : start + cfg.batch_size]
             comps_b = components[idx]
             preds = _forward(backbones, comps_b)
-            rare = rare_loss(preds, targ[idx], plev[idx], penalty_level, horizon)
-            dpred = np.asarray(rare.d_dpred)
-            if distill:
-                kd = kd_loss(preds, teacher_preds[idx])
-                dpred = dpred + cfg.beta * np.asarray(kd.d_dpred)
+            teacher_b = teacher_preds[idx] if distill else None
+            loss = combined_loss(
+                preds, targ[idx], teacher_b, plev[idx], penalty_level, cfg.beta, horizon
+            )
+            dpred = np.asarray(loss.d_dpred)
             for b in range(cfg.n_bands):
                 grads = bb.backward(backbones[b], comps_b[:, b, :], dpred)
                 bb.step(backbones[b], grads, optimizers[b])
@@ -245,7 +245,7 @@ class ChainResult:
 
 
 def build_expert_chain(
-    windows: list[WindowSample],
+    windows: Windows,
     cfg: ExpertTrainConfig,
     bank: ewt.FilterBank | None = None,
     components: np.ndarray | None = None,
@@ -260,8 +260,7 @@ def build_expert_chain(
         raise ValueError("build_expert_chain: no windows")
     if cfg.mode == "global" and bank is None:
         raise ValueError("build_expert_chain: global mode requires a fitted bank")
-    hist, _, _, wlev = stack_windows(windows)
-    wlev = collapse_level(wlev, cfg.n_levels)
+    wlev = collapse_level(windows.window_levels, cfg.n_levels)
     present = set(int(v) for v in np.unique(wlev))
     missing = [c for c in range(cfg.n_levels) if c not in present]
     if missing:
@@ -269,7 +268,7 @@ def build_expert_chain(
         raise ValueError(f"build_expert_chain: no windows for level(s) {names}")
 
     if components is None:
-        components = decompose_histories(hist, cfg.n_bands, cfg.mode, bank, cfg.gamma)
+        components = decompose_histories(windows.histories, cfg.n_bands, cfg.mode, bank, cfg.gamma)
     result = ChainResult(experts=[])
     teacher: ExpertModel | None = None
     for c in range(cfg.n_levels):
@@ -277,7 +276,7 @@ def build_expert_chain(
             sel = np.flatnonzero(wlev <= c)
         else:
             sel = np.flatnonzero(wlev == c)
-        subset = [windows[int(i)] for i in sel]
+        subset = windows[sel]
         teacher_preds = None
         if teacher is not None and cfg.beta > 0.0:
             teacher_preds = _forward(teacher.backbones, components[sel])

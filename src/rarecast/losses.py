@@ -154,11 +154,13 @@ def combined_loss(
 
     The normal expert has no teacher and ignores the distillation term
     entirely. A rare expert with beta > 0 must be given teacher predictions.
+    Given teacher predictions, the term applies whatever the penalty level:
+    a rare expert trained with the plain quadratic loss still distills.
     """
     if beta < 0.0:
         raise ValueError(f"combined_loss: beta must be >= 0, got {beta}")
     rare = rare_loss(pred, truth, point_levels, expert_level, horizon)
-    if expert_level == RarityLevel.NORMAL or beta == 0.0:
+    if beta == 0.0 or (teacher_pred is None and expert_level == RarityLevel.NORMAL):
         return rare
     if teacher_pred is None:
         raise ValueError(

@@ -18,12 +18,11 @@ from .dataset import (
     Normalizer,
     RarityThresholds,
     TimeSeries,
-    WindowSample,
+    Windows,
     compute_thresholds,
     load_csv,
     make_windows,
     split_811,
-    stack_windows,
     synth_generate,
 )
 from .expert import ExpertModel, build_expert_chain, decompose_histories, expert_predict_batch, train_expert
@@ -40,9 +39,9 @@ class PreparedData:
     train: TimeSeries
     val: TimeSeries
     test: TimeSeries
-    train_windows: list[WindowSample]
-    val_windows: list[WindowSample]
-    test_windows: list[WindowSample]
+    train_windows: Windows
+    val_windows: Windows
+    test_windows: Windows
 
 
 def load_series(cfg: PipelineConfig) -> TimeSeries:
@@ -115,7 +114,7 @@ def train_pipeline(
 ) -> tuple[TrainedPipeline, TrainLogs]:
     """Train the expert chain and (by default) the router on the training windows."""
     bank = fit_global_bank(data.train, cfg) if cfg.mode == "global" else None
-    hist, _, _, _ = stack_windows(data.train_windows)
+    hist = data.train_windows.histories
     components = decompose_histories(hist, cfg.n_bands, cfg.mode, bank, cfg.gamma)
 
     chain = build_expert_chain(data.train_windows, cfg.expert_cfg(), bank, components)
@@ -136,13 +135,12 @@ def train_pipeline(
 
 
 def predict_windows(
-    tp: TrainedPipeline, windows: list[WindowSample], k: int | None = None
+    tp: TrainedPipeline, windows: Windows, k: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused forecasts on window samples: (preds (N, H), alphas, sparse weights)."""
+    """Fused forecasts on windows: (preds (N, H), alphas, sparse weights)."""
     if tp.router is None:
         raise ValueError("predict_windows: this pipeline has no trained router")
-    hist, _, _, _ = stack_windows(windows)
-    return pipeline_predict_batch(tp.experts, tp.router, hist, k=k)
+    return pipeline_predict_batch(tp.experts, tp.router, windows.histories, k=k)
 
 
 def train_baseline(data: PreparedData, cfg: PipelineConfig) -> ExpertModel:
@@ -159,13 +157,11 @@ def train_baseline(data: PreparedData, cfg: PipelineConfig) -> ExpertModel:
         level_scope="cumulative",
         mode="per_window",
     )
-    hist, _, _, _ = stack_windows(data.train_windows)
     model, _ = train_expert(
-        data.train_windows, 0, None, ecfg, components=hist[:, None, :].copy()
+        data.train_windows, 0, None, ecfg, components=data.train_windows.histories[:, None, :].copy()
     )
     return model
 
 
-def baseline_predict(model: ExpertModel, windows: list[WindowSample]) -> np.ndarray:
-    hist, _, _, _ = stack_windows(windows)
-    return expert_predict_batch(model, hist)
+def baseline_predict(model: ExpertModel, windows: Windows) -> np.ndarray:
+    return expert_predict_batch(model, windows.histories)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backbone as bb
-from .dataset import RarityLevel, WindowSample, stack_windows
+from .dataset import RarityLevel, Windows
 from .expert import ExpertModel, collapse_level, decompose_histories, expert_predict_batch
 from .rng import ROUTER_INIT, ROUTER_SHUFFLE, substream
 
@@ -72,6 +72,24 @@ def gate_forward(router: Router, expert_outputs: np.ndarray) -> tuple[np.ndarray
     return logits, softmax(logits)
 
 
+def select_topk_batch(alphas: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise select_topk of an (N, E) weight matrix."""
+    a = np.asarray(alphas, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("select_topk_batch: expected an (N, E) weight matrix")
+    if not 1 <= k <= a.shape[1]:
+        raise ValueError(f"select_topk: k must be in [1, {a.shape[1]}], got {k}")
+    keep = np.argsort(-a, axis=1, kind="stable")[:, :k]
+    rows = np.arange(a.shape[0])[:, None]
+    kept = a[rows, keep]
+    total = kept.sum(axis=1, keepdims=True)
+    if (total <= 0.0).any():
+        raise ValueError("select_topk: selected weights sum to zero")
+    out = np.zeros_like(a)
+    out[rows, keep] = kept / total
+    return out
+
+
 def select_topk(alpha: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest weights (ties to the lower index), renormalized to sum 1.
 
@@ -81,27 +99,23 @@ def select_topk(alpha: np.ndarray, k: int) -> np.ndarray:
     a = np.asarray(alpha, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError("select_topk: expected a 1-d weight vector")
-    if not 1 <= k <= a.size:
-        raise ValueError(f"select_topk: k must be in [1, {a.size}], got {k}")
-    order = np.argsort(-a, kind="stable")
-    keep = order[:k]
-    out = np.zeros_like(a)
-    total = a[keep].sum()
-    if total <= 0.0:
-        raise ValueError("select_topk: selected weights sum to zero")
-    out[keep] = a[keep] / total
-    return out
+    return select_topk_batch(a[None, :], k)[0]
 
 
 def fuse(expert_outputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-step weighted sum of expert forecasts: (H, E) @ (E,) -> (H,)."""
+    """Per-step weighted sum of expert forecasts.
+
+    (H, E) outputs with (E,) weights give (H,); an (N, H, E) batch with
+    (N, E) weights gives (N, H), one weight row per window.
+    """
     out = np.asarray(expert_outputs, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if out.ndim != 2 or w.shape != (out.shape[1],):
-        raise ValueError("fuse: expected (H, E) outputs and (E,) weights")
-    if abs(w.sum() - 1.0) > 1e-6:
-        raise ValueError(f"fuse: weights must sum to 1, got {w.sum()!r}")
-    return out @ w
+    if out.ndim not in (2, 3) or w.shape != out.shape[:-2] + out.shape[-1:]:
+        raise ValueError("fuse: expected (H, E) outputs and (E,) weights, or (N, H, E) and (N, E)")
+    sums = w.sum(axis=-1)
+    if (abs(sums - 1.0) > 1e-6).any():
+        raise ValueError(f"fuse: weights must sum to 1, got {sums!r}")
+    return out @ w if out.ndim == 2 else np.einsum("nhe,ne->nh", out, w)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -127,7 +141,7 @@ def stack_expert_outputs(
 
 def train_router(
     experts: list[ExpertModel],
-    windows: list[WindowSample],
+    windows: Windows,
     cfg: RouterTrainConfig,
     components: np.ndarray | None = None,
 ) -> tuple[Router, list[dict]]:
@@ -140,8 +154,7 @@ def train_router(
     if not windows:
         raise ValueError("train_router: no windows")
     n_experts = len(experts)
-    hist, _, _, wlev = stack_windows(windows)
-    labels = collapse_level(wlev, n_experts)
+    labels = collapse_level(windows.window_levels, n_experts)
     horizon = experts[0].horizon
 
     present = set(int(v) for v in np.unique(labels))
@@ -150,7 +163,7 @@ def train_router(
         names = ", ".join(RarityLevel(min(c, len(RarityLevel) - 1)).name for c in missing)
         log.warning("train_router: no training windows labeled %s", names)
 
-    outputs = stack_expert_outputs(experts, hist, components)
+    outputs = stack_expert_outputs(experts, windows.histories, components)
     feats = _flatten_outputs(outputs, horizon, n_experts)
     n = feats.shape[0]
 
@@ -192,12 +205,6 @@ def train_router(
     return router, curve
 
 
-def route(router: Router, expert_outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax weights and their top-k sparsification for one (H, E) matrix."""
-    _, alpha = gate_forward(router, expert_outputs)
-    return alpha, select_topk(alpha, router.k)
-
-
 def pipeline_predict_batch(
     experts: list[ExpertModel],
     router: Router,
@@ -213,8 +220,8 @@ def pipeline_predict_batch(
     k = router.k if k is None else int(k)
     outputs = stack_expert_outputs(experts, np.atleast_2d(histories), components)
     _, alphas = gate_forward(router, outputs)
-    sparse = np.stack([select_topk(a, k) for a in alphas])
-    preds = np.einsum("nhe,ne->nh", outputs, sparse)
+    sparse = select_topk_batch(alphas, k)
+    preds = fuse(outputs, sparse)
     return preds, alphas, sparse
 
 

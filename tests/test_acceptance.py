@@ -20,7 +20,6 @@ from rarecast.dataset import (
     RarityLevel,
     compute_thresholds,
     label_points,
-    stack_windows,
 )
 from rarecast.evaluation import (
     ablate_config,
@@ -217,8 +216,7 @@ def test_a07_full_pipeline_beats_baseline_on_extremes(preset_runs):
     for cfg, data, report in runs:
         base = train_baseline(data, cfg)
         preds = baseline_predict(base, data.test_windows)
-        _, targets, _, _ = stack_windows(data.test_windows)
-        base_report = evaluate(preds, targets, data.thresholds)
+        base_report = evaluate(preds, data.test_windows.targets, data.thresholds)
         ours = report.get(RarityLevel.EXTREME_RARE).mse
         theirs = base_report.get(RarityLevel.EXTREME_RARE).mse
         pairs.append((ours, theirs))

@@ -7,7 +7,6 @@ import pytest
 
 from rarecast import cli
 from rarecast.bundle import BundleError, load_bundle, save_bundle
-from rarecast.dataset import stack_windows
 from rarecast.pipeline import TrainedPipeline, predict_windows
 
 

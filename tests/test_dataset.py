@@ -17,14 +17,13 @@ from rarecast.dataset import (
     RarityLevel,
     RarityThresholds,
     TimeSeries,
-    WindowSample,
+    Windows,
     compute_thresholds,
     label_point,
     label_points,
     load_csv,
     make_windows,
     split_811,
-    stack_windows,
     synth_base,
     synth_generate,
 )
@@ -178,18 +177,18 @@ def test_make_windows_count_and_content():
     v = np.arange(10, dtype=np.float64)
     wins = make_windows(TimeSeries(v), 4, 2, 1, THRESH)
     assert len(wins) == 5  # floor((10 - 4 - 2) / 1) + 1
-    for i, w in enumerate(wins):
-        np.testing.assert_array_equal(w.history, v[i : i + 4])
-        np.testing.assert_array_equal(w.target, v[i + 4 : i + 6])
-        np.testing.assert_array_equal(w.point_levels, label_points(w.target, THRESH))
-        assert w.window_level == w.point_levels.max()
+    for i in range(len(wins)):
+        np.testing.assert_array_equal(wins.histories[i], v[i : i + 4])
+        np.testing.assert_array_equal(wins.targets[i], v[i + 4 : i + 6])
+        np.testing.assert_array_equal(wins.point_levels[i], label_points(wins.targets[i], THRESH))
+        assert wins.window_levels[i] == wins.point_levels[i].max()
 
 
 def test_make_windows_stride():
     v = np.arange(20, dtype=np.float64)
     wins = make_windows(TimeSeries(v), 4, 2, 3, THRESH)
     assert len(wins) == (20 - 6) // 3 + 1
-    assert wins[1].history[0] == 3.0
+    assert wins.histories[1, 0] == 3.0
 
 
 def test_make_windows_errors():
@@ -202,23 +201,58 @@ def test_make_windows_errors():
 
 def test_window_sample_level_consistency_enforced():
     with pytest.raises(ValueError, match="max point level"):
-        WindowSample(
-            history=np.zeros(4),
-            target=np.zeros(2),
-            point_levels=np.array([0, 1]),
-            window_level=RarityLevel.NORMAL,
+        Windows(
+            histories=np.zeros((1, 4)),
+            targets=np.zeros((1, 2)),
+            point_levels=np.array([[0, 1]]),
+            window_levels=np.array([RarityLevel.NORMAL]),
         )
 
 
-def test_stack_windows_shapes():
+def test_windows_shapes():
     v = np.arange(12, dtype=np.float64)
     wins = make_windows(TimeSeries(v), 4, 2, 1, THRESH)
-    hist, targ, plev, wlev = stack_windows(wins)
-    assert hist.shape == (len(wins), 4)
-    assert targ.shape == plev.shape == (len(wins), 2)
-    assert wlev.shape == (len(wins),)
-    with pytest.raises(ValueError):
-        stack_windows([])
+    assert wins.histories.shape == (len(wins), 4)
+    assert wins.targets.shape == wins.point_levels.shape == (len(wins), 2)
+    assert wins.window_levels.shape == (len(wins),)
+    assert wins.histories.dtype == wins.targets.dtype == np.float64
+    assert wins.point_levels.dtype == wins.window_levels.dtype == np.int64
+    with pytest.raises(ValueError, match="one row per window"):
+        Windows(wins.histories, wins.targets[1:], wins.point_levels[1:], wins.window_levels[1:])
+    with pytest.raises(ValueError, match="2-d"):
+        Windows(wins.histories[0], wins.targets, wins.point_levels, wins.window_levels)
+
+
+def test_windows_are_read_only_and_c_contiguous():
+    v = np.arange(20, dtype=np.float64)
+    wins = make_windows(TimeSeries(v), 4, 2, 3, THRESH)
+    for arr in (wins.histories, wins.targets, wins.point_levels, wins.window_levels):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    src = np.zeros((2, 4))
+    own = Windows(src, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
+    src[0, 0] = 5.0  # the record holds a copy, not the caller's array
+    assert own.histories[0, 0] == 0.0
+
+
+def test_windows_indexing_keeps_rows_aligned():
+    v = np.sin(np.arange(60, dtype=np.float64))
+    wins = make_windows(TimeSeries(v), 4, 2, 1, THRESH)
+    idx = np.array([7, 0, 31, 7])
+    mask = wins.window_levels >= RarityLevel.MODERATE
+    assert 0 < mask.sum() < len(wins)
+    for sub, rows in ((wins[idx], idx), (wins[mask], np.flatnonzero(mask)), (wins[3:9], np.arange(3, 9))):
+        assert isinstance(sub, Windows) and len(sub) == len(rows)
+        for j, i in enumerate(rows):
+            np.testing.assert_array_equal(sub.histories[j], v[i : i + 4])
+            np.testing.assert_array_equal(sub.targets[j], v[i + 4 : i + 6])
+            np.testing.assert_array_equal(sub.point_levels[j], wins.point_levels[i])
+            assert sub.window_levels[j] == wins.window_levels[i]
+    empty = wins[:0]
+    assert len(empty) == 0 and empty.histories.shape == (0, 4)
+    with pytest.raises(TypeError, match="not an int"):
+        wins[3]
 
 
 # --------------------------------------------------------------- normalizer

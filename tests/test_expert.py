@@ -7,7 +7,7 @@ import pytest
 
 from rarecast.cli import REPRODUCE_OVERRIDES
 from rarecast.config import PipelineConfig
-from rarecast.dataset import RarityLevel, stack_windows
+from rarecast.dataset import RarityLevel
 from rarecast.expert import (
     ExpertModel,
     ExpertTrainConfig,
@@ -125,7 +125,7 @@ def test_train_expert_curve_and_descent(tiny_data):
 
 def test_train_expert_errors(tiny_data):
     with pytest.raises(ValueError, match="no samples"):
-        train_expert([], 0, None, _small_cfg())
+        train_expert(tiny_data.train_windows[:0], 0, None, _small_cfg())
     with pytest.raises(ValueError, match="requires a teacher"):
         train_expert(tiny_data.train_windows[:50], 1, None, _small_cfg())
 
@@ -139,10 +139,22 @@ def test_teacher_stays_frozen(tiny_data):
     assert curve[0]["kd"] > 0.0  # the student actually sees the teacher
 
 
+def test_plain_penalty_rare_expert_still_distills(tiny_data):
+    """The WT+KD ablation cell: a rare expert on the quadratic loss keeps its KD term."""
+    wins = tiny_data.train_windows
+    teacher, _ = train_expert(wins[:200], 0, None, _small_cfg())
+    digests = []
+    for beta in (0.5, 0.0):
+        cfg = _small_cfg(beta=beta, use_rare_penalty=False)
+        student, curve = train_expert(wins[200:400], 1, teacher, cfg)
+        digests.append(_params_digest(student))
+    assert curve[0]["kd"] == 0.0  # beta 0 never consults the teacher
+    assert digests[0] != digests[1], "distillation was dropped from the gradient"
+
+
 def test_build_expert_chain_counts_exact_vs_cumulative(tiny_data):
     wins = tiny_data.train_windows
-    _, _, _, wlev = stack_windows(wins)
-    folded = collapse_level(wlev, 3)
+    folded = collapse_level(wins.window_levels, 3)
     exact = build_expert_chain(wins, _small_cfg(epochs=1, level_scope="exact"))
     assert len(exact.experts) == 3
     assert [exact.counts[c] for c in range(3)] == [int((folded == c).sum()) for c in range(3)]
@@ -152,7 +164,8 @@ def test_build_expert_chain_counts_exact_vs_cumulative(tiny_data):
 
 
 def test_build_expert_chain_missing_level_raises(tiny_data):
-    quiet = [w for w in tiny_data.train_windows if w.window_level == RarityLevel.NORMAL]
+    wins = tiny_data.train_windows
+    quiet = wins[wins.window_levels == RarityLevel.NORMAL]
     with pytest.raises(ValueError, match="no windows for level"):
         build_expert_chain(quiet[:100], _small_cfg())
 
@@ -176,8 +189,8 @@ def test_rare_experts_beat_normal_on_their_own_windows():
         cfg = cfg0.with_overrides(seed=seed)
         data = prepare_data(cfg)
         tp, _ = train_pipeline(data, cfg, train_router_too=False)
-        hist, targ, _, wlev = stack_windows(data.test_windows)
-        folded = collapse_level(wlev, cfg.n_experts)
+        hist, targ = data.test_windows.histories, data.test_windows.targets
+        folded = collapse_level(data.test_windows.window_levels, cfg.n_experts)
         for c in range(cfg.n_experts):
             sel = folded == c
             assert sel.any(), f"seed {seed}: no held-out windows at level {c}"

@@ -17,8 +17,8 @@ from rarecast.router import (
     gate_forward,
     pipeline_predict,
     pipeline_predict_batch,
-    route,
     select_topk,
+    select_topk_batch,
     softmax,
     stack_expert_outputs,
     train_router,
@@ -86,6 +86,17 @@ def test_select_topk_oracles():
     tied = select_topk(np.array([0.4, 0.3, 0.3]), 2)
     np.testing.assert_allclose(tied, [4 / 7, 3 / 7, 0.0], atol=1e-12)
     assert tied[2] == 0.0
+    # the batched kernel is bitwise the 1-d function row by row, ties and k = E included
+    rng = np.random.default_rng(12)
+    for n_experts in range(1, 5):
+        rows = np.concatenate([
+            softmax(rng.standard_normal((64, n_experts))),
+            rng.integers(1, 3, size=(64, n_experts)) / 4.0,  # many exact ties
+        ])
+        for k in range(1, n_experts + 1):
+            batch = select_topk_batch(rows, k)
+            for row, got in zip(rows, batch):
+                assert np.array_equal(got, select_topk(row, k))
 
 
 def test_select_topk_errors():
@@ -115,6 +126,15 @@ def test_fuse_oracles_and_bounds():
         fuse(big, np.array([0.5, 0.5, 0.5, 0.5]))
     with pytest.raises(ValueError, match="expected"):
         fuse(big[0], np.full(4, 0.25))
+    # the batched form fuses each window with its own weight row
+    outs = rng.standard_normal((5, 6, 4))
+    ws = rng.dirichlet(np.ones(4), size=5)
+    for o, wr, row in zip(outs, ws, fuse(outs, ws)):
+        np.testing.assert_allclose(row, fuse(o, wr), atol=1e-12)
+    with pytest.raises(ValueError, match="expected"):
+        fuse(outs, ws[:, :3])
+    with pytest.raises(ValueError, match="sum to 1"):
+        fuse(outs, 2.0 * ws)
 
 
 def test_cross_entropy_oracles():
@@ -133,8 +153,8 @@ def test_gate_permutation_invariance():
     router = Router(gate=_gate(horizon, n_experts, seed=1), n_experts=n_experts,
                     horizon=horizon, k=2)
     out = rng.standard_normal((horizon, n_experts))
-    alpha, sparse = route(router, out)
-    fused = fuse(out, sparse)
+    _, alpha = gate_forward(router, out)
+    fused = fuse(out, select_topk(alpha, router.k))
 
     perm = np.array([2, 0, 1])
     w = router.gate.params["w"]
@@ -148,9 +168,11 @@ def test_gate_permutation_invariance():
     gate_p.params["b"] = router.gate.params["b"][perm]
     router_p = Router(gate=gate_p, n_experts=n_experts, horizon=horizon, k=2)
 
-    alpha_p, sparse_p = route(router_p, out[:, perm])
+    _, alpha_p = gate_forward(router_p, out[:, perm])
     np.testing.assert_allclose(alpha_p, alpha[perm], atol=1e-12)
-    np.testing.assert_allclose(fuse(out[:, perm], sparse_p), fused, atol=1e-12)
+    np.testing.assert_allclose(
+        fuse(out[:, perm], select_topk(alpha_p, router_p.k)), fused, atol=1e-12
+    )
 
 
 # ------------------------------------------------------------------ training
@@ -168,7 +190,8 @@ def test_train_router_empty_error():
 
 
 def test_train_router_warns_on_missing_levels(tiny_data, caplog):
-    quiet = [w for w in tiny_data.train_windows if w.window_level == RarityLevel.NORMAL]
+    wins = tiny_data.train_windows
+    quiet = wins[wins.window_levels == RarityLevel.NORMAL]
     experts = _experts(3, 32, 8)
     with caplog.at_level(logging.WARNING, logger="rarecast.router"):
         router, curve = train_router(experts, quiet[:150], _router_cfg(epochs=1))
@@ -235,9 +258,7 @@ def test_pipeline_predict_uniform_and_argmax():
 
 def test_sparse_weights_stay_on_simplex(tiny_pipeline, tiny_data):
     tp, _ = tiny_pipeline
-    from rarecast.dataset import stack_windows
-
-    hist, _, _, _ = stack_windows(tiny_data.test_windows[:64])
+    hist = tiny_data.test_windows[:64].histories
     _, alphas, sparse = pipeline_predict_batch(tp.experts, tp.router, hist)
     np.testing.assert_allclose(alphas.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(sparse.sum(axis=1), 1.0, atol=1e-12)
