@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Print sha256 digests of `rarecast reproduce` outputs, optionally checking them.
+
+For each seed, runs `rarecast reproduce --seed N` into OUT/seedN and prints
+one `<sha256>  seedN/<file>` line (sha256sum format) for metrics.csv,
+metrics_baseline.csv and bundle.json. With --expect FILE, every printed line
+must appear in FILE; any mismatch or missing line exits 1.
+
+The committed expectations (scripts/repro_digests.expected, seeds 0-4) were
+recorded with numpy's bundled OpenBLAS 0.3.31 on an x86-64 Haswell-class
+host. They depend on the BLAS build of the host: a different BLAS, kernel
+selection or thread split may round matrix products differently and change
+every digest without any change to the code.
+
+    PYTHONPATH=src python scripts/repro_digests.py --seeds 0,1,2,3,4 \
+        --expect scripts/repro_digests.expected
+"""
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from rarecast.cli import main as rarecast_main
+
+FILES = ("metrics.csv", "metrics_baseline.csv", "bundle.json")
+
+
+def digest_lines(seed: int, root: Path) -> list[str]:
+    out = root / f"seed{seed}"
+    rc = rarecast_main(["reproduce", "--seed", str(seed), "--out", str(out)])
+    if rc != 0:
+        raise SystemExit(f"seed {seed}: reproduce failed (rc={rc})")
+    return [
+        f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  seed{seed}/{name}"
+        for name in FILES
+    ]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated run seeds")
+    parser.add_argument("--out", help="output root (default: a temporary directory)")
+    parser.add_argument("--expect", help="file of expected digest lines")
+    args = parser.parse_args()
+    seeds = [int(s) for s in args.seeds.split(",")]
+    expected = set(Path(args.expect).read_text().splitlines()) if args.expect else None
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(args.out) if args.out else Path(tmp)
+        lines = [line for seed in seeds for line in digest_lines(seed, root)]
+    mismatches = 0
+    for line in lines:
+        ok = expected is None or line in expected
+        mismatches += not ok
+        print(line if ok else f"{line}  MISMATCH")
+    if expected is not None:
+        print(f"{len(lines) - mismatches}/{len(lines)} digests match {args.expect}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

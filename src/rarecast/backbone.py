@@ -1,8 +1,14 @@
 """Small forecasting backbones with hand-rolled reverse-mode gradients.
 
 Two kinds: a linear map and a one-hidden-layer tanh MLP. Both map a length-T
-history to a length-H forecast. Weights are trained with Adam; everything is
-plain float64 numpy so runs are bitwise reproducible for a fixed seed.
+history to a length-H forecast. Everything is plain float64 numpy so runs
+are bitwise reproducible for a fixed seed.
+
+Training runs on a ForecasterStack: B same-shaped models (the bands of an
+expert, or a gate as B=1) whose parameters live in one flat buffer. One
+`forecast`, `backward` and `step` call covers every model in the stack, with
+batched matmuls over the model axis and one Adam update on the flat buffer.
+A lone Forecaster is accepted by `forecast` and `backward` as the B=1 case.
 """
 
 from __future__ import annotations
@@ -24,6 +30,39 @@ class Forecaster:
 
     def n_params(self) -> int:
         return sum(p.size for p in self.params.values())
+
+
+@dataclass(eq=False)
+class ForecasterStack:
+    """Same-shaped forecasters sharing one flat parameter buffer.
+
+    `params[name]` is a (B, ...) view of `flat`, and member b's
+    `params[name]` is its b-th slice, so members read and write the shared
+    buffer. `grads` mirrors that layout over `grad_flat`; `backward` fills it
+    and `step` consumes it.
+    """
+
+    members: list[Forecaster]
+    flat: np.ndarray
+    params: dict[str, np.ndarray]
+    grad_flat: np.ndarray
+    grads: dict[str, np.ndarray]
+
+    @property
+    def kind(self) -> str:
+        return self.members[0].kind
+
+    @property
+    def input_len(self) -> int:
+        return self.members[0].input_len
+
+    @property
+    def output_len(self) -> int:
+        return self.members[0].output_len
+
+    @property
+    def n_models(self) -> int:
+        return len(self.members)
 
 
 def make_forecaster(
@@ -58,81 +97,175 @@ def make_forecaster(
     return Forecaster(kind=kind, input_len=input_len, output_len=output_len, hidden=hidden, params=params)
 
 
-def _check_input(model: Forecaster, history: np.ndarray) -> np.ndarray:
+def stack_forecasters(models: list[Forecaster]) -> ForecasterStack:
+    """Copy same-shaped models into one flat buffer and rebind their params to views of it."""
+    if not models:
+        raise ValueError("stack_forecasters: need at least one model")
+    first = models[0]
+    shapes = {name: np.shape(p) for name, p in first.params.items()}
+    for m in models:
+        same = (m.kind, m.input_len, m.output_len, m.hidden) == (
+            first.kind, first.input_len, first.output_len, first.hidden
+        )
+        if not same or {name: np.shape(p) for name, p in m.params.items()} != shapes:
+            raise ValueError("stack_forecasters: models must share kind and parameter shapes")
+    n = len(models)
+    sizes = {name: n * int(np.prod(shape)) for name, shape in shapes.items()}
+    flat = np.empty(sum(sizes.values()))
+    grad_flat = np.zeros_like(flat)
+    params, grads = {}, {}
+    start = 0
+    for name, shape in shapes.items():
+        stop = start + sizes[name]
+        params[name] = flat[start:stop].reshape((n,) + shape)
+        grads[name] = grad_flat[start:stop].reshape((n,) + shape)
+        start = stop
+    for b, m in enumerate(models):
+        for name in shapes:
+            params[name][b] = m.params[name]
+            m.params[name] = params[name][b]
+    return ForecasterStack(list(models), flat, params, grad_flat, grads)
+
+
+def _check_input(model: Forecaster | ForecasterStack, history: np.ndarray) -> np.ndarray:
     x = np.asarray(history, dtype=np.float64)
     if x.shape[-1] != model.input_len:
         raise ValueError(
             f"forecast: history length {x.shape[-1]} does not match input_len {model.input_len}"
         )
+    if isinstance(model, ForecasterStack):
+        if not (x.ndim == 2 or (x.ndim == 3 and x.shape[0] == model.n_models)):
+            raise ValueError("forecast: a stack takes (N, T) shared or (B, N, T) per-model histories")
+    elif x.ndim not in (1, 2):
+        raise ValueError("forecast: a forecaster takes (T,) or (N, T) histories")
     return x
 
 
-def forecast(model: Forecaster, history: np.ndarray) -> np.ndarray:
-    """Predict H values from T history values. Accepts (T,) or a (N, T) batch."""
+def _one(model: Forecaster) -> dict[str, np.ndarray]:
+    """A lone model's parameters as a stack of one (views, no copy)."""
+    return {name: p[None] for name, p in model.params.items()}
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w[m].T + b[m] for every model m: (N, I) or (B, N, I) inputs, (B, N, O) out."""
+    out = np.matmul(x, w.swapaxes(-1, -2))
+    out += b[:, None, :]
+    return out
+
+
+def _forward(kind: str, p: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+    if kind == "linear":
+        return _affine(x, p["w"], p["b"])
+    h = _affine(x, p["w1"], p["b1"])
+    return _affine(np.tanh(h, out=h), p["w2"], p["b2"])
+
+
+def forecast(model: Forecaster | ForecasterStack, history: np.ndarray) -> np.ndarray:
+    """Predict H values from T history values.
+
+    A Forecaster takes (T,) or a (N, T) batch and returns (H,) or (N, H). A
+    stack takes (N, T) shared by every model or (B, N, T) and returns (B, N, H).
+    """
     x = _check_input(model, history)
-    p = model.params
-    if model.kind == "linear":
-        return x @ p["w"].T + p["b"]
-    h = np.tanh(x @ p["w1"].T + p["b1"])
-    return h @ p["w2"].T + p["b2"]
+    if isinstance(model, ForecasterStack):
+        return _forward(model.kind, model.params, x)
+    y = _forward(model.kind, _one(model), np.atleast_2d(x))[0]
+    return y[0] if x.ndim == 1 else y
 
 
-def backward(model: Forecaster, history: np.ndarray, output_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients of sum(output * output_grad), summed over the batch."""
+def backward(
+    model: Forecaster | ForecasterStack, history: np.ndarray, output_grad: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Parameter gradients of sum(output * output_grad), summed over the batch.
+
+    output_grad is (N, H), shared by every model of a stack as in a band sum.
+    A stack's gradients are written into its `grads` buffer and that dict is
+    returned, so the next call overwrites them; a Forecaster gets new arrays.
+    """
     x = _check_input(model, history)
     g = np.asarray(output_grad, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-        g = g[None, :]
-    if g.shape != (x.shape[0], model.output_len):
+    if isinstance(model, ForecasterStack):
+        p, out = model.params, model.grads
+    else:
+        if x.ndim == 1:
+            x, g = x[None, :], g[None, :]
+        p, out = _one(model), {name: np.empty((1,) + w.shape) for name, w in model.params.items()}
+    if g.shape != (x.shape[-2], model.output_len):
         raise ValueError("backward: output_grad shape must match the forecast shape")
-    p = model.params
     if model.kind == "linear":
-        return {"w": g.T @ x, "b": g.sum(axis=0)}
-    z = x @ p["w1"].T + p["b1"]
-    h = np.tanh(z)
-    dh = g @ p["w2"]
-    dz = dh * (1.0 - h * h)
-    return {
-        "w1": dz.T @ x,
-        "b1": dz.sum(axis=0),
-        "w2": g.T @ h,
-        "b2": g.sum(axis=0),
-    }
+        np.matmul(g.T, x, out=out["w"])
+        out["b"][...] = g.sum(axis=0)
+    else:
+        h = _affine(x, p["w1"], p["b1"])
+        np.tanh(h, out=h)
+        dz = np.matmul(g, p["w2"])
+        dz *= 1.0 - h * h
+        np.matmul(dz.swapaxes(-1, -2), x, out=out["w1"])
+        np.sum(dz, axis=-2, out=out["b1"])
+        np.matmul(g.T, h, out=out["w2"])
+        out["b2"][...] = g.sum(axis=0)
+    if isinstance(model, ForecasterStack):
+        return out
+    return {name: v[0] for name, v in out.items()}
 
 
 @dataclass(eq=False)
 class OptimizerState:
-    """Adam moments and hyperparameters for one model."""
+    """Adam moments and hyperparameters for one stack, shaped like its flat buffer."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    work: np.ndarray | None = field(default=None, repr=False)  # (2, P) scratch
 
 
-def step(model: Forecaster, grads: dict[str, np.ndarray], opt: OptimizerState) -> Forecaster:
-    """One in-place Adam update. Non-finite gradients abort training."""
-    if set(grads) != set(model.params):
+def step(model: ForecasterStack, grads: dict[str, np.ndarray], opt: OptimizerState) -> ForecasterStack:
+    """One in-place Adam update of the whole stack. Non-finite gradients abort training.
+
+    grads are normally the dict `backward` returned; other arrays are copied
+    into the stack's gradient buffer first and must match its (B, ...) shapes.
+    """
+    if grads.keys() != model.params.keys():
         raise ValueError(f"step: gradient keys {sorted(grads)} do not match parameters")
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"step: non-finite gradient for {name!r}, training aborted")
-    if not opt.m:
-        opt.m = {k: np.zeros_like(p) for k, p in model.params.items()}
-        opt.v = {k: np.zeros_like(p) for k, p in model.params.items()}
+        buf = model.grads[name]
+        if g is not buf:
+            if np.shape(g) != buf.shape:
+                raise ValueError(f"step: gradient {name!r} has shape {np.shape(g)}, expected {buf.shape}")
+            buf[...] = g
+    g = model.grad_flat
+    if not np.isfinite(g).all():
+        bad = next(name for name in grads if not np.isfinite(model.grads[name]).all())
+        raise ValueError(f"step: non-finite gradient for {bad!r}, training aborted")
+    if opt.m is None:
+        opt.m, opt.v = np.zeros_like(g), np.zeros_like(g)
+        opt.work = np.empty((2, g.size))
+    if opt.m.shape != g.shape:
+        raise ValueError("step: optimizer state belongs to a differently sized model")
     opt.step_count += 1
     t = opt.step_count
     bc1 = 1.0 - opt.beta1**t
     bc2 = 1.0 - opt.beta2**t
-    for name, g in grads.items():
-        opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
-        opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * (g * g)
-        m_hat = opt.m[name] / bc1
-        v_hat = opt.v[name] / bc2
-        model.params[name] -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+    m, v = opt.m, opt.v
+    tmp, upd = opt.work
+    # Same elementwise roundings as m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), done in place on the flat buffer.
+    m *= opt.beta1
+    np.multiply(g, 1.0 - opt.beta1, out=tmp)
+    m += tmp
+    v *= opt.beta2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - opt.beta2
+    v += tmp
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += opt.eps
+    np.divide(m, bc1, out=upd)
+    upd *= opt.lr
+    upd /= tmp
+    model.flat -= upd
     return model

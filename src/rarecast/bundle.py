@@ -2,8 +2,9 @@
 
 Arrays are stored as nested lists of full-precision floats (repr round-trips
 a float64 exactly), so save, load, save again produces identical bytes. The
-checksum covers the canonical payload encoding; any corruption or a format
-version this code does not know is a hard error.
+checksum covers the canonical payload encoding; any corruption, a format
+version this code does not know, or a payload whose shapes disagree with its
+own config is a hard error.
 """
 
 from __future__ import annotations
@@ -44,13 +45,18 @@ def _forecaster_dict(model: bb.Forecaster) -> dict:
 
 
 def _forecaster_from(d: dict) -> bb.Forecaster:
-    return bb.Forecaster(
+    model = bb.Forecaster(
         kind=d["kind"],
         input_len=int(d["input_len"]),
         output_len=int(d["output_len"]),
         hidden=int(d["hidden"]),
         params={k: np.asarray(v, dtype=np.float64) for k, v in d["params"].items()},
     )
+    template = bb.make_forecaster(model.kind, model.input_len, model.output_len, model.hidden)
+    shapes = {k: v.shape for k, v in model.params.items()}
+    if shapes != {k: v.shape for k, v in template.params.items()}:
+        raise ValueError(f"{model.kind} forecaster parameter shapes {shapes} do not match its dimensions")
+    return model
 
 
 def _bank_dict(bank: FilterBank | None) -> dict | None:
@@ -132,6 +138,8 @@ def load_bundle(path: str | Path) -> TrainedPipeline:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise BundleError(f"load_bundle: {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BundleError(f"load_bundle: {path} is not a bundle (top level is not an object)")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise BundleError(
@@ -142,6 +150,26 @@ def load_bundle(path: str | Path) -> TrainedPipeline:
     actual = hashlib.sha256(_canonical(payload).encode()).hexdigest()
     if stored != actual:
         raise BundleError(f"load_bundle: checksum mismatch in {path}, file is corrupted")
+    try:
+        return _pipeline_from(payload)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise BundleError(f"load_bundle: malformed payload in {path}: {reason}") from exc
+
+
+def _pipeline_from(payload: dict) -> TrainedPipeline:
+    """Rebuild a pipeline, checking every model's shape against the payload's config."""
+    cfg = PipelineConfig.from_dict(payload["config"])
+    experts = [_expert_from(e) for e in payload["experts"]]
+    if len(experts) != cfg.n_experts:
+        raise ValueError(f"{len(experts)} experts, config says n_experts={cfg.n_experts}")
+    for e in experts:
+        dims = (e.n_bands, e.history_len, e.horizon)
+        if dims != (cfg.n_bands, cfg.history_len, cfg.horizon):
+            raise ValueError(
+                f"expert {e.level} has (n_bands, input_len, output_len) = {dims}, config says "
+                f"{(cfg.n_bands, cfg.history_len, cfg.horizon)}"
+            )
     router = None
     if payload["router"] is not None:
         r = payload["router"]
@@ -151,11 +179,16 @@ def load_bundle(path: str | Path) -> TrainedPipeline:
             horizon=int(r["horizon"]),
             k=int(r["k"]),
         )
+        if (router.horizon, router.n_experts) != (cfg.horizon, cfg.n_experts):
+            raise ValueError(
+                f"router has (horizon, n_experts) = {(router.horizon, router.n_experts)}, "
+                f"config says {(cfg.horizon, cfg.n_experts)}"
+            )
     th = payload["thresholds"]
     return TrainedPipeline(
-        experts=[_expert_from(e) for e in payload["experts"]],
+        experts=experts,
         router=router,
         normalizer=Normalizer(**payload["normalizer"]),
         thresholds=RarityThresholds(float(th[0]), float(th[1]), float(th[2])),
-        config=PipelineConfig.from_dict(payload["config"]),
+        config=cfg,
     )

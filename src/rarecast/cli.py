@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import re
 import sys
 from pathlib import Path
@@ -448,11 +449,24 @@ def cmd_ewt_dump(args: argparse.Namespace) -> int:
     return 0
 
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rarecast",
         description="Rarity-aware forecasting with spectral-band experts and top-k fusion",
     )
+    logs = argparse.ArgumentParser(add_help=False)
+    logs.add_argument(
+        "-v", action="store_const", const="INFO", dest="log_level",
+        help="show progress messages (same as --log-level info)",
+    )
+    logs.add_argument(
+        "--log-level", type=str.upper, choices=LOG_LEVELS,
+        help="rarecast log messages shown on stderr (default: warning)",
+    )
+    logs.set_defaults(log_level="WARNING")
     sub = parser.add_subparsers(dest="command", required=True)
 
     specs = [
@@ -467,18 +481,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("ewt-dump", cmd_ewt_dump, "export detected boundaries and filter gains", True),
     ]
     for name, fn, help_text, with_data in specs:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[logs])
         _add_common(p, data=with_data)
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("train-router", help="train the gate on a saved expert bundle")
+    p = sub.add_parser("train-router", help="train the gate on a saved expert bundle", parents=[logs])
     p.add_argument("--bundle", required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--router-epochs", type=int, dest="router_epochs")
     p.add_argument("--out", default="rarecast-out")
     p.set_defaults(fn=cmd_train_router)
 
-    p = sub.add_parser("predict", help="forecast from a saved bundle and a CSV")
+    p = sub.add_parser("predict", help="forecast from a saved bundle and a CSV", parents=[logs])
     p.add_argument("--bundle", required=True)
     p.add_argument("--data", dest="data_path", required=True)
     p.add_argument("--column", dest="data_column")
@@ -489,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="rarecast-out")
     p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="test-split metrics for a saved bundle")
+    p = sub.add_parser("evaluate", help="test-split metrics for a saved bundle", parents=[logs])
     p.add_argument("--bundle", required=True)
     _add_common(p, data=True)
     p.add_argument("--raw", action="store_true", help="report errors in raw units")
@@ -519,6 +533,13 @@ def _find(sub: argparse._SubParsersAction, name: str) -> argparse.ArgumentParser
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The handler lives for this call only, so repeated in-process runs do not stack them.
+    logger = logging.getLogger("rarecast")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level)
     try:
         return args.fn(args)
     except Exception as exc:  # noqa: BLE001, the CLI boundary reports and exits
@@ -526,6 +547,9 @@ def main(argv: list[str] | None = None) -> int:
         qualifier = f" [{module}]" if module not in ("builtins", None) else ""
         print(f"error{qualifier}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
 
 
 if __name__ == "__main__":

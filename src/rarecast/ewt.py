@@ -124,21 +124,23 @@ def _detect_boundaries_batch(signals: np.ndarray, n_bands: int) -> tuple[np.ndar
     order = np.argsort(-score, axis=1, kind="stable")
     n_found = is_max.sum(axis=1)
 
-    n_fallback = 0
-    for i in range(n):
-        k = min(n_bands, int(n_found[i]))
-        peaks = np.sort(order[i, :k])
+    # Rows with enough maxima: midpoints of adjacent kept peaks, all at once.
+    peaks = freqs[np.sort(order[:, :n_bands], axis=1)]
+    omegas[:, 1:-1] = 0.5 * (peaks[:, :-1] + peaks[:, 1:])
+
+    fallback = np.flatnonzero(n_found < n_bands)
+    for i in fallback:
+        k = int(n_found[i])
+        kept = freqs[np.sort(order[i, :k])]
         edges = [0.0]
-        edges.extend(0.5 * (freqs[peaks[:-1]] + freqs[peaks[1:]]))
+        edges.extend(0.5 * (kept[:-1] + kept[1:]))
         edges.append(np.pi)
-        if k < n_bands:
-            n_fallback += 1
-            while len(edges) < n_bands + 1:
-                widths = np.diff(edges)
-                w = int(np.argmax(widths))
-                edges.insert(w + 1, 0.5 * (edges[w] + edges[w + 1]))
+        while len(edges) < n_bands + 1:
+            widths = np.diff(edges)
+            w = int(np.argmax(widths))
+            edges.insert(w + 1, 0.5 * (edges[w] + edges[w + 1]))
         omegas[i, :] = edges
-    return omegas, n_fallback
+    return omegas, int(fallback.size)
 
 
 def detect_boundaries(signal: np.ndarray, n_bands: int) -> Boundaries:

@@ -1,7 +1,9 @@
 """Rarity-level experts and their distillation chain.
 
 An expert holds one backbone per spectral band; its forecast is the sum of
-the per-band forecasts on the decomposed history. Experts are trained level
+the per-band forecasts on the decomposed history. The band backbones share
+one stacked parameter buffer, so each training step is one forward, one
+backward and one Adam update over all bands. Experts are trained level
 by level, normal first, each rare expert distilling from the level below it
 through the bounded distillation term.
 """
@@ -67,7 +69,10 @@ class ExpertTrainConfig:
 
 @dataclass(eq=False)
 class ExpertModel:
-    """One trained expert: designated level, decomposition setup, band backbones."""
+    """One trained expert: designated level, decomposition setup, band backbones.
+
+    The backbones' parameters are views into `stack`, built here.
+    """
 
     level: int
     n_bands: int
@@ -75,12 +80,14 @@ class ExpertModel:
     mode: str = "per_window"
     bank: ewt.FilterBank | None = None
     gamma: float | None = None
+    stack: bb.ForecasterStack = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.backbones) != self.n_bands:
             raise ValueError("ExpertModel: need one backbone per band")
         if self.mode == "global" and self.bank is None:
             raise ValueError("ExpertModel: global mode requires a filter bank")
+        self.stack = bb.stack_forecasters(self.backbones)
 
     @property
     def history_len(self) -> int:
@@ -112,11 +119,12 @@ def decompose_histories(
     return ewt.decompose_windows(x, n_bands, gamma)
 
 
-def _forward(backbones: list[bb.Forecaster], components: np.ndarray) -> np.ndarray:
+def _forward(stack: bb.ForecasterStack, components: np.ndarray) -> np.ndarray:
     """Summed per-band forecasts; components is (N, n_bands, T)."""
-    out = bb.forecast(backbones[0], components[:, 0, :])
-    for b in range(1, len(backbones)):
-        out = out + bb.forecast(backbones[b], components[:, b, :])
+    bands = bb.forecast(stack, components.transpose(1, 0, 2))
+    out = bands[0]
+    for y in bands[1:]:  # sequential band order keeps the bits of the sum
+        out = out + y
     return out
 
 
@@ -128,7 +136,7 @@ def expert_predict_batch(
         components = decompose_histories(
             histories, expert.n_bands, expert.mode, expert.bank, expert.gamma
         )
-    return _forward(expert.backbones, components)
+    return _forward(expert.stack, components)
 
 
 def expert_predict(expert: ExpertModel, history: np.ndarray) -> np.ndarray:
@@ -140,7 +148,7 @@ def expert_predict(expert: ExpertModel, history: np.ndarray) -> np.ndarray:
 
 
 def _losses_on(
-    backbones: list[bb.Forecaster],
+    stack: bb.ForecasterStack,
     components: np.ndarray,
     targets: np.ndarray,
     point_levels: np.ndarray,
@@ -150,7 +158,7 @@ def _losses_on(
     horizon: int,
 ) -> tuple[float, float, float]:
     """(rare, kd, total) on a full window set; teacher_preds None means no distillation."""
-    preds = _forward(backbones, components)
+    preds = _forward(stack, components)
     rare = rare_loss(preds, targets, point_levels, penalty_level, horizon)
     kd_val = kd_loss(preds, teacher_preds).value if teacher_preds is not None else 0.0
     return rare.value, kd_val, rare.value + beta * kd_val
@@ -194,18 +202,26 @@ def train_expert(
     else:
         teacher_preds = None
 
-    backbones = [
-        bb.make_forecaster(
-            cfg.backbone, history_len, horizon, cfg.hidden, substream(cfg.seed, INIT, level, b)
-        )
-        for b in range(cfg.n_bands)
-    ]
-    optimizers = [bb.OptimizerState(lr=cfg.lr) for _ in range(cfg.n_bands)]
+    expert = ExpertModel(
+        level=level,
+        n_bands=cfg.n_bands,
+        backbones=[
+            bb.make_forecaster(
+                cfg.backbone, history_len, horizon, cfg.hidden, substream(cfg.seed, INIT, level, b)
+            )
+            for b in range(cfg.n_bands)
+        ],
+        mode=cfg.mode,
+        bank=bank if cfg.mode == "global" else None,
+        gamma=cfg.gamma,
+    )
+    model = expert.stack
+    opt = bb.OptimizerState(lr=cfg.lr)
     shuffle_rng = substream(cfg.seed, SHUFFLE, level)
 
     def curve_row(epoch: int) -> dict:
         r, k, tot = _losses_on(
-            backbones, components, targ, plev, teacher_preds, penalty_level, cfg.beta, horizon
+            model, components, targ, plev, teacher_preds, penalty_level, cfg.beta, horizon
         )
         return {"epoch": epoch, "rare": r, "kd": k, "total": tot}
 
@@ -215,25 +231,14 @@ def train_expert(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             comps_b = components[idx]
-            preds = _forward(backbones, comps_b)
+            preds = _forward(model, comps_b)
             teacher_b = teacher_preds[idx] if distill else None
             loss = combined_loss(
                 preds, targ[idx], teacher_b, plev[idx], penalty_level, cfg.beta, horizon
             )
-            dpred = np.asarray(loss.d_dpred)
-            for b in range(cfg.n_bands):
-                grads = bb.backward(backbones[b], comps_b[:, b, :], dpred)
-                bb.step(backbones[b], grads, optimizers[b])
+            grads = bb.backward(model, comps_b.transpose(1, 0, 2), np.asarray(loss.d_dpred))
+            bb.step(model, grads, opt)
         curve.append(curve_row(epoch))
-
-    expert = ExpertModel(
-        level=level,
-        n_bands=cfg.n_bands,
-        backbones=backbones,
-        mode=cfg.mode,
-        bank=bank if cfg.mode == "global" else None,
-        gamma=cfg.gamma,
-    )
     return expert, curve
 
 
@@ -279,7 +284,7 @@ def build_expert_chain(
         subset = windows[sel]
         teacher_preds = None
         if teacher is not None and cfg.beta > 0.0:
-            teacher_preds = _forward(teacher.backbones, components[sel])
+            teacher_preds = _forward(teacher.stack, components[sel])
         log.info(
             "training %s expert on %d windows (scope=%s)",
             RarityLevel(min(c, N_LEVELS - 1)).name, len(subset), cfg.level_scope,

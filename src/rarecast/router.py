@@ -180,27 +180,28 @@ def train_router(
         kind, horizon * n_experts, n_experts, max(cfg.hidden, 1),
         substream(cfg.seed, ROUTER_INIT),
     )
+    model = bb.stack_forecasters([gate])  # the gate is a stack of one
     opt = bb.OptimizerState(lr=cfg.lr)
     shuffle_rng = substream(cfg.seed, ROUTER_SHUFFLE)
     router = Router(gate=gate, n_experts=n_experts, horizon=horizon, k=cfg.k)
 
     def curve_row(epoch: int) -> dict:
-        logits = bb.forecast(gate, feats)
+        logits = bb.forecast(model, feats)[0]
         acc = float((logits.argmax(axis=1) == labels).mean())
         return {"epoch": epoch, "ce": cross_entropy(logits, labels), "accuracy": acc}
 
     curve = [curve_row(0)]
     onehot = np.eye(n_experts)[labels]
     for epoch in range(1, cfg.epochs + 1):
+        # Gather the epoch's rows once; each minibatch is then a contiguous slice.
         order = shuffle_rng.permutation(n)
+        feats_e, onehot_e, w_e = feats[order], onehot[order], sample_w[order][:, None]
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            logits = bb.forecast(gate, feats[idx])
-            probs = softmax(logits)
-            w = sample_w[idx][:, None]
-            dlogits = w * (probs - onehot[idx]) / idx.size
-            grads = bb.backward(gate, feats[idx], dlogits)
-            bb.step(gate, grads, opt)
+            rows = slice(start, start + cfg.batch_size)
+            feats_b = feats_e[rows]
+            probs = softmax(bb.forecast(model, feats_b)[0])
+            dlogits = w_e[rows] * (probs - onehot_e[rows]) / feats_b.shape[0]
+            bb.step(model, bb.backward(model, feats_b, dlogits), opt)
         curve.append(curve_row(epoch))
     return router, curve
 

@@ -1,4 +1,4 @@
-"""Forecaster forward/backward math and the Adam update."""
+"""Forecaster forward/backward math, the stacked kernels and the flat Adam update."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from rarecast.backbone import (
     backward,
     forecast,
     make_forecaster,
+    stack_forecasters,
     step,
 )
 
@@ -99,7 +100,7 @@ def test_adam_first_step_size_is_lr():
     m = make_forecaster("linear", 1, 1)
     m.params["w"] = np.array([[10.0]])
     opt = OptimizerState(lr=0.05)
-    step(m, {"w": np.array([[7.3]]), "b": np.array([0.0])}, opt)
+    step(stack_forecasters([m]), {"w": np.array([[[7.3]]]), "b": np.array([[0.0]])}, opt)
     # m_hat / (sqrt(v_hat) + eps) is sign(g) on the first step
     assert m.params["w"][0, 0] == pytest.approx(10.0 - 0.05, abs=1e-6)
     assert opt.step_count == 1
@@ -110,19 +111,22 @@ def test_adam_converges_on_quadratic():
     m.params["w"] = np.array([[0.0]])
     m.params["b"] = np.array([0.0])
     opt = OptimizerState(lr=0.05)
+    s = stack_forecasters([m])
     for _ in range(2000):
         w = m.params["w"][0, 0]
-        step(m, {"w": np.array([[2.0 * (w - 3.0)]]), "b": np.zeros(1)}, opt)
+        step(s, {"w": np.array([[[2.0 * (w - 3.0)]]]), "b": np.zeros((1, 1))}, opt)
     assert m.params["w"][0, 0] == pytest.approx(3.0, abs=1e-2)
 
 
 def test_step_validation():
-    m = make_forecaster("linear", 2, 1)
+    s = stack_forecasters([make_forecaster("linear", 2, 1)])
     opt = OptimizerState()
     with pytest.raises(ValueError, match="keys"):
-        step(m, {"w": np.zeros((1, 2))}, opt)
+        step(s, {"w": np.zeros((1, 1, 2))}, opt)
     with pytest.raises(ValueError, match="non-finite"):
-        step(m, {"w": np.full((1, 2), np.nan), "b": np.zeros(1)}, opt)
+        step(s, {"w": np.full((1, 1, 2), np.nan), "b": np.zeros((1, 1))}, opt)
+    with pytest.raises(ValueError, match="shape"):
+        step(s, {"w": np.zeros((1, 2)), "b": np.zeros((1, 1))}, opt)
     assert opt.step_count == 0  # failed updates never advance the clock
 
 
@@ -130,3 +134,111 @@ def test_forecaster_dataclass_shape():
     m = Forecaster(kind="linear", input_len=2, output_len=1, hidden=0,
                    params={"w": np.zeros((1, 2)), "b": np.zeros(1)})
     assert m.n_params() == 3
+
+
+# ------------------------------------------- stacked kernels vs per-band loop
+# The reference below is the per-model forward, backward and dict-of-moments
+# Adam that the stacked kernels replace; the stack must match it bitwise.
+
+
+def _ref_forecast(p: dict, kind: str, x: np.ndarray) -> np.ndarray:
+    if kind == "linear":
+        return x @ p["w"].T + p["b"]
+    return np.tanh(x @ p["w1"].T + p["b1"]) @ p["w2"].T + p["b2"]
+
+
+def _ref_backward(p: dict, kind: str, x: np.ndarray, g: np.ndarray) -> dict:
+    if kind == "linear":
+        return {"w": g.T @ x, "b": g.sum(axis=0)}
+    h = np.tanh(x @ p["w1"].T + p["b1"])
+    dz = (g @ p["w2"]) * (1.0 - h * h)
+    return {"w1": dz.T @ x, "b1": dz.sum(axis=0), "w2": g.T @ h, "b2": g.sum(axis=0)}
+
+
+def _ref_adam(p: dict, g: dict, state: dict, lr: float = 1e-3) -> None:
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    state["t"] += 1
+    bc1, bc2 = 1.0 - b1 ** state["t"], 1.0 - b2 ** state["t"]
+    for name in g:
+        m = state["m"].setdefault(name, np.zeros_like(p[name]))
+        v = state["v"].setdefault(name, np.zeros_like(p[name]))
+        state["m"][name] = m = b1 * m + (1.0 - b1) * g[name]
+        state["v"][name] = v = b2 * v + (1.0 - b2) * (g[name] * g[name])
+        p[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("n_models", [1, 4])
+@pytest.mark.parametrize("n", [1, 7, 128])
+def test_stacked_kernels_match_per_band_reference(kind, n_models, n):
+    rng = np.random.default_rng(100 + n + n_models)
+    t, h = 12, 5
+    models = [make_forecaster(kind, t, h, 6, rng) for _ in range(n_models)]
+    ref = [{k: v.copy() for k, v in m.params.items()} for m in models]
+    states = [{"t": 0, "m": {}, "v": {}} for _ in models]
+    s = stack_forecasters(models)
+    opt = OptimizerState()
+    for _ in range(3):
+        # (N, B, T) components viewed band-major, as an expert trains on them
+        comps = rng.standard_normal((n, n_models, t))
+        x = comps.transpose(1, 0, 2)
+        g = rng.standard_normal((n, h))
+        out = forecast(s, x)
+        assert out.shape == (n_models, n, h)
+        grads = backward(s, x, g)
+        for b in range(n_models):
+            np.testing.assert_array_equal(out[b], _ref_forecast(ref[b], kind, comps[:, b, :]))
+            ref_g = _ref_backward(ref[b], kind, comps[:, b, :], g)
+            for name in ref_g:
+                np.testing.assert_array_equal(grads[name][b], ref_g[name])
+            _ref_adam(ref[b], ref_g, states[b])
+        step(s, grads, opt)
+        for b, m in enumerate(models):
+            for name in ref[b]:
+                np.testing.assert_array_equal(m.params[name], ref[b][name])
+                np.testing.assert_array_equal(s.params[name][b], ref[b][name])
+    # a history shared by every model (the gate's case) equals passing it per model
+    xs = rng.standard_normal((n, t))
+    np.testing.assert_array_equal(forecast(s, xs), forecast(s, np.stack([xs] * n_models)))
+    assert opt.step_count == 3
+
+
+def test_stack_members_alias_the_flat_buffer():
+    models = [make_forecaster("mlp", 6, 3, 4, np.random.default_rng(i)) for i in range(3)]
+    before = [{k: v.copy() for k, v in m.params.items()} for m in models]
+    s = stack_forecasters(models)
+    assert s.flat.size == sum(m.n_params() for m in models)
+    for b, m in enumerate(models):
+        for name, p in m.params.items():
+            np.testing.assert_array_equal(p, before[b][name])
+            assert np.shares_memory(p, s.flat)
+    s.flat[:] = 0.0
+    assert all(not p.any() for m in models for p in m.params.values())
+    with pytest.raises(ValueError, match="shapes"):
+        stack_forecasters([make_forecaster("linear", 6, 3), make_forecaster("linear", 6, 2)])
+    with pytest.raises(ValueError, match="shapes"):
+        stack_forecasters([make_forecaster("linear", 6, 3), make_forecaster("mlp", 6, 3, 4)])
+    with pytest.raises(ValueError, match="at least one"):
+        stack_forecasters([])
+    with pytest.raises(ValueError, match="per-model"):
+        forecast(s, np.zeros((2, 4, 6)))  # 2 history blocks for 3 models
+
+
+@pytest.mark.parametrize("band", [0, 2, 3])
+def test_step_non_finite_in_any_band_aborts_without_update(band):
+    models = [make_forecaster("mlp", 6, 3, 4, np.random.default_rng(i)) for i in range(4)]
+    s = stack_forecasters(models)
+    flat_before = s.flat.copy()
+    opt = OptimizerState()
+    grads = {k: np.zeros_like(v) for k, v in s.params.items()}
+    grads["w2"][band, 1, 2] = np.inf
+    grads["b1"][band, 0] = np.nan
+    # the first offending name in the gradient dict's order is reported
+    with pytest.raises(ValueError, match="non-finite gradient for 'b1'"):
+        step(s, grads, opt)
+    with pytest.raises(ValueError, match="non-finite gradient for 'w2'"):
+        step(s, {"w2": grads["w2"], "w1": grads["w1"], "b1": np.zeros((4, 4)), "b2": grads["b2"]}, opt)
+    with pytest.raises(ValueError, match="keys"):
+        step(s, {k: v for k, v in grads.items() if k != "b2"}, opt)
+    assert opt.step_count == 0 and opt.m is None
+    np.testing.assert_array_equal(s.flat, flat_before)

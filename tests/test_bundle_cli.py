@@ -1,12 +1,18 @@
 """Bundle persistence and the command line surface."""
 
+import copy
+import hashlib
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rarecast import cli
-from rarecast.bundle import BundleError, load_bundle, save_bundle
+from rarecast.bundle import FORMAT_VERSION, BundleError, _canonical, load_bundle, save_bundle
 from rarecast.pipeline import TrainedPipeline, predict_windows
 
 
@@ -69,6 +75,97 @@ def test_bundle_rejects_unknown_version(tiny_pipeline, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(BundleError, match="format version"):
         load_bundle(path)
+
+
+def _write_payload(path, payload) -> None:
+    """A bundle file around payload with a valid checksum."""
+    checksum = hashlib.sha256(_canonical(payload).encode()).hexdigest()
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION, "checksum": checksum, "payload": payload}))
+
+
+def _saved_payload(tp, tmp_path) -> dict:
+    path = tmp_path / "good.json"
+    save_bundle(tp, path)
+    return json.loads(path.read_text())["payload"]
+
+
+def test_bundle_rejects_malformed_payload_with_valid_checksum(tiny_pipeline, tmp_path):
+    tp, _ = tiny_pipeline
+    good = _saved_payload(tp, tmp_path)
+    no_thresholds = copy.deepcopy(good)
+    del no_thresholds["thresholds"]
+    ragged = copy.deepcopy(good)
+    ragged["experts"][0]["backbones"][1]["params"]["w"][0].append(0.0)
+    path = tmp_path / "bad.json"
+    for name, payload in [
+        ("null", None), ("empty", {}), ("list", []), ("no thresholds", no_thresholds),
+        ("ragged weights", ragged),
+    ]:
+        _write_payload(path, payload)
+        with pytest.raises(BundleError, match="malformed payload"):
+            load_bundle(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(BundleError, match="not a bundle"):
+        load_bundle(path)
+
+
+MISMATCHES = {
+    "config_n_bands": (lambda p: p["config"].update(n_bands=3), "n_bands"),
+    "config_history_len": (lambda p: p["config"].update(history_len=40), "input_len"),
+    "config_horizon": (lambda p: p["config"].update(horizon=4), "output_len"),
+    "config_n_experts": (lambda p: p["config"].update(n_experts=2, k=1), "n_experts=2"),
+    "router_horizon": (lambda p: p["router"].update(horizon=4), "horizon"),
+    "router_n_experts": (lambda p: p["router"].update(n_experts=2, k=1), "n_experts"),
+    "expert_n_bands": (lambda p: p["experts"][1].update(n_bands=3), "backbone per band"),
+    "backbone_input_len": (lambda p: p["experts"][0]["backbones"][0].update(input_len=40), "shapes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHES))
+def test_bundle_rejects_payload_that_disagrees_with_config(tiny_pipeline, tmp_path, case):
+    mutate, message = MISMATCHES[case]
+    tp, _ = tiny_pipeline
+    payload = _saved_payload(tp, tmp_path)
+    mutate(payload)
+    path = tmp_path / "bad.json"
+    _write_payload(path, payload)
+    with pytest.raises(BundleError, match=message):
+        load_bundle(path)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3), st.just([]), st.just({}),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_bundle_fuzzed_payloads_load_or_raise_bundle_error(tiny_pipeline, tmp_path, data):
+    """Replace or delete one node of a valid payload: loading succeeds or raises BundleError."""
+    tp, _ = tiny_pipeline
+    payload = _saved_payload(tp, tmp_path)
+    node, key = payload, None
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
+            break
+        node = child
+    if key is not None:
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(_JSON_LEAVES)
+    path = tmp_path / "fuzz.json"
+    _write_payload(path, payload)
+    try:
+        load_bundle(path)
+    except BundleError:
+        pass
 
 
 def test_bundle_rejects_bad_json_and_missing_file(tmp_path):
@@ -161,6 +258,22 @@ def test_cli_synth_train_evaluate_predict_chain(tmp_path, capsys):
                    "--out", str(pred_dir)])
     assert rc == 1  # synth-trained bundle carries no CSV column name
     assert "--column is required" in capsys.readouterr().err
+
+
+def test_cli_verbose_shows_expert_chain_progress(tmp_path, capsys):
+    out = tmp_path / "experts"
+    assert cli.main(["train-experts", "--out", str(out), *TINY_FLAGS]) == 0
+    assert "training" not in capsys.readouterr().err  # info is hidden by default
+
+    assert cli.main(["train-experts", "-v", "--out", str(out), *TINY_FLAGS]) == 0
+    captured = capsys.readouterr()
+    counts = re.search(r"level0=(\d+), level1=(\d+), level2=(\d+)", captured.out).groups()
+    for name, n in zip(("NORMAL", "MODERATE", "VERY_RARE"), counts):
+        assert f"INFO rarecast.expert: training {name} expert on {n} windows" in captured.err
+
+    assert cli.main(["train-experts", "--log-level", "error", "--out", str(out), *TINY_FLAGS]) == 0
+    assert capsys.readouterr().err == ""
+    assert not logging.getLogger("rarecast").handlers  # each run removes its handler
 
 
 def test_cli_label_on_csv(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rarecast.ewt import (
     BandComponents,
+    _detect_boundaries_batch,
     Boundaries,
     bin_frequencies,
     build_filter_bank,
@@ -245,3 +246,75 @@ def test_filter_bank_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin,omega,gain_band1,gain_band2"
     assert len(lines) == 18
+
+
+# ------------------------------------ batched boundary detection vs row loop
+
+
+def _row_loop_boundaries(signals: np.ndarray, n_bands: int) -> tuple[np.ndarray, int]:
+    """The per-row boundary loop the batched detector replaced, kept as its oracle."""
+    x = np.asarray(signals, dtype=np.float64)
+    n = x.shape[0]
+    omegas = np.empty((n, n_bands + 1))
+    omegas[:, 0], omegas[:, -1] = 0.0, np.pi
+    if n_bands == 1:
+        return omegas, 0
+    mag = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1))
+    freqs = bin_frequencies(mag.shape[1])
+    is_max = np.zeros_like(mag, dtype=bool)
+    is_max[:, 1:-1] = (mag[:, 1:-1] > mag[:, :-2]) & (mag[:, 1:-1] > mag[:, 2:])
+    order = np.argsort(-np.where(is_max, mag, -np.inf), axis=1, kind="stable")
+    n_found = is_max.sum(axis=1)
+    n_fallback = 0
+    for i in range(n):
+        k = min(n_bands, int(n_found[i]))
+        peaks = np.sort(order[i, :k])
+        edges = [0.0]
+        edges.extend(0.5 * (freqs[peaks[:-1]] + freqs[peaks[1:]]))
+        edges.append(np.pi)
+        if k < n_bands:
+            n_fallback += 1
+            while len(edges) < n_bands + 1:
+                w = int(np.argmax(np.diff(edges)))
+                edges.insert(w + 1, 0.5 * (edges[w] + edges[w + 1]))
+        omegas[i, :] = edges
+    return omegas, n_fallback
+
+
+def _tied_rows() -> np.ndarray:
+    """Small-integer rows (T=16), many with exactly equal spectral maxima, plus
+    a tone mirrored about pi/2, whose two peaks tie by construction."""
+    rng = np.random.default_rng(11)
+    ints = rng.integers(-2, 3, size=(2000, 16)).astype(np.float64)
+    t = np.arange(16)
+    tone = np.cos(2.0 * np.pi * 3 * t / 16)
+    return np.vstack([ints, tone + tone * (-1.0) ** t])
+
+
+@pytest.mark.parametrize("n_bands", range(1, 9))
+def test_detect_boundaries_batch_matches_row_loop(n_bands):
+    rng = np.random.default_rng(n_bands)
+    cases = {
+        "random": rng.standard_normal((400, 64)),
+        "tied": _tied_rows(),
+        "constant": np.vstack([np.zeros((3, 32)), np.full((3, 32), 2.5)]),
+    }
+    for name, rows in cases.items():
+        if rows.shape[1] < 2 * n_bands:
+            continue
+        got, got_fallback = _detect_boundaries_batch(rows, n_bands)
+        want, want_fallback = _row_loop_boundaries(rows, n_bands)
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert got_fallback == want_fallback, name
+        if name == "constant" and n_bands > 1:
+            assert got_fallback == rows.shape[0]  # no maxima at all: every row falls back
+
+
+def test_tied_rows_really_tie():
+    # guards the fixture above: the tie-break path must actually be exercised
+    rows = _tied_rows()
+    mag = np.abs(np.fft.rfft(rows - rows.mean(axis=1, keepdims=True), axis=1))
+    is_max = np.zeros_like(mag, dtype=bool)
+    is_max[:, 1:-1] = (mag[:, 1:-1] > mag[:, :-2]) & (mag[:, 1:-1] > mag[:, 2:])
+    tied = [len(np.unique(m[k])) < k.sum() for m, k in zip(mag, is_max)]
+    assert sum(tied) >= 10 and tied[-1]
