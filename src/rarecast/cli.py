@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import re
@@ -23,6 +24,7 @@ from .config import PipelineConfig
 from .dataset import RarityLevel, RarityThresholds, label_points, load_csv, window_view
 from .evaluation import (
     BETA_SWEEP,
+    LEVEL_KEYS,
     ablate_config,
     ablation_table,
     components_label,
@@ -98,20 +100,13 @@ def _add_common(parser: argparse.ArgumentParser, data: bool = True) -> None:
         parser.add_argument("--spike-scale", type=float, dest="spike_scale")
 
 
-_OVERRIDE_FIELDS = (
-    "seed", "history_len", "horizon", "stride", "n_bands", "beta", "k", "n_experts",
-    "epochs", "router_epochs", "backbone", "mode", "normalization",
-    "data_path", "data_column", "delimiter", "synth_n", "spike_rate", "spike_scale",
-)
-
-
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "config", None):
         cfg = PipelineConfig.from_dict(json.loads(Path(args.config).read_text()))
     else:
         cfg = PipelineConfig()
     overrides = {}
-    for name in _OVERRIDE_FIELDS:
+    for name in PipelineConfig.__dataclass_fields__:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -221,14 +216,8 @@ def cmd_train_router(args: argparse.Namespace) -> int:
         cfg = cfg.with_overrides(router_epochs=args.router_epochs)
     out = _outdir(args)
     data = prepare_data(cfg, normalizer=tp.normalizer, thresholds=tp.thresholds)
-    router, curve = train_router(tp.experts, data.train_windows, cfg.router_cfg())
-    tp = TrainedPipeline(
-        experts=tp.experts,
-        router=router,
-        normalizer=tp.normalizer,
-        thresholds=tp.thresholds,
-        config=cfg,
-    )
+    router, curve = train_router(tp.experts, data.train_windows, cfg)
+    tp = dataclasses.replace(tp, router=router, config=cfg)
     save_bundle(tp, out / "bundle.json")
     write_rows_csv(curve, out / "curve_router.csv")
     write_config_snapshot(cfg, out)
@@ -245,7 +234,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     column = args.data_column if args.data_column is not None else cfg.data_column
     if column is None:
         raise ValueError("predict: --column is required when the bundle has no CSV column")
-    series = load_csv(args.data_path, column, args.delimiter or ",")
+    series = load_csv(args.data_path, column, args.delimiter or cfg.delimiter)
     values = tp.normalizer.apply(series.values)
     t, h = cfg.history_len, cfg.horizon
     if len(values) < t:
@@ -268,15 +257,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+_LEVEL_BY_KEY = {key: level for level, key in LEVEL_KEYS.items()}
 _ASSERT_RE = re.compile(
-    r"^(overall|normal|moderate|very|extreme)\.(mse|mae)(<=|>=|<|>)([-+0-9.eE]+)$"
+    rf"^(overall|{'|'.join(_LEVEL_BY_KEY)})\.(mse|mae)(<=|>=|<|>)([-+0-9.eE]+)$"
 )
-_LEVEL_BY_KEY = {
-    "normal": RarityLevel.NORMAL,
-    "moderate": RarityLevel.MODERATE,
-    "very": RarityLevel.VERY_RARE,
-    "extreme": RarityLevel.EXTREME_RARE,
-}
 
 
 def check_assertion(report, expr: str) -> tuple[bool, str]:
@@ -407,9 +391,11 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     write_config_snapshot(cfg, out)
 
     lines = [f"seed {cfg.seed}: full pipeline vs single-band MSE baseline"]
-    pairs = [("overall", report.overall, base_report.overall)]
-    for key, level in (("extreme", RarityLevel.EXTREME_RARE),):
-        pairs.append((key, report.get(level), base_report.get(level)))
+    extreme = RarityLevel.EXTREME_RARE
+    pairs = [
+        ("overall", report.overall, base_report.overall),
+        (LEVEL_KEYS[extreme], report.get(extreme), base_report.get(extreme)),
+    ]
     for key, ours, theirs in pairs:
         if ours is None or theirs is None:
             lines.append(f"  {key:8s} (no points)")

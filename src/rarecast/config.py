@@ -1,16 +1,17 @@
-"""One flat run configuration shared by the CLI, sweeps, and scripts."""
+"""One flat run configuration shared by the CLI, sweeps, scripts and the trainers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from .backbone import KINDS
 from .dataset import N_LEVELS
-from .expert import DECOMPOSITION_MODES, LEVEL_SCOPES, ExpertTrainConfig
-from .router import RouterTrainConfig
 
 SOURCES = ("synth", "csv")
+LEVEL_SCOPES = ("exact", "cumulative")
+DECOMPOSITION_MODES = ("per_window", "global")
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("config: horizon must be >= 1")
+        if self.n_bands < 1:
+            raise ValueError("config: n_bands must be >= 1")
         if self.history_len < 2 * self.n_bands:
             raise ValueError(
                 f"config: history_len {self.history_len} must be >= 2 * n_bands = {2 * self.n_bands}"
@@ -64,6 +67,18 @@ class PipelineConfig:
             raise ValueError("config: stride must be >= 1")
         if self.beta < 0.0:
             raise ValueError("config: beta must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("config: batch_size must be >= 1")
+        if self.epochs < 0 or self.router_epochs < 0:
+            raise ValueError("config: epochs and router_epochs must be >= 0")
+        for name in ("lr", "router_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"config: {name} must be finite and > 0, got {value}")
+        if self.hidden < 1:
+            raise ValueError("config: hidden must be >= 1")
+        if self.gate_hidden < 0:
+            raise ValueError("config: gate_hidden must be >= 0 (0 means a linear gate)")
         if not 1 <= self.n_experts <= N_LEVELS:
             raise ValueError(f"config: n_experts must be in [1, {N_LEVELS}]")
         if not 1 <= self.k <= self.n_experts:
@@ -84,33 +99,13 @@ class PipelineConfig:
         if len(p) != 3 or not (0.0 < p[0] <= p[1] <= p[2] < 100.0):
             raise ValueError(f"config: percentiles must be 3 ordered values in (0, 100), got {p}")
 
-    def expert_cfg(self) -> ExpertTrainConfig:
-        return ExpertTrainConfig(
-            n_bands=self.n_bands,
-            beta=self.beta,
-            epochs=self.epochs,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            backbone=self.backbone,
-            hidden=self.hidden,
-            mode=self.mode,
-            gamma=self.gamma,
-            use_rare_penalty=self.use_rare_penalty,
-            level_scope=self.level_scope,
-            n_levels=self.n_experts,
-            seed=self.seed,
-        )
+    # The training functions take the config itself. These two identity
+    # methods remain only because the benchmark harness still calls them.
+    def expert_cfg(self) -> "PipelineConfig":
+        return self
 
-    def router_cfg(self) -> RouterTrainConfig:
-        return RouterTrainConfig(
-            k=self.k,
-            epochs=self.router_epochs,
-            lr=self.router_lr,
-            batch_size=self.batch_size,
-            hidden=self.gate_hidden,
-            class_weights=self.class_weights,
-            seed=self.seed,
-        )
+    def router_cfg(self) -> "PipelineConfig":
+        return self
 
     def to_dict(self) -> dict[str, Any]:
         d = asdict(self)

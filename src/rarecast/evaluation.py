@@ -22,6 +22,13 @@ from .pipeline import PreparedData, TrainedPipeline, TrainLogs, predict_windows,
 # Benchmark sweep grids and report row order.
 BETA_SWEEP = (0.0, 0.1, 0.5, 0.7, 1.0, 1.5, 2.0)
 REPORT_LEVELS = (RarityLevel.MODERATE, RarityLevel.VERY_RARE, RarityLevel.EXTREME_RARE)
+# Level names in report rows and CLI assertions.
+LEVEL_KEYS = {
+    RarityLevel.NORMAL: "normal",
+    RarityLevel.MODERATE: "moderate",
+    RarityLevel.VERY_RARE: "very",
+    RarityLevel.EXTREME_RARE: "extreme",
+}
 TABLE_PRESETS: tuple[frozenset[str], ...] = (
     frozenset(),
     frozenset({"WT"}),
@@ -75,15 +82,6 @@ def evaluate(
     return MetricsReport(overall=overall, levels=levels)
 
 
-def _level_key(level: RarityLevel) -> str:
-    return {
-        RarityLevel.NORMAL: "normal",
-        RarityLevel.MODERATE: "moderate",
-        RarityLevel.VERY_RARE: "very",
-        RarityLevel.EXTREME_RARE: "extreme",
-    }[level]
-
-
 def report_rows(report: MetricsReport) -> list[dict]:
     """Four rows (overall plus the three rare levels); absent levels keep empty cells."""
     rows = [
@@ -98,7 +96,7 @@ def report_rows(report: MetricsReport) -> list[dict]:
         lm = report.get(level)
         rows.append(
             {
-                "level": _level_key(level),
+                "level": LEVEL_KEYS[level],
                 "mse": lm.mse if lm else "",
                 "mae": lm.mae if lm else "",
                 "count": lm.count if lm else 0,

@@ -17,14 +17,12 @@ import numpy as np
 
 from . import backbone as bb
 from . import ewt
+from .config import PipelineConfig
 from .dataset import N_LEVELS, RarityLevel, Windows
 from .losses import combined_loss, kd_loss, rare_loss
 from .rng import INIT, SHUFFLE, substream
 
 log = logging.getLogger(__name__)
-
-LEVEL_SCOPES = ("exact", "cumulative")
-DECOMPOSITION_MODES = ("per_window", "global")
 
 
 def collapse_level(level: int | np.ndarray, n_levels: int) -> int | np.ndarray:
@@ -36,35 +34,9 @@ def collapse_level(level: int | np.ndarray, n_levels: int) -> int | np.ndarray:
     return min(int(level), n_levels - 1)
 
 
-@dataclass(frozen=True)
-class ExpertTrainConfig:
-    """Knobs shared by every expert in a chain."""
-
-    n_bands: int = 4
-    beta: float = 0.5
-    epochs: int = 20
-    lr: float = 1e-3
-    batch_size: int = 64
-    backbone: str = "mlp"
-    hidden: int = 32
-    mode: str = "per_window"
-    gamma: float | None = None
-    use_rare_penalty: bool = True
-    level_scope: str = "exact"
-    n_levels: int = 4
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_bands < 1:
-            raise ValueError("ExpertTrainConfig: n_bands must be >= 1")
-        if self.beta < 0.0:
-            raise ValueError("ExpertTrainConfig: beta must be >= 0")
-        if self.mode not in DECOMPOSITION_MODES:
-            raise ValueError(f"ExpertTrainConfig: mode must be one of {DECOMPOSITION_MODES}")
-        if self.level_scope not in LEVEL_SCOPES:
-            raise ValueError(f"ExpertTrainConfig: level_scope must be one of {LEVEL_SCOPES}")
-        if not 1 <= self.n_levels <= N_LEVELS:
-            raise ValueError(f"ExpertTrainConfig: n_levels must be in [1, {N_LEVELS}]")
+def expert_level(index: int) -> RarityLevel:
+    """Rarity level named by an expert index; a merged top expert keeps its own ordinal."""
+    return RarityLevel(min(int(index), N_LEVELS - 1))
 
 
 @dataclass(eq=False)
@@ -99,8 +71,7 @@ class ExpertModel:
 
     @property
     def penalty_level(self) -> RarityLevel:
-        # A merged top expert keeps the penalty of its own ordinal index.
-        return RarityLevel(min(self.level, N_LEVELS - 1))
+        return expert_level(self.level)
 
 
 def decompose_histories(
@@ -168,7 +139,7 @@ def train_expert(
     windows: Windows,
     level: int,
     teacher: ExpertModel | None,
-    cfg: ExpertTrainConfig,
+    cfg: PipelineConfig,
     bank: ewt.FilterBank | None = None,
     components: np.ndarray | None = None,
     teacher_preds: np.ndarray | None = None,
@@ -185,12 +156,12 @@ def train_expert(
     hist, targ = windows.histories, windows.targets
     n, history_len = hist.shape
     horizon = targ.shape[1]
-    plev = collapse_level(windows.point_levels, cfg.n_levels)
+    plev = collapse_level(windows.point_levels, cfg.n_experts)
 
     if components is None:
         components = decompose_histories(hist, cfg.n_bands, cfg.mode, bank, cfg.gamma)
 
-    penalty_level = RarityLevel(min(level, N_LEVELS - 1)) if cfg.use_rare_penalty else RarityLevel.NORMAL
+    penalty_level = expert_level(level) if cfg.use_rare_penalty else RarityLevel.NORMAL
     distill = level > 0 and cfg.beta > 0.0
     if distill:
         if teacher is None:
@@ -251,7 +222,7 @@ class ChainResult:
 
 def build_expert_chain(
     windows: Windows,
-    cfg: ExpertTrainConfig,
+    cfg: PipelineConfig,
     bank: ewt.FilterBank | None = None,
     components: np.ndarray | None = None,
 ) -> ChainResult:
@@ -265,18 +236,18 @@ def build_expert_chain(
         raise ValueError("build_expert_chain: no windows")
     if cfg.mode == "global" and bank is None:
         raise ValueError("build_expert_chain: global mode requires a fitted bank")
-    wlev = collapse_level(windows.window_levels, cfg.n_levels)
+    wlev = collapse_level(windows.window_levels, cfg.n_experts)
     present = set(int(v) for v in np.unique(wlev))
-    missing = [c for c in range(cfg.n_levels) if c not in present]
+    missing = [c for c in range(cfg.n_experts) if c not in present]
     if missing:
-        names = ", ".join(RarityLevel(min(c, N_LEVELS - 1)).name for c in missing)
+        names = ", ".join(expert_level(c).name for c in missing)
         raise ValueError(f"build_expert_chain: no windows for level(s) {names}")
 
     if components is None:
         components = decompose_histories(windows.histories, cfg.n_bands, cfg.mode, bank, cfg.gamma)
     result = ChainResult(experts=[])
     teacher: ExpertModel | None = None
-    for c in range(cfg.n_levels):
+    for c in range(cfg.n_experts):
         if cfg.level_scope == "cumulative":
             sel = np.flatnonzero(wlev <= c)
         else:
@@ -287,7 +258,7 @@ def build_expert_chain(
             teacher_preds = _forward(teacher.stack, components[sel])
         log.info(
             "training %s expert on %d windows (scope=%s)",
-            RarityLevel(min(c, N_LEVELS - 1)).name, len(subset), cfg.level_scope,
+            expert_level(c).name, len(subset), cfg.level_scope,
         )
         expert, curve = train_expert(
             subset, c, teacher, cfg,

@@ -8,7 +8,7 @@ separately so windows never straddle a split edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,12 +117,12 @@ def train_pipeline(
     hist = data.train_windows.histories
     components = decompose_histories(hist, cfg.n_bands, cfg.mode, bank, cfg.gamma)
 
-    chain = build_expert_chain(data.train_windows, cfg.expert_cfg(), bank, components)
+    chain = build_expert_chain(data.train_windows, cfg, bank, components)
     logs = TrainLogs(expert_curves=chain.curves, expert_counts=chain.counts)
     router = None
     if train_router_too:
         router, logs.router_curve = train_router(
-            chain.experts, data.train_windows, cfg.router_cfg(), components
+            chain.experts, data.train_windows, cfg, components
         )
     tp = TrainedPipeline(
         experts=chain.experts,
@@ -149,16 +149,11 @@ def train_baseline(data: PreparedData, cfg: PipelineConfig) -> ExpertModel:
     This is the reference model for directional checks: no decomposition,
     no rarity penalty, no distillation, same backbone and budget.
     """
-    ecfg = replace(
-        cfg.expert_cfg(),
-        n_bands=1,
-        beta=0.0,
-        use_rare_penalty=False,
-        level_scope="cumulative",
-        mode="per_window",
+    base_cfg = cfg.with_overrides(
+        n_bands=1, beta=0.0, use_rare_penalty=False, level_scope="cumulative", mode="per_window"
     )
     model, _ = train_expert(
-        data.train_windows, 0, None, ecfg, components=data.train_windows.histories[:, None, :].copy()
+        data.train_windows, 0, None, base_cfg, components=data.train_windows.histories[:, None, :].copy()
     )
     return model
 

@@ -13,8 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backbone as bb
-from .dataset import RarityLevel, Windows
-from .expert import ExpertModel, collapse_level, decompose_histories, expert_predict_batch
+from .config import PipelineConfig
+from .dataset import Windows
+from .expert import (
+    ExpertModel,
+    collapse_level,
+    decompose_histories,
+    expert_level,
+    expert_predict_batch,
+)
 from .rng import ROUTER_INIT, ROUTER_SHUFFLE, substream
 
 log = logging.getLogger(__name__)
@@ -36,17 +43,6 @@ class Router:
             raise ValueError("Router: gate input must be horizon * n_experts")
         if self.gate.output_len != self.n_experts:
             raise ValueError("Router: gate output must be n_experts")
-
-
-@dataclass(frozen=True)
-class RouterTrainConfig:
-    k: int = 2
-    epochs: int = 20
-    lr: float = 1e-3
-    batch_size: int = 64
-    hidden: int = 32
-    class_weights: bool = False
-    seed: int = 0
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -142,7 +138,7 @@ def stack_expert_outputs(
 def train_router(
     experts: list[ExpertModel],
     windows: Windows,
-    cfg: RouterTrainConfig,
+    cfg: PipelineConfig,
     components: np.ndarray | None = None,
 ) -> tuple[Router, list[dict]]:
     """Fit the gate to route windows to the expert of their rarity level.
@@ -160,7 +156,7 @@ def train_router(
     present = set(int(v) for v in np.unique(labels))
     missing = [c for c in range(n_experts) if c not in present]
     if missing:
-        names = ", ".join(RarityLevel(min(c, len(RarityLevel) - 1)).name for c in missing)
+        names = ", ".join(expert_level(c).name for c in missing)
         log.warning("train_router: no training windows labeled %s", names)
 
     outputs = stack_expert_outputs(experts, windows.histories, components)
@@ -175,13 +171,13 @@ def train_router(
         w_by_class[nonzero] = n / (nonzero.sum() * counts[nonzero])
         sample_w = w_by_class[labels]
 
-    kind = "mlp" if cfg.hidden > 0 else "linear"
+    kind = "mlp" if cfg.gate_hidden > 0 else "linear"
     gate = bb.make_forecaster(
-        kind, horizon * n_experts, n_experts, max(cfg.hidden, 1),
+        kind, horizon * n_experts, n_experts, max(cfg.gate_hidden, 1),
         substream(cfg.seed, ROUTER_INIT),
     )
     model = bb.stack_forecasters([gate])  # the gate is a stack of one
-    opt = bb.OptimizerState(lr=cfg.lr)
+    opt = bb.OptimizerState(lr=cfg.router_lr)
     shuffle_rng = substream(cfg.seed, ROUTER_SHUFFLE)
     router = Router(gate=gate, n_experts=n_experts, horizon=horizon, k=cfg.k)
 
@@ -192,7 +188,7 @@ def train_router(
 
     curve = [curve_row(0)]
     onehot = np.eye(n_experts)[labels]
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, cfg.router_epochs + 1):
         # Gather the epoch's rows once; each minibatch is then a contiguous slice.
         order = shuffle_rng.permutation(n)
         feats_e, onehot_e, w_e = feats[order], onehot[order], sample_w[order][:, None]

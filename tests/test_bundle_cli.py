@@ -260,6 +260,28 @@ def test_cli_synth_train_evaluate_predict_chain(tmp_path, capsys):
     assert "--column is required" in capsys.readouterr().err
 
 
+def test_cli_predict_reads_delimiter_from_bundle(tmp_path, capsys):
+    synth_dir = tmp_path / "synth"
+    assert cli.main(["synth", "--out", str(synth_dir), "--synth-n", "6000", "--seed", "3"]) == 0
+    values = (synth_dir / "series.csv").read_text().splitlines()[1:]
+    semi = tmp_path / "semi.csv"
+    semi.write_text("t;value\n" + "".join(f"{i};{v}\n" for i, v in enumerate(values)))
+    csv_flags = ["--data", str(semi), "--column", "value", "--delimiter", ";"]
+
+    experts_dir = tmp_path / "experts"
+    assert cli.main(["train-experts", "--out", str(experts_dir), *TINY_FLAGS, *csv_flags]) == 0
+    routed_dir = tmp_path / "routed"
+    assert cli.main(["train-router", "--bundle", str(experts_dir / "bundle.json"),
+                     "--router-epochs", "1", "--out", str(routed_dir)]) == 0
+
+    # neither --column nor --delimiter: both come from the bundle's config
+    pred_dir = tmp_path / "pred"
+    rc = cli.main(["predict", "--bundle", str(routed_dir / "bundle.json"),
+                   "--data", str(semi), "--out", str(pred_dir)])
+    assert rc == 0, capsys.readouterr().err
+    assert len((pred_dir / "forecast.csv").read_text().splitlines()) == 2
+
+
 def test_cli_verbose_shows_expert_chain_progress(tmp_path, capsys):
     out = tmp_path / "experts"
     assert cli.main(["train-experts", "--out", str(out), *TINY_FLAGS]) == 0

@@ -10,7 +10,6 @@ from rarecast.config import PipelineConfig
 from rarecast.dataset import RarityLevel
 from rarecast.expert import (
     ExpertModel,
-    ExpertTrainConfig,
     build_expert_chain,
     collapse_level,
     decompose_histories,
@@ -52,15 +51,38 @@ def test_collapse_level_scalar_and_array():
 
 def test_expert_train_config_validation():
     with pytest.raises(ValueError):
-        ExpertTrainConfig(n_bands=0)
+        PipelineConfig(n_bands=0)
     with pytest.raises(ValueError):
-        ExpertTrainConfig(beta=-1.0)
+        PipelineConfig(beta=-1.0)
     with pytest.raises(ValueError):
-        ExpertTrainConfig(mode="wavelet")
+        PipelineConfig(mode="wavelet")
     with pytest.raises(ValueError):
-        ExpertTrainConfig(level_scope="all")
+        PipelineConfig(level_scope="all")
     with pytest.raises(ValueError):
-        ExpertTrainConfig(n_levels=5)
+        PipelineConfig(n_experts=5)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n_bands", 0),
+        ("batch_size", 0),
+        ("batch_size", -5),
+        ("epochs", -1),
+        ("router_epochs", -1),
+        ("lr", -1.0),
+        ("lr", 0.0),
+        ("lr", float("inf")),
+        ("router_lr", float("nan")),
+        ("router_lr", -1.0),
+        ("hidden", 0),
+        ("gate_hidden", -3),
+    ],
+)
+def test_config_rejects_out_of_range_training_values(name, value):
+    # Each of these used to train silently or fail deep inside numpy.
+    with pytest.raises(ValueError, match=rf"^config: .*\b{name}\b"):
+        PipelineConfig(**{name: value})
 
 
 def test_expert_model_validation():
@@ -107,11 +129,11 @@ def test_expert_forecast_is_sum_of_band_forecasts():
 # ----------------------------------------------------------------- training
 
 
-def _small_cfg(**kw) -> ExpertTrainConfig:
+def _small_cfg(**kw) -> PipelineConfig:
     base = dict(n_bands=2, beta=0.5, epochs=2, lr=1e-3, batch_size=64,
-                backbone="linear", mode="per_window", n_levels=3)
+                backbone="linear", mode="per_window", n_experts=3)
     base.update(kw)
-    return ExpertTrainConfig(**base)
+    return PipelineConfig(**base)
 
 
 def test_train_expert_curve_and_descent(tiny_data):

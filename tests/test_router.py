@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from rarecast import backbone as bb
+from rarecast.config import PipelineConfig
 from rarecast.dataset import RarityLevel
 from rarecast.expert import ExpertModel
 from rarecast.router import (
     Router,
-    RouterTrainConfig,
     cross_entropy,
     fuse,
     gate_forward,
@@ -178,10 +178,10 @@ def test_gate_permutation_invariance():
 # ------------------------------------------------------------------ training
 
 
-def _router_cfg(**kw) -> RouterTrainConfig:
-    base = dict(k=2, epochs=2, lr=1e-3, batch_size=64, hidden=0, seed=0)
+def _router_cfg(**kw) -> PipelineConfig:
+    base = dict(k=2, router_epochs=2, router_lr=1e-3, batch_size=64, gate_hidden=0, seed=0)
     base.update(kw)
-    return RouterTrainConfig(**base)
+    return PipelineConfig(**base)
 
 
 def test_train_router_empty_error():
@@ -194,7 +194,7 @@ def test_train_router_warns_on_missing_levels(tiny_data, caplog):
     quiet = wins[wins.window_levels == RarityLevel.NORMAL]
     experts = _experts(3, 32, 8)
     with caplog.at_level(logging.WARNING, logger="rarecast.router"):
-        router, curve = train_router(experts, quiet[:150], _router_cfg(epochs=1))
+        router, curve = train_router(experts, quiet[:150], _router_cfg(router_epochs=1))
     assert any("no training windows labeled" in r.getMessage() for r in caplog.records)
     assert router.n_experts == 3 and len(curve) == 2
 
@@ -202,11 +202,11 @@ def test_train_router_warns_on_missing_levels(tiny_data, caplog):
 def test_train_router_curve_and_determinism(tiny_data):
     wins = tiny_data.train_windows[:300]
     experts = _experts(3, 32, 8)
-    router, curve = train_router(experts, wins, _router_cfg(epochs=3))
+    router, curve = train_router(experts, wins, _router_cfg(router_epochs=3))
     assert [row["epoch"] for row in curve] == [0, 1, 2, 3]
     assert set(curve[0]) == {"epoch", "ce", "accuracy"}
     assert min(row["ce"] for row in curve[1:]) <= curve[0]["ce"]
-    _, again = train_router(experts, wins, _router_cfg(epochs=3))
+    _, again = train_router(experts, wins, _router_cfg(router_epochs=3))
     assert curve == again
 
 
@@ -220,7 +220,7 @@ def test_trained_router_beats_chance(tiny_pipeline):
 def test_train_router_leaves_experts_frozen(tiny_data):
     experts = _experts(3, 32, 8)
     before = [{k: v.copy() for k, v in e.backbones[0].params.items()} for e in experts]
-    train_router(experts, tiny_data.train_windows[:200], _router_cfg(epochs=1))
+    train_router(experts, tiny_data.train_windows[:200], _router_cfg(router_epochs=1))
     for e, snap in zip(experts, before):
         for k, v in snap.items():
             np.testing.assert_array_equal(e.backbones[0].params[k], v)
