@@ -8,9 +8,11 @@ must appear in FILE; any mismatch or missing line exits 1.
 
 The committed expectations (scripts/repro_digests.expected, seeds 0-4) were
 recorded with numpy's bundled OpenBLAS 0.3.31 on an x86-64 Haswell-class
-host. They depend on the BLAS build of the host: a different BLAS, kernel
-selection or thread split may round matrix products differently and change
-every digest without any change to the code.
+host. They depend on the BLAS build of the host: a different BLAS or kernel
+selection may round matrix products differently and change every digest
+without any change to the code. The BLAS thread count is pinned to one before
+numpy loads, so the digests do not depend on how a host splits matrix
+products across threads.
 
     PYTHONPATH=src python scripts/repro_digests.py --seeds 0,1,2,3,4 \
         --expect scripts/repro_digests.expected
@@ -18,11 +20,17 @@ every digest without any change to the code.
 
 import argparse
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from rarecast.cli import main as rarecast_main
+# Pinned before numpy loads: the thread split of a matrix product can change
+# its rounding.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from rarecast.cli import main as rarecast_main  # noqa: E402
 
 FILES = ("metrics.csv", "metrics_baseline.csv", "bundle.json")
 

@@ -1,8 +1,9 @@
 """Command line surface: data synthesis, training, prediction, evaluation, sweeps.
 
-Every run resolves one flat config (defaults, then an optional --config JSON
-snapshot, then explicit flags) and writes the resolved snapshot next to its
-outputs, so any run can be reproduced bitwise from its own out directory.
+Every run resolves one flat config: an optional --config JSON snapshot, else
+the defaults (for evaluate, the bundle's own config), with explicit flags on
+top. It writes the resolved snapshot next to its outputs, so any run can be
+reproduced bitwise from its own out directory.
 """
 
 from __future__ import annotations
@@ -100,11 +101,14 @@ def _add_common(parser: argparse.ArgumentParser, data: bool = True) -> None:
         parser.add_argument("--spike-scale", type=float, dest="spike_scale")
 
 
-def resolve_config(args: argparse.Namespace) -> PipelineConfig:
+def resolve_config(
+    args: argparse.Namespace, base: PipelineConfig | None = None
+) -> PipelineConfig:
+    """The --config snapshot (else base, else the defaults) with explicit flags on top."""
     if getattr(args, "config", None):
         cfg = PipelineConfig.from_dict(json.loads(Path(args.config).read_text()))
     else:
-        cfg = PipelineConfig()
+        cfg = base if base is not None else PipelineConfig()
     overrides = {}
     for name in PipelineConfig.__dataclass_fields__:
         value = getattr(args, name, None)
@@ -183,7 +187,7 @@ def cmd_label(args: argparse.Namespace) -> int:
                     "index": index,
                     "split": split_name,
                     "value": float(v),
-                    "level": RarityLevel(int(lev)).name.lower(),
+                    "level": LEVEL_KEYS[RarityLevel(int(lev))],
                 }
             )
             index += 1
@@ -284,7 +288,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     tp = load_bundle(args.bundle)
     if tp.router is None:
         raise ValueError("evaluate: bundle has no router, run train-router first")
-    cfg = resolve_config(args) if (args.data_path or args.config) else tp.config
+    cfg = resolve_config(args, base=tp.config)
     cfg = cfg.with_overrides(
         history_len=tp.config.history_len,
         horizon=tp.config.horizon,

@@ -14,6 +14,7 @@ pi * j / (n_bins - 1).
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,11 +86,17 @@ class BandComponents:
         return int(self.components.shape[0])
 
 
+@functools.lru_cache
 def bin_frequencies(n_bins: int) -> np.ndarray:
-    """Normalized frequency of each half-spectrum bin, linear on [0, pi]."""
+    """Normalized frequency of each half-spectrum bin, linear on [0, pi].
+
+    Cached per n_bins and shared between callers, hence read-only.
+    """
     if n_bins < 2:
         raise ValueError("bin_frequencies: need at least 2 bins")
-    return np.linspace(0.0, np.pi, n_bins)
+    freqs = np.linspace(0.0, np.pi, n_bins)
+    freqs.flags.writeable = False
+    return freqs
 
 
 def _detect_boundaries_batch(signals: np.ndarray, n_bands: int) -> tuple[np.ndarray, int]:
@@ -177,6 +184,23 @@ def max_transition_ratio(omegas: np.ndarray) -> np.ndarray:
     return ratio.min(axis=1)
 
 
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d array and the inverse index, so that uniq[inv] == a.
+
+    A lexsort and an adjacent-row compare: np.unique(axis=0) gives the same
+    answer at several times the cost, which would eat the saving it buys.
+    """
+    n = a.shape[0]
+    order = np.lexsort(a.T)
+    ranked = a[order]
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inv = np.empty(n, dtype=np.intp)
+    inv[order] = new.cumsum() - 1
+    return ranked[new], inv
+
+
 def _build_filters_batch(
     omegas: np.ndarray, n_bins: int, gamma: float | None
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -187,10 +211,11 @@ def _build_filters_batch(
     feasible maximum per row; an explicit gamma is clamped down per row when
     infeasible (count of clamped rows returned). gamma 0 gives hard masks
     with the convention that a bin exactly on a boundary joins the upper band.
+    A bank depends on its boundary row alone, and windows share few distinct
+    rows, so each distinct row is built once and gathered back.
     """
-    om = np.asarray(omegas, dtype=np.float64)
-    n, b_edges = om.shape
-    n_bands = b_edges - 1
+    om, inv = _unique_rows(np.asarray(omegas, dtype=np.float64))
+    n_bands = om.shape[1] - 1
     freqs = bin_frequencies(n_bins)
 
     feasible = max_transition_ratio(om)
@@ -200,28 +225,25 @@ def _build_filters_batch(
     else:
         if gamma < 0.0:
             raise ValueError(f"build_filter_bank: gamma must be >= 0, got {gamma}")
-        gam = np.full(n, float(gamma))
+        gam = np.full(om.shape[0], float(gamma))
         over = gam > feasible
-        n_clamped = int(over.sum())
+        n_clamped = int(np.count_nonzero(over[inv]))
         gam = np.where(over, feasible, gam)
 
     # Cumulative edges: ups[:, 0] = 1 (no lower edge for band 1), ups[:, B] = 0
     # (band B runs through pi). Interior edge k rises from 0 to 1 around
     # omega_k over half-width gam * omega_k.
-    ups = np.empty((n, n_bands + 1, n_bins))
+    ups = np.empty((om.shape[0], n_bands + 1, n_bins))
     ups[:, 0, :] = 1.0
     ups[:, n_bands, :] = 0.0
-    for k in range(1, n_bands):
-        center = om[:, k][:, None]
-        width = (gam * om[:, k])[:, None]
-        f = freqs[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.clip((f - (center - width)) / (2.0 * width), 0.0, 1.0)
-        hard = (f >= center).astype(np.float64)
-        edge = np.where(width > 0.0, 0.5 * (1.0 - np.cos(np.pi * s)), hard)
-        ups[:, k, :] = edge
+    center = om[:, 1:n_bands, None]
+    width = gam[:, None, None] * center
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip((freqs - (center - width)) / (2.0 * width), 0.0, 1.0)
+    hard = (freqs >= center).astype(np.float64)
+    ups[:, 1:n_bands, :] = np.where(width > 0.0, 0.5 * (1.0 - np.cos(np.pi * s)), hard)
     filters = ups[:, :-1, :] - ups[:, 1:, :]
-    return filters, gam, n_clamped
+    return filters[inv], gam[inv], n_clamped
 
 
 def build_filter_bank(
@@ -275,8 +297,8 @@ def decompose_windows(
     """Per-window decomposition of stacked signals (N, T) into (N, n_bands, T).
 
     Each row gets its own boundaries and bank, matching detect_boundaries +
-    build_filter_bank + decompose row by row. Fallback subdivision warnings
-    are aggregated into one message.
+    build_filter_bank + decompose row by row. Fallback subdivision and gamma
+    clamping warnings are each aggregated into one message.
     """
     x = np.asarray(signals, dtype=np.float64)
     if x.ndim != 2:
@@ -291,7 +313,13 @@ def decompose_windows(
             stacklevel=2,
         )
     n_bins = x.shape[1] // 2 + 1
-    filters, _, _ = _build_filters_batch(omegas, n_bins, gamma)
+    filters, _, n_clamped = _build_filters_batch(omegas, n_bins, gamma)
+    if n_clamped:
+        warnings.warn(
+            f"decompose_windows: gamma {gamma} infeasible for {n_clamped} of {x.shape[0]} "
+            "windows, clamped to each window's feasible maximum",
+            stacklevel=2,
+        )
     return _apply_filters(x, filters)
 
 

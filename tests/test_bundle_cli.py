@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from rarecast import cli
 from rarecast.bundle import FORMAT_VERSION, BundleError, _canonical, load_bundle, save_bundle
+from rarecast.evaluation import LEVEL_KEYS
 from rarecast.pipeline import TrainedPipeline, predict_windows
 
 
@@ -282,6 +283,27 @@ def test_cli_predict_reads_delimiter_from_bundle(tmp_path, capsys):
     assert len((pred_dir / "forecast.csv").read_text().splitlines()) == 2
 
 
+def test_cli_evaluate_applies_override_flags_to_bundle_config(tiny_pipeline, tmp_path):
+    bundle = tmp_path / "bundle.json"
+    save_bundle(tiny_pipeline[0], bundle)
+    plain, moved = tmp_path / "plain", tmp_path / "moved"
+    assert cli.main(["evaluate", "--bundle", str(bundle), "--out", str(plain)]) == 0
+    assert cli.main(["evaluate", "--bundle", str(bundle), "--out", str(moved),
+                     "--seed", "7", "--synth-n", "9000"]) == 0
+    base = json.loads((plain / "config.json").read_text())
+    cfg = json.loads((moved / "config.json").read_text())
+    assert (base["seed"], base["synth_n"]) == (3, 6000)
+    assert (cfg["seed"], cfg["synth_n"]) == (7, 9000)
+    assert {**cfg, "seed": 3, "synth_n": 6000} == base
+
+    def total_count(out):
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        return sum(int(row.split(",")[3]) for row in rows)
+
+    # a longer series gives a longer test split
+    assert total_count(moved) > total_count(plain)
+
+
 def test_cli_verbose_shows_expert_chain_progress(tmp_path, capsys):
     out = tmp_path / "experts"
     assert cli.main(["train-experts", "--out", str(out), *TINY_FLAGS]) == 0
@@ -310,6 +332,8 @@ def test_cli_label_on_csv(tmp_path):
     labels = (out / "labels.csv").read_text().splitlines()
     assert labels[0] == "index,split,value,level"
     assert len(labels) == 1501
+    # the same level names as metrics.csv and --assert
+    assert {row.split(",")[3] for row in labels[1:]} == set(LEVEL_KEYS.values())
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["source"] == "csv"
     thresholds = (out / "thresholds.csv").read_text().splitlines()

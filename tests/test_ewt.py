@@ -1,5 +1,6 @@
 """Boundary detection, filter bank construction, and band decomposition."""
 
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from rarecast.ewt import (
     BandComponents,
+    _build_filters_batch,
     _detect_boundaries_batch,
+    _unique_rows,
     Boundaries,
     bin_frequencies,
     build_filter_bank,
@@ -39,6 +42,14 @@ def test_bin_frequencies_endpoints():
     assert f.shape == (257,)
     with pytest.raises(ValueError):
         bin_frequencies(1)
+
+
+def test_bin_frequencies_is_cached_and_read_only():
+    f = bin_frequencies(33)
+    assert bin_frequencies(33) is f
+    with pytest.raises(ValueError, match="read-only"):
+        f[0] = 1.0
+    np.testing.assert_array_equal(bin_frequencies(33), np.linspace(0.0, np.pi, 33))
 
 
 def test_boundaries_validation():
@@ -318,3 +329,97 @@ def test_tied_rows_really_tie():
     is_max[:, 1:-1] = (mag[:, 1:-1] > mag[:, :-2]) & (mag[:, 1:-1] > mag[:, 2:])
     tied = [len(np.unique(m[k])) < k.sum() for m, k in zip(mag, is_max)]
     assert sum(tied) >= 10 and tied[-1]
+
+
+# ------------------------------------- deduplicated filter kernel vs edge loop
+
+
+def _edge_loop_filters(
+    omegas: np.ndarray, n_bins: int, gamma: float | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The one-bank-per-row, one-edge-at-a-time builder the deduplicated
+    broadcast kernel replaced, kept as its oracle."""
+    om = np.asarray(omegas, dtype=np.float64)
+    n, n_bands = om.shape[0], om.shape[1] - 1
+    freqs = np.linspace(0.0, np.pi, n_bins)
+    feasible = max_transition_ratio(om)
+    n_clamped = 0
+    if gamma is None:
+        gam = 0.5 * feasible
+    else:
+        gam = np.full(n, float(gamma))
+        over = gam > feasible
+        n_clamped = int(over.sum())
+        gam = np.where(over, feasible, gam)
+    ups = np.empty((n, n_bands + 1, n_bins))
+    ups[:, 0, :] = 1.0
+    ups[:, n_bands, :] = 0.0
+    for k in range(1, n_bands):
+        center = om[:, k][:, None]
+        width = (gam * om[:, k])[:, None]
+        f = freqs[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.clip((f - (center - width)) / (2.0 * width), 0.0, 1.0)
+        hard = (f >= center).astype(np.float64)
+        ups[:, k, :] = np.where(width > 0.0, 0.5 * (1.0 - np.cos(np.pi * s)), hard)
+    return ups[:, :-1, :] - ups[:, 1:, :], gam, n_clamped
+
+
+def _shared_boundary_rows(n_bands: int) -> np.ndarray:
+    """Detected boundary rows (T=64) with exact duplicates, in shuffled order."""
+    rng = np.random.default_rng(100 + n_bands)
+    signals = rng.standard_normal((300, 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        om, _ = _detect_boundaries_batch(signals, n_bands)
+    om = np.vstack([om, om[::3], om[:7]])
+    return om[rng.permutation(om.shape[0])]
+
+
+@pytest.mark.parametrize("n_bands", range(1, 9))
+def test_build_filters_batch_matches_edge_loop(n_bands):
+    om = _shared_boundary_rows(n_bands)
+    uniq, inv = _unique_rows(om)
+    assert len(uniq) < len(om)  # the duplicates really are shared
+    np.testing.assert_array_equal(uniq[inv], om)
+    feasible = max_transition_ratio(om)
+    cases = {"auto": None, "hard": 0.0, "feasible": 0.5 * feasible.min(), "clamped": 5.0}
+    for name, gamma in cases.items():
+        got = _build_filters_batch(om, 33, gamma)
+        want = _edge_loop_filters(om, 33, gamma)
+        np.testing.assert_array_equal(got[0], want[0], err_msg=name)
+        np.testing.assert_array_equal(got[1], want[1], err_msg=name)
+        assert got[2] == want[2], name
+    assert _build_filters_batch(om, 33, 5.0)[2] == len(om)
+    assert _build_filters_batch(om, 33, 0.5 * feasible.min())[2] == 0
+
+
+def test_decompose_windows_is_batch_composition_invariant():
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((40, 64))
+    x = np.vstack([x, x[:10]])  # duplicate windows share a bank
+    perm = rng.permutation(x.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for gamma in (None, 0.05):
+            full = decompose_windows(x, 4, gamma)
+            np.testing.assert_array_equal(decompose_windows(x[perm], 4, gamma), full[perm])
+            for i in range(x.shape[0]):
+                np.testing.assert_array_equal(decompose_windows(x[i : i + 1], 4, gamma)[0], full[i])
+
+
+def test_decompose_windows_warns_once_when_gamma_is_clamped():
+    x = np.random.default_rng(4).standard_normal((50, 64))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        decompose_windows(x, 4, gamma=5.0)
+        decompose_windows(x, 4, gamma=None)
+        decompose_windows(x, 4, gamma=1e-3)
+    clamped = [str(w.message) for w in caught if "gamma" in str(w.message)]
+    assert clamped == [
+        "decompose_windows: gamma 5.0 infeasible for 50 of 50 windows, "
+        "clamped to each window's feasible maximum"
+    ]
+    # perfbench/workloads.py counts fallback windows by this pattern; the
+    # clamp message must not be mistaken for one
+    assert not re.match(r"decompose_windows: (\d+) of \d+ windows", clamped[0])
