@@ -3,8 +3,11 @@
 
 For each seed, runs `rarecast reproduce --seed N` into OUT/seedN and prints
 one `<sha256>  seedN/<file>` line (sha256sum format) for metrics.csv,
-metrics_baseline.csv and bundle.json. With --expect FILE, every printed line
-must appear in FILE; any mismatch or missing line exits 1.
+metrics_baseline.csv and bundle.json. It then runs `train-experts` on that
+run's config.json into OUT/seedN/experts and `train-router` on the expert
+bundle into OUT/seedN/router, and prints the same line for each training
+curve (curve_expert0-2.csv, curve_router.csv). With --expect FILE, every
+printed line must appear in FILE; any mismatch or missing line exits 1.
 
 The committed expectations (scripts/repro_digests.expected, seeds 0-4) were
 recorded with numpy's bundled OpenBLAS 0.3.31 on an x86-64 Haswell-class
@@ -32,14 +35,31 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from rarecast.cli import main as rarecast_main  # noqa: E402
 
-FILES = ("metrics.csv", "metrics_baseline.csv", "bundle.json")
+FILES = (
+    "metrics.csv",
+    "metrics_baseline.csv",
+    "bundle.json",
+    "experts/curve_expert0.csv",
+    "experts/curve_expert1.csv",
+    "experts/curve_expert2.csv",
+    "router/curve_router.csv",
+)
+
+
+def _run(seed: int, argv: list[str]) -> None:
+    rc = rarecast_main(argv)
+    if rc != 0:
+        raise SystemExit(f"seed {seed}: {argv[0]} failed (rc={rc})")
 
 
 def digest_lines(seed: int, root: Path) -> list[str]:
     out = root / f"seed{seed}"
-    rc = rarecast_main(["reproduce", "--seed", str(seed), "--out", str(out)])
-    if rc != 0:
-        raise SystemExit(f"seed {seed}: reproduce failed (rc={rc})")
+    _run(seed, ["reproduce", "--seed", str(seed), "--out", str(out)])
+    _run(seed, ["train-experts", "--config", str(out / "config.json"), "--out", str(out / "experts")])
+    _run(
+        seed,
+        ["train-router", "--bundle", str(out / "experts" / "bundle.json"), "--out", str(out / "router")],
+    )
     return [
         f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  seed{seed}/{name}"
         for name in FILES
