@@ -13,6 +13,8 @@ A lone Forecaster is accepted by `forecast` and `backward` as the B=1 case.
 
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +99,25 @@ def make_forecaster(
     return Forecaster(kind=kind, input_len=input_len, output_len=output_len, hidden=hidden, params=params)
 
 
+def _bind(
+    members: list[Forecaster], shapes: dict[str, tuple[int, ...]], flat: np.ndarray
+) -> ForecasterStack:
+    """Stack over `flat` itself: (B, ...) views per parameter, member b's params rebound to slice b."""
+    n = len(members)
+    grad_flat = np.zeros_like(flat)
+    params, grads = {}, {}
+    start = 0
+    for name, shape in shapes.items():
+        stop = start + n * int(np.prod(shape))
+        params[name] = flat[start:stop].reshape((n,) + shape)
+        grads[name] = grad_flat[start:stop].reshape((n,) + shape)
+        start = stop
+    for b, m in enumerate(members):
+        for name, p in params.items():
+            m.params[name] = p[b]
+    return ForecasterStack(list(members), flat, params, grad_flat, grads)
+
+
 def stack_forecasters(models: list[Forecaster]) -> ForecasterStack:
     """Copy same-shaped models into one flat buffer and rebind their params to views of it."""
     if not models:
@@ -109,22 +130,61 @@ def stack_forecasters(models: list[Forecaster]) -> ForecasterStack:
         )
         if not same or {name: np.shape(p) for name, p in m.params.items()} != shapes:
             raise ValueError("stack_forecasters: models must share kind and parameter shapes")
-    n = len(models)
-    sizes = {name: n * int(np.prod(shape)) for name, shape in shapes.items()}
-    flat = np.empty(sum(sizes.values()))
-    grad_flat = np.zeros_like(flat)
-    params, grads = {}, {}
-    start = 0
-    for name, shape in shapes.items():
-        stop = start + sizes[name]
-        params[name] = flat[start:stop].reshape((n,) + shape)
-        grads[name] = grad_flat[start:stop].reshape((n,) + shape)
-        start = stop
-    for b, m in enumerate(models):
-        for name in shapes:
-            params[name][b] = m.params[name]
-            m.params[name] = params[name][b]
-    return ForecasterStack(list(models), flat, params, grad_flat, grads)
+    flat = np.concatenate(
+        [np.stack([m.params[name] for m in models]).ravel() for name in shapes], dtype=np.float64
+    )
+    return _bind(models, shapes, flat)
+
+
+def stack_at(stack: ForecasterStack, flat: np.ndarray) -> ForecasterStack:
+    """A new stack shaped like `stack` whose parameters are views of `flat`.
+
+    `flat` is typically a saved copy of `stack.flat`; `stack` and its members
+    are left alone.
+    """
+    if flat.shape != stack.flat.shape:
+        raise ValueError(f"stack_at: flat buffer has shape {flat.shape}, expected {stack.flat.shape}")
+    shapes = {name: p.shape[1:] for name, p in stack.params.items()}
+    members = [dataclasses.replace(m, params={}) for m in stack.members]
+    return _bind(members, shapes, flat)
+
+
+class EpochCurve(Sequence):
+    """Per-epoch rows of a training run, computed from parameter snapshots when first read.
+
+    The trainer calls `snapshot()` before its first update and after each
+    epoch; each call keeps a copy of the stack's flat buffer, which costs far
+    less than evaluating a row. The first read passes one `stack_at` stack
+    per snapshot, in epoch order, to `rows` and caches the list it returns,
+    so rows match an eager evaluation bit for bit and are computed once.
+    """
+
+    def __init__(self, stack: ForecasterStack, rows: Callable[[list[ForecasterStack]], list[dict]]):
+        self._stack = stack
+        self._rows_of: Callable[[list[ForecasterStack]], list[dict]] | None = rows
+        self._flats: list[np.ndarray] = []
+        self._rows: list[dict] | None = None
+
+    def snapshot(self) -> None:
+        self._flats.append(self._stack.flat.copy())
+
+    def _built(self) -> list[dict]:
+        if self._rows is None:
+            self._rows = self._rows_of([stack_at(self._stack, f) for f in self._flats])
+            # Drop the snapshots and whatever training arrays `rows` holds.
+            self._rows_of, self._flats = None, []
+        return self._rows
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def _check_input(model: Forecaster | ForecasterStack, history: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import json
 import logging
 import re
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +138,7 @@ def _write_series_csv(values: np.ndarray, path: Path, column: str = "value") -> 
             writer.writerow([repr(float(v))])
 
 
-def _write_curves(curves: dict[int, list[dict]], out: Path) -> None:
+def _write_curves(curves: dict[int, Sequence[dict]], out: Path) -> None:
     for level, curve in curves.items():
         write_rows_csv(curve, out / f"curve_expert{level}.csv")
 

@@ -75,6 +75,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"config: {name} must be finite and > 0, got {value}")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"config: gamma must be None or finite and >= 0, got {self.gamma}")
         if self.hidden < 1:
             raise ValueError("config: hidden must be >= 1")
         if self.gate_hidden < 0:

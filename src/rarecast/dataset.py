@@ -30,6 +30,13 @@ class RarityLevel(IntEnum):
 
 
 N_LEVELS = len(RarityLevel)
+# Level names in every CSV, report row and CLI assertion.
+LEVEL_KEYS = {
+    RarityLevel.NORMAL: "normal",
+    RarityLevel.MODERATE: "moderate",
+    RarityLevel.VERY_RARE: "very",
+    RarityLevel.EXTREME_RARE: "extreme",
+}
 
 
 def _readonly(arr: np.ndarray, dtype: type = np.float64) -> np.ndarray:

@@ -16,19 +16,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import PipelineConfig
-from .dataset import RarityLevel, RarityThresholds, label_points
+from .dataset import LEVEL_KEYS, RarityLevel, RarityThresholds, label_points
 from .pipeline import PreparedData, TrainedPipeline, TrainLogs, predict_windows, train_pipeline
 
 # Benchmark sweep grids and report row order.
 BETA_SWEEP = (0.0, 0.1, 0.5, 0.7, 1.0, 1.5, 2.0)
 REPORT_LEVELS = (RarityLevel.MODERATE, RarityLevel.VERY_RARE, RarityLevel.EXTREME_RARE)
-# Level names in report rows and CLI assertions.
-LEVEL_KEYS = {
-    RarityLevel.NORMAL: "normal",
-    RarityLevel.MODERATE: "moderate",
-    RarityLevel.VERY_RARE: "very",
-    RarityLevel.EXTREME_RARE: "extreme",
-}
 TABLE_PRESETS: tuple[frozenset[str], ...] = (
     frozenset(),
     frozenset({"WT"}),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -201,6 +202,11 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[new], inv
 
 
+def _check_gamma(gamma: float | None, caller: str) -> None:
+    if gamma is not None and not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"{caller}: gamma must be None or finite and >= 0, got {gamma}")
+
+
 def _build_filters_batch(
     omegas: np.ndarray, n_bins: int, gamma: float | None
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -223,8 +229,6 @@ def _build_filters_batch(
     if gamma is None:
         gam = 0.5 * feasible
     else:
-        if gamma < 0.0:
-            raise ValueError(f"build_filter_bank: gamma must be >= 0, got {gamma}")
         gam = np.full(om.shape[0], float(gamma))
         over = gam > feasible
         n_clamped = int(np.count_nonzero(over[inv]))
@@ -255,6 +259,7 @@ def build_filter_bank(
     frequency. None picks half of the feasible maximum; a value above the
     feasible maximum is clamped down with a warning; zero yields hard masks.
     """
+    _check_gamma(gamma, "build_filter_bank")
     filters, gam, n_clamped = _build_filters_batch(boundaries.omegas[None, :], n_bins, gamma)
     if n_clamped:
         warnings.warn(
@@ -303,6 +308,7 @@ def decompose_windows(
     x = np.asarray(signals, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("decompose_windows: expected a (N, T) array")
+    _check_gamma(gamma, "decompose_windows")
     if n_bands == 1:
         return x[:, None, :].copy()
     omegas, n_fallback = _detect_boundaries_batch(x, n_bands)

@@ -143,13 +143,17 @@ def train_expert(
     bank: ewt.FilterBank | None = None,
     components: np.ndarray | None = None,
     teacher_preds: np.ndarray | None = None,
-) -> tuple[ExpertModel, list[dict]]:
+    rows: np.ndarray | None = None,
+) -> tuple[ExpertModel, bb.EpochCurve]:
     """Train one expert on its level's windows.
 
+    components are the windows' band components, row for row, or, when rows
+    is given, those of a larger window set in which window i is row rows[i];
+    minibatches are gathered from it, so a chain shares one component array.
     The teacher (the expert one level down) stays frozen; its predictions on
     the raw histories feed the distillation term when beta > 0. Returns the
-    trained expert and the per-epoch loss curve; row 0 is the loss before
-    any update.
+    trained expert and the per-epoch loss curve, computed when first read;
+    row 0 is the loss before any update.
     """
     if not windows:
         raise ValueError(f"train_expert: no samples for level {level}")
@@ -158,6 +162,8 @@ def train_expert(
     horizon = targ.shape[1]
     plev = collapse_level(windows.point_levels, cfg.n_experts)
 
+    if rows is not None and (components is None or len(rows) != n):
+        raise ValueError("train_expert: rows needs components and one row per window")
     if components is None:
         components = decompose_histories(hist, cfg.n_bands, cfg.mode, bank, cfg.gamma)
 
@@ -190,18 +196,24 @@ def train_expert(
     opt = bb.OptimizerState(lr=cfg.lr)
     shuffle_rng = substream(cfg.seed, SHUFFLE, level)
 
-    def curve_row(epoch: int) -> dict:
-        r, k, tot = _losses_on(
-            model, components, targ, plev, teacher_preds, penalty_level, cfg.beta, horizon
-        )
-        return {"epoch": epoch, "rare": r, "kd": k, "total": tot}
+    def curve_rows(stacks: list[bb.ForecasterStack]) -> list[dict]:
+        comps = components if rows is None else components[rows]
+        out = []
+        for epoch, stack in enumerate(stacks):
+            r, k, tot = _losses_on(
+                stack, comps, targ, plev, teacher_preds, penalty_level, cfg.beta, horizon
+            )
+            out.append({"epoch": epoch, "rare": r, "kd": k, "total": tot})
+        return out
 
-    curve = [curve_row(0)]
+    curve = bb.EpochCurve(model, curve_rows)
+    curve.snapshot()
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
+        comp_order = order if rows is None else rows[order]
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            comps_b = components[idx]
+            comps_b = components[comp_order[start : start + cfg.batch_size]]
             preds = _forward(model, comps_b)
             teacher_b = teacher_preds[idx] if distill else None
             loss = combined_loss(
@@ -209,14 +221,14 @@ def train_expert(
             )
             grads = bb.backward(model, comps_b.transpose(1, 0, 2), np.asarray(loss.d_dpred))
             bb.step(model, grads, opt)
-        curve.append(curve_row(epoch))
+        curve.snapshot()
     return expert, curve
 
 
 @dataclass(eq=False)
 class ChainResult:
     experts: list[ExpertModel]
-    curves: dict[int, list[dict]] = field(default_factory=dict)
+    curves: dict[int, bb.EpochCurve] = field(default_factory=dict)
     counts: dict[int, int] = field(default_factory=dict)
 
 
@@ -263,8 +275,9 @@ def build_expert_chain(
         expert, curve = train_expert(
             subset, c, teacher, cfg,
             bank=bank,
-            components=components[sel],
+            components=components,
             teacher_preds=teacher_preds,
+            rows=sel,
         )
         result.experts.append(expert)
         result.curves[c] = curve

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import RarityLevel
+from .dataset import LEVEL_KEYS, RarityLevel
 
 
 @dataclass(frozen=True)
@@ -182,5 +182,5 @@ def loss_landscape_rows(
     grid = np.linspace(lo, hi, steps)
     for level in RarityLevel:
         v, _ = _penalty_terms(grid, np.full(grid.shape, int(level)), int(level), horizon)
-        rows.extend((float(d), level.name.lower(), float(val)) for d, val in zip(grid, v))
+        rows.extend((float(d), LEVEL_KEYS[level], float(val)) for d, val in zip(grid, v))
     return rows

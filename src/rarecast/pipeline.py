@@ -8,6 +8,7 @@ separately so windows never straddle a split edge.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,9 +99,9 @@ class TrainedPipeline:
 
 @dataclass(eq=False)
 class TrainLogs:
-    expert_curves: dict[int, list[dict]] = field(default_factory=dict)
+    expert_curves: dict[int, Sequence[dict]] = field(default_factory=dict)
     expert_counts: dict[int, int] = field(default_factory=dict)
-    router_curve: list[dict] = field(default_factory=list)
+    router_curve: Sequence[dict] = field(default_factory=list)
 
 
 def fit_global_bank(train: TimeSeries, cfg: PipelineConfig) -> ewt.FilterBank:

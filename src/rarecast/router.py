@@ -114,12 +114,33 @@ def fuse(expert_outputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out @ w if out.ndim == 2 else np.einsum("nhe,ne->nh", out, w)
 
 
+def _exp_shifted(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row max m, exp(logits - m) and its row sums for (N, E) logits.
+
+    Both reductions run column by column as elementwise ufuncs, which is
+    far cheaper than a reduction along rows this short. For E <= 5 (a gate
+    has at most 4 experts) the results are bitwise equal to
+    max/sum(axis=1). The inference `softmax` keeps the axis form, which is
+    faster for a single window.
+    """
+    cols = logits.T
+    zmax = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(zmax, col, out=zmax)
+    e = logits - zmax[:, None]
+    np.exp(e, out=e)
+    total = e[:, 0].copy()
+    for j in range(1, e.shape[1]):
+        total += e[:, j]
+    return zmax, e, total
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy of (N, E) logits against integer labels."""
     z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    zmax = z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
+    zmax, _, total = _exp_shifted(z)
+    logsumexp = np.log(total) + zmax
     picked = z[np.arange(z.shape[0]), y]
     return float((logsumexp - picked).mean())
 
@@ -140,12 +161,13 @@ def train_router(
     windows: Windows,
     cfg: PipelineConfig,
     components: np.ndarray | None = None,
-) -> tuple[Router, list[dict]]:
+) -> tuple[Router, bb.EpochCurve]:
     """Fit the gate to route windows to the expert of their rarity level.
 
     Experts stay frozen; training is full-softmax cross-entropy on the window
     labels (top-k applies at inference only). Returns the router and the
-    per-epoch loss/accuracy curve; row 0 precedes any update.
+    per-epoch loss/accuracy curve, computed when first read; row 0 precedes
+    any update.
     """
     if not windows:
         raise ValueError("train_router: no windows")
@@ -181,24 +203,30 @@ def train_router(
     shuffle_rng = substream(cfg.seed, ROUTER_SHUFFLE)
     router = Router(gate=gate, n_experts=n_experts, horizon=horizon, k=cfg.k)
 
-    def curve_row(epoch: int) -> dict:
-        logits = bb.forecast(model, feats)[0]
-        acc = float((logits.argmax(axis=1) == labels).mean())
-        return {"epoch": epoch, "ce": cross_entropy(logits, labels), "accuracy": acc}
+    def curve_rows(stacks: list[bb.ForecasterStack]) -> list[dict]:
+        out = []
+        for epoch, stack in enumerate(stacks):
+            logits = bb.forecast(stack, feats)[0]
+            acc = float((logits.argmax(axis=1) == labels).mean())
+            out.append({"epoch": epoch, "ce": cross_entropy(logits, labels), "accuracy": acc})
+        return out
 
-    curve = [curve_row(0)]
+    curve = bb.EpochCurve(model, curve_rows)
+    curve.snapshot()
     onehot = np.eye(n_experts)[labels]
     for epoch in range(1, cfg.router_epochs + 1):
-        # Gather the epoch's rows once; each minibatch is then a contiguous slice.
         order = shuffle_rng.permutation(n)
-        feats_e, onehot_e, w_e = feats[order], onehot[order], sample_w[order][:, None]
         for start in range(0, n, cfg.batch_size):
-            rows = slice(start, start + cfg.batch_size)
-            feats_b = feats_e[rows]
-            probs = softmax(bb.forecast(model, feats_b)[0])
-            dlogits = w_e[rows] * (probs - onehot_e[rows]) / feats_b.shape[0]
+            idx = order[start : start + cfg.batch_size]
+            feats_b = feats[idx]
+            _, dlogits, total = _exp_shifted(bb.forecast(model, feats_b)[0])
+            # w * (softmax - onehot) / B, in place and in that order.
+            dlogits /= total[:, None]
+            dlogits -= onehot[idx]
+            dlogits *= sample_w[idx, None]
+            dlogits /= len(idx)
             bb.step(model, bb.backward(model, feats_b, dlogits), opt)
-        curve.append(curve_row(epoch))
+        curve.snapshot()
     return router, curve
 
 

@@ -9,6 +9,7 @@ from rarecast.backbone import (
     backward,
     forecast,
     make_forecaster,
+    stack_at,
     stack_forecasters,
     step,
 )
@@ -222,6 +223,22 @@ def test_stack_members_alias_the_flat_buffer():
         stack_forecasters([])
     with pytest.raises(ValueError, match="per-model"):
         forecast(s, np.zeros((2, 4, 6)))  # 2 history blocks for 3 models
+
+
+def test_stack_at_reads_a_saved_buffer_and_leaves_the_stack_alone():
+    models = [make_forecaster("mlp", 6, 3, 4, np.random.default_rng(i)) for i in range(3)]
+    s = stack_forecasters(models)
+    x = np.random.default_rng(9).standard_normal((5, 6))
+    saved = s.flat.copy()
+    want = forecast(s, x)
+    s.flat *= 2.0
+    at = stack_at(s, saved)
+    assert at.flat is saved and all(np.shares_memory(p, saved) for p in at.params.values())
+    assert all(np.shares_memory(p, saved) for m in at.members for p in m.params.values())
+    np.testing.assert_array_equal(forecast(at, x), want)
+    assert all(np.shares_memory(p, s.flat) for m in models for p in m.params.values())
+    with pytest.raises(ValueError, match="stack_at"):
+        stack_at(s, saved[:-1])
 
 
 @pytest.mark.parametrize("band", [0, 2, 3])

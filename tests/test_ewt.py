@@ -144,8 +144,9 @@ def test_filter_bank_gamma_handling():
     with pytest.warns(UserWarning, match="clamped"):
         clamped = build_filter_bank(b, 129, gamma=0.9)
     assert abs(clamped.gamma - 1.0 / 3.0) < 1e-12
-    with pytest.raises(ValueError):
-        build_filter_bank(b, 129, gamma=-0.1)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="^build_filter_bank: gamma"):
+            build_filter_bank(b, 129, gamma=bad)
 
 
 def test_filter_bank_shape_validation():
@@ -406,6 +407,15 @@ def test_decompose_windows_is_batch_composition_invariant():
             np.testing.assert_array_equal(decompose_windows(x[perm], 4, gamma), full[perm])
             for i in range(x.shape[0]):
                 np.testing.assert_array_equal(decompose_windows(x[i : i + 1], 4, gamma)[0], full[i])
+
+
+@pytest.mark.parametrize("n_bands", [1, 3])
+@pytest.mark.parametrize("gamma", [float("nan"), -1.0, float("inf")])
+def test_decompose_windows_rejects_bad_gamma(n_bands, gamma):
+    # nan used to match the gamma=0.0 hard masks exactly, and n_bands=1 checked nothing.
+    x = np.random.default_rng(0).standard_normal((4, 64))
+    with pytest.raises(ValueError, match="^decompose_windows: gamma"):
+        decompose_windows(x, n_bands, gamma)
 
 
 def test_decompose_windows_warns_once_when_gamma_is_clamped():

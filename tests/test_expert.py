@@ -77,6 +77,9 @@ def test_expert_train_config_validation():
         ("router_lr", -1.0),
         ("hidden", 0),
         ("gate_hidden", -3),
+        ("gamma", -1.0),
+        ("gamma", float("nan")),
+        ("gamma", float("inf")),
     ],
 )
 def test_config_rejects_out_of_range_training_values(name, value):

@@ -239,4 +239,4 @@ def test_loss_landscape_rows_grid():
     at_zero = [r for r in rows if r[0] == 0.0]
     assert len(at_zero) == 4 and all(v == 0.0 for _, _, v in at_zero)
     names = {name for _, name, _ in rows}
-    assert names == {"normal", "moderate", "very_rare", "extreme_rare"}
+    assert names == {"normal", "moderate", "very", "extreme"}

@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 
 from rarecast import backbone as bb
+from rarecast import expert as expert_mod
+from rarecast import router as router_mod
 from rarecast.config import PipelineConfig
 from rarecast.dataset import RarityLevel
-from rarecast.expert import ExpertModel
+from rarecast.expert import ExpertModel, collapse_level, expert_predict_batch
+from rarecast.losses import rare_loss
+from rarecast.pipeline import train_pipeline
 from rarecast.router import (
     Router,
+    _exp_shifted,
     cross_entropy,
     fuse,
     gate_forward,
@@ -208,6 +213,57 @@ def test_train_router_curve_and_determinism(tiny_data):
     assert min(row["ce"] for row in curve[1:]) <= curve[0]["ce"]
     _, again = train_router(experts, wins, _router_cfg(router_epochs=3))
     assert curve == again
+
+
+@pytest.mark.parametrize("gate_hidden", [0, 4])
+def test_training_curves_are_computed_only_when_read(tiny_data, tiny_cfg, monkeypatch, gate_hidden):
+    calls = {"losses": 0, "ce": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(expert_mod, "_losses_on", counted("losses", expert_mod._losses_on))
+    monkeypatch.setattr(router_mod, "cross_entropy", counted("ce", router_mod.cross_entropy))
+    cfg = tiny_cfg.with_overrides(gate_hidden=gate_hidden, router_epochs=3)
+    tp, logs = train_pipeline(tiny_data, cfg)
+    assert calls == {"losses": 0, "ce": 0}
+
+    wins = tiny_data.train_windows
+    labels = collapse_level(wins.window_levels, cfg.n_experts)
+    router_rows = list(logs.router_curve)
+    assert len(router_rows) == cfg.router_epochs + 1 and calls["ce"] == cfg.router_epochs + 1
+    feats = stack_expert_outputs(tp.experts, wins.histories).reshape(len(wins), -1)
+    logits = bb.forecast(tp.router.gate, feats)
+    assert router_rows[-1]["ce"] == cross_entropy(logits, labels)
+    assert router_rows[-1]["accuracy"] == float((logits.argmax(axis=1) == labels).mean())
+
+    expert_rows = {c: list(curve) for c, curve in logs.expert_curves.items()}
+    assert all(len(rows) == cfg.epochs + 1 for rows in expert_rows.values())
+    assert calls["losses"] == cfg.n_experts * (cfg.epochs + 1)
+    normal = wins[labels == 0]  # level 0 has no teacher, so its total is the rare loss
+    direct = rare_loss(
+        expert_predict_batch(tp.experts[0], normal.histories), normal.targets,
+        collapse_level(normal.point_levels, cfg.n_experts), RarityLevel.NORMAL, cfg.horizon,
+    ).value
+    assert expert_rows[0][-1]["rare"] == expert_rows[0][-1]["total"] == direct
+
+    before = dict(calls)
+    assert list(logs.router_curve) == router_rows
+    assert all(list(logs.expert_curves[c]) == rows for c, rows in expert_rows.items())
+    assert calls == before  # a second read does not recompute
+
+
+@pytest.mark.parametrize("n_experts", [1, 2, 3, 4])
+def test_column_reductions_match_the_axis_form_bitwise(n_experts):
+    z = np.random.default_rng(n_experts).standard_normal((5000, n_experts)) * 30.0
+    zmax, e, total = _exp_shifted(z)
+    np.testing.assert_array_equal(zmax, z.max(axis=1))
+    np.testing.assert_array_equal(e, np.exp(z - z.max(axis=1, keepdims=True)))
+    np.testing.assert_array_equal(total, e.sum(axis=1))
+    np.testing.assert_array_equal(e / total[:, None], softmax(z))
 
 
 def test_trained_router_beats_chance(tiny_pipeline):
