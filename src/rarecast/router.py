@@ -118,20 +118,19 @@ def _exp_shifted(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Row max m, exp(logits - m) and its row sums for (N, E) logits.
 
     Both reductions run column by column as elementwise ufuncs, which is
-    far cheaper than a reduction along rows this short. For E <= 5 (a gate
-    has at most 4 experts) the results are bitwise equal to
-    max/sum(axis=1). The inference `softmax` keeps the axis form, which is
-    faster for a single window.
+    far cheaper than a reduction along rows this short. numpy sums a row
+    this short left to right, so for a gate's E <= 4 columns the results
+    are bitwise equal to max/sum(axis=1). The inference `softmax` keeps the
+    axis form, which is faster for a single window.
     """
-    cols = logits.T
-    zmax = cols[0].copy()
-    for col in cols[1:]:
+    zmax = logits[:, 0].copy()
+    for col in logits.T[1:]:
         np.maximum(zmax, col, out=zmax)
     e = logits - zmax[:, None]
     np.exp(e, out=e)
     total = e[:, 0].copy()
-    for j in range(1, e.shape[1]):
-        total += e[:, j]
+    for col in e.T[1:]:
+        total += col
     return zmax, e, total
 
 
