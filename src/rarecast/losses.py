@@ -12,6 +12,13 @@ punished exponentially, and over-prediction is softened per level:
 
 H is the prediction horizon. Every branch is 0 at delta = 0, so the loss is
 continuous; the gradient at the kink takes the quadratic branch's value 0.
+
+Each exponential branch exp(u) - 1 is exact for u <= EXP_ARG_LIMIT and
+continues as its tangent line past it, with value and slope continuous:
+under-prediction becomes linear for |delta| > EXP_ARG_LIMIT, extreme
+over-prediction for delta > EXP_ARG_LIMIT * (H + 1). Penalties and gradients
+then stay finite on unnormalized large-scale series, where exp(-delta)
+overflows for delta < -709.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LEVEL_KEYS, RarityLevel
+
+# exp(20) ~ 4.9e8: far past the errors of a normalized series, and the
+# linear slope past it keeps Adam's squared gradients far from overflow.
+EXP_ARG_LIMIT = 20.0
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,13 @@ def _log_cosh(d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _expm1_continued(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(u) - 1 and its derivative, continued linearly past EXP_ARG_LIMIT."""
+    capped = np.minimum(u, EXP_ARG_LIMIT)
+    slope = np.exp(capped)
+    return np.expm1(capped) + slope * (u - capped), slope
+
+
 def _penalty_terms(
     delta: np.ndarray, point_levels: np.ndarray, expert_level: int, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -73,9 +91,8 @@ def _penalty_terms(
     under = match & (d < 0.0)
     over = match & (d > 0.0)
 
-    du = d[under]
-    values[under] = np.expm1(-du)
-    derivs[under] = -np.exp(-du)
+    values[under], slope = _expm1_continued(-d[under])
+    derivs[under] = -slope
 
     do = d[over]
     if expert_level == RarityLevel.MODERATE:
@@ -85,8 +102,8 @@ def _penalty_terms(
         derivs[over] = np.tanh(do)
     elif expert_level == RarityLevel.EXTREME_RARE:
         scale = 1.0 / (horizon + 1.0)
-        values[over] = np.expm1(do * scale)
-        derivs[over] = np.exp(do * scale) * scale
+        values[over], slope = _expm1_continued(do * scale)
+        derivs[over] = slope * scale
     else:
         raise ValueError(f"unknown expert level {expert_level}")
     return values, derivs

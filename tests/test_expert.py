@@ -7,7 +7,7 @@ import pytest
 
 from rarecast.cli import REPRODUCE_OVERRIDES
 from rarecast.config import PipelineConfig
-from rarecast.dataset import RarityLevel
+from rarecast.dataset import RarityLevel, TimeSeries
 from rarecast.expert import (
     ExpertModel,
     build_expert_chain,
@@ -18,7 +18,7 @@ from rarecast.expert import (
     train_expert,
 )
 from rarecast.ewt import Boundaries, build_filter_bank
-from rarecast.pipeline import prepare_data, train_pipeline
+from rarecast.pipeline import load_series, prepare_data, train_pipeline
 from rarecast import backbone as bb
 
 
@@ -200,6 +200,19 @@ def test_chain_is_deterministic(tiny_data):
     a = build_expert_chain(wins, _small_cfg(epochs=1))
     b = build_expert_chain(wins, _small_cfg(epochs=1))
     assert [_params_digest(e) for e in a.experts] == [_params_digest(e) for e in b.experts]
+
+
+def test_chain_trains_on_unnormalized_large_scale_series(tiny_cfg):
+    # regression: with identity normalization a series scaled by 100 made the
+    # exponential under-prediction penalty overflow, and the first rare
+    # expert's step aborted with a non-finite gradient
+    cfg = tiny_cfg.with_overrides(normalization="identity")
+    raw = load_series(cfg)
+    data = prepare_data(cfg, series=TimeSeries(raw.values * 100.0, name=raw.name))
+    tp, _ = train_pipeline(data, cfg, train_router_too=False)
+    for expert in tp.experts:
+        for backbone in expert.backbones:
+            assert all(np.all(np.isfinite(p)) for p in backbone.params.values())
 
 
 # ------------------------------------------------------------ specialization

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from rarecast.dataset import RarityLevel
 from rarecast.losses import (
+    EXP_ARG_LIMIT,
     PenaltyContext,
     combined_loss,
     kd_loss,
@@ -82,6 +83,71 @@ def test_log_cosh_large_argument_stable():
     v = rare_penalty(50.0, match_ctx(RarityLevel.VERY_RARE)).value
     assert math.isfinite(v)
     assert v == pytest.approx(50.0 - math.log(2.0), abs=1e-12)
+
+
+# ------------------------------------------------- exponential continuation
+
+
+def _linear_past_limit(excess: float) -> float:
+    return math.expm1(EXP_ARG_LIMIT) + math.exp(EXP_ARG_LIMIT) * excess
+
+
+@pytest.mark.parametrize("level", RARE)
+def test_under_branch_continues_linearly_past_limit(level):
+    # regression: expm1(-delta) overflowed to inf for delta < -709 and turned
+    # every gradient of an unnormalized large-scale series into nan
+    ctx = match_ctx(level, horizon=12)
+    edge = rare_penalty(-EXP_ARG_LIMIT, ctx)
+    assert edge.value == np.expm1(EXP_ARG_LIMIT)
+    assert edge.d_dpred == -np.exp(EXP_ARG_LIMIT)
+    for excess in (1e-6, 1.0, 1e3, 1e6):
+        out = rare_penalty(-EXP_ARG_LIMIT - excess, ctx)
+        assert out.value == pytest.approx(_linear_past_limit(excess), rel=1e-12)
+        assert out.d_dpred == -np.exp(EXP_ARG_LIMIT)
+
+
+def test_extreme_over_branch_continues_linearly_past_limit():
+    horizon = 12
+    ctx = match_ctx(RarityLevel.EXTREME_RARE, horizon=horizon)
+    scale = 1.0 / (horizon + 1.0)
+    edge = EXP_ARG_LIMIT * (horizon + 1.0)
+    assert rare_penalty(edge, ctx).value == pytest.approx(math.expm1(EXP_ARG_LIMIT), rel=1e-15)
+    for excess in (1e-3, 1.0, 1e3, 1e6):
+        out = rare_penalty(edge + excess, ctx)
+        assert out.value == pytest.approx(_linear_past_limit(excess * scale), rel=1e-12)
+        assert out.d_dpred == pytest.approx(math.exp(EXP_ARG_LIMIT) * scale, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "level, edge",
+    [(level, -EXP_ARG_LIMIT) for level in RARE] + [(RarityLevel.EXTREME_RARE, EXP_ARG_LIMIT * 13.0)],
+)
+def test_exponential_continuation_is_c1_at_limit(level, edge):
+    ctx = match_ctx(level, horizon=12)
+    h = 1e-7
+    below, above = rare_penalty(edge - h, ctx), rare_penalty(edge + h, ctx)
+    at = rare_penalty(edge, ctx)
+    assert abs(above.value - below.value) <= 2.5 * h * abs(at.d_dpred)
+    assert below.d_dpred == pytest.approx(above.d_dpred, rel=1e-6)
+    assert at.d_dpred == pytest.approx(_fd(lambda d: rare_penalty(d, ctx).value, edge, h), rel=1e-6)
+
+
+def test_exponential_branches_unchanged_inside_limit():
+    # bitwise the plain exponential up to the limit: seeded runs never reach it
+    for level in RARE:
+        for d in np.linspace(-EXP_ARG_LIMIT, -1e-3, 25):
+            out = rare_penalty(float(d), match_ctx(level))
+            assert out.value == np.expm1(-d)
+            assert out.d_dpred == -np.exp(-d)
+
+
+def test_rare_loss_finite_on_huge_errors():
+    pred = np.array([-5e4, 3e4, -1e3, 1e5])
+    truth = np.zeros(4)
+    for level in RarityLevel:
+        out = rare_loss(pred, truth, np.full(4, int(level)), level, horizon=16)
+        assert math.isfinite(out.value)
+        assert np.all(np.isfinite(np.asarray(out.d_dpred)))
 
 
 # -------------------------------------------------------- asymmetry shape
