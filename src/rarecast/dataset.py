@@ -88,9 +88,11 @@ class RarityThresholds:
 def load_csv(path: str | Path, column: str | int, delimiter: str = ",") -> TimeSeries:
     """Read one numeric column from a headed CSV file.
 
-    Rows whose cell is missing or does not parse as a finite float are
-    skipped; the skip count is reported through a warning. Raises on a
-    missing file, an unknown column, or zero valid rows.
+    Every row after the header must hold a finite float in that column:
+    dropping a row would shift every later timestamp, so a missing,
+    unparsable or non-finite cell (a blank line included) raises a
+    ValueError naming the bad-row count and the first bad line. Also raises
+    on a missing file, an unknown column, or zero valid rows.
     """
     path = Path(path)
     if not path.exists():
@@ -110,21 +112,25 @@ def load_csv(path: str | Path, column: str | int, delimiter: str = ",") -> TimeS
                 raise ValueError(f"load_csv: column {column!r} not in header {header}")
             idx, colname = header.index(column), column
         values: list[float] = []
-        skipped = 0
+        bad_lines: list[int] = []
         for row in reader:
             try:
                 v = float(row[idx])
             except (IndexError, ValueError):
-                skipped += 1
-                continue
-            if not math.isfinite(v):
-                skipped += 1
-                continue
-            values.append(v)
-    if skipped:
-        warnings.warn(f"load_csv: skipped {skipped} unparsable rows in {path.name}", stacklevel=2)
+                v = math.nan
+            if math.isfinite(v):
+                values.append(v)
+            else:
+                bad_lines.append(reader.line_num)
     if not values:
         raise ValueError(f"load_csv: column {colname!r} of {path} has no valid rows")
+    if bad_lines:
+        n = len(bad_lines)
+        raise ValueError(
+            f"load_csv: {n} bad row{'s' if n > 1 else ''} in {path} (first at line "
+            f"{bad_lines[0]}): column {colname!r} must hold a finite number in every row, "
+            f"a dropped row would shift every later timestamp"
+        )
     return TimeSeries(np.asarray(values), name=colname)
 
 

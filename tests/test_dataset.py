@@ -71,12 +71,29 @@ def test_load_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(ts2.values, ts.values)
 
 
-def test_load_csv_skips_bad_rows_with_warning(tmp_path):
+def test_load_csv_gap_raises_instead_of_shifting_timeline(tmp_path):
+    # regression: a nan and an empty cell in a 100-row file loaded as 98
+    # contiguous values, so every later timestamp shifted
+    rows = [f"{t},{0.01 * t!r}" for t in range(100)]
+    rows[40] = "40,nan"
+    rows[70] = "70,"
+    p = tmp_path / "gappy.csv"
+    p.write_text("time,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"2 bad rows .*first at line 42"):
+        load_csv(p, "value")
+
+
+def test_load_csv_rejects_bad_rows(tmp_path):
     p = tmp_path / "holes.csv"
-    p.write_text("value\n1.0\nnot-a-number\n\n2.0\ninf\n3.0\n")
-    with pytest.warns(UserWarning, match="skipped"):
-        ts = load_csv(p, "value")
-    np.testing.assert_array_equal(ts.values, [1.0, 2.0, 3.0])
+    for body, count, line in (
+        ("1.0\nnot-a-number\n2.0\n", 1, 3),
+        ("1.0\n2.0\n\n3.0\n", 1, 4),
+        ("1.0\n2.0\ninf\n-inf\n", 2, 4),
+        ("1.0\nnot-a-number\n\n2.0\ninf\n3.0\n", 3, 3),
+    ):
+        p.write_text("value\n" + body)
+        with pytest.raises(ValueError, match=rf"{count} bad rows? .*first at line {line}\b"):
+            load_csv(p, "value")
 
 
 def test_load_csv_errors(tmp_path):
