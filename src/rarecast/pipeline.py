@@ -2,8 +2,10 @@
 
 The order of operations is fixed: split the raw series 8:1:1, fit the
 normalizer on the training split, normalize every split, fit rarity
-thresholds on the normalized training values, then window each split
-separately so windows never straddle a split edge.
+thresholds on the normalized training values, then window the training and
+test splits separately so windows never straddle a split edge. The
+validation split stays a series; callers that select on it window it
+themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .router import Router, pipeline_predict_batch, train_router
 
 @dataclass(eq=False)
 class PreparedData:
-    """Normalized splits, their windows, and the fitted labeling artifacts."""
+    """Normalized splits, train and test windows, and the fitted labeling artifacts."""
 
     name: str
     normalizer: Normalizer
@@ -41,7 +43,6 @@ class PreparedData:
     val: TimeSeries
     test: TimeSeries
     train_windows: Windows
-    val_windows: Windows
     test_windows: Windows
 
 
@@ -81,7 +82,6 @@ def prepare_data(
         val=val,
         test=test,
         train_windows=make_windows(train, t, h, s, thresholds),
-        val_windows=make_windows(val, t, h, s, thresholds),
         test_windows=make_windows(test, t, h, s, thresholds),
     )
 
