@@ -24,13 +24,16 @@ def main() -> int:
     parser.add_argument("--out", default="runs/sweeps", help="output directory")
     parser.add_argument(
         "--quick", action="store_true",
-        help="shrink the dataset and schedules for a fast smoke pass",
+        help="shrink the dataset and cap the schedules for a fast smoke pass",
     )
     args = parser.parse_args()
 
     cfg = PipelineConfig(**REPRODUCE_OVERRIDES).with_overrides(seed=args.seed)
     if args.quick:
-        cfg = cfg.with_overrides(synth_n=6000, epochs=3, router_epochs=10)
+        # caps, never raises: a quick pass must not train longer than the preset
+        cfg = cfg.with_overrides(
+            synth_n=6000, epochs=min(cfg.epochs, 3), router_epochs=min(cfg.router_epochs, 10)
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = prepare_data(cfg)
