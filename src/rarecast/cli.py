@@ -55,6 +55,9 @@ from .router import pipeline_predict_batch, train_router
 # backbones and a linear gate, inverse-frequency class weights on. Short
 # expert schedule: longer training lets the rare experts drift on quiet
 # windows and erodes the overall-MSE margin of the full configuration.
+# Router schedule: the smallest of {5, 10, 20, 40, 80} epochs whose median
+# validation-split overall and extreme MSE (seeds 5-9) are within 1% of the
+# 80-epoch medians, for this preset and its global-mode MLP variant.
 REPRODUCE_OVERRIDES = dict(
     history_len=64,
     horizon=16,
@@ -68,7 +71,7 @@ REPRODUCE_OVERRIDES = dict(
     batch_size=128,
     level_scope="exact",
     gate_hidden=0,
-    router_epochs=80,
+    router_epochs=5,
     class_weights=True,
     source="synth",
     synth_n=20000,
