@@ -18,7 +18,9 @@ continues as its tangent line past it, with value and slope continuous:
 under-prediction becomes linear for |delta| > EXP_ARG_LIMIT, extreme
 over-prediction for delta > EXP_ARG_LIMIT * (H + 1). Penalties and gradients
 then stay finite on unnormalized large-scale series, where exp(-delta)
-overflows for delta < -709.
+overflows for delta < -709. The moderate level keeps a quadratic
+over-prediction branch, so there under-prediction costs more only up to
+|delta| ~ exp(EXP_ARG_LIMIT) ~ 4.9e8.
 """
 
 from __future__ import annotations
