@@ -383,9 +383,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args).with_overrides(**REPRODUCE_OVERRIDES)
-    if args.seed is not None:
-        cfg = cfg.with_overrides(seed=args.seed)
+    cfg = resolve_config(args, base=PipelineConfig(**REPRODUCE_OVERRIDES))
     out = _outdir(args)
     data = prepare_data(cfg)
     report, tp, _ = run_once(data, cfg)

@@ -396,6 +396,23 @@ def test_cli_reproduce_smoke(tmp_path, monkeypatch):
     assert "overall" in summary and "extreme" in summary
 
 
+def test_cli_reproduce_explicit_flags_win_over_the_preset(tmp_path, monkeypatch):
+    quick = dict(cli.REPRODUCE_OVERRIDES)
+    quick.update(history_len=32, horizon=8, stride=2, n_bands=2, epochs=1,
+                 router_epochs=1, synth_n=6000)
+    monkeypatch.setattr(cli, "REPRODUCE_OVERRIDES", quick)
+    out = tmp_path / "repro"
+    argv = ["reproduce", "--seed", "3", "--backbone", "mlp", "--mode", "global",
+            "--epochs", "2", "--out", str(out)]
+    assert cli.main(argv) == 0
+    cfg = json.loads((out / "config.json").read_text())
+    assert (cfg["backbone"], cfg["mode"], cfg["epochs"], cfg["seed"]) == ("mlp", "global", 2, 3)
+    # the preset still fills every field no flag names
+    assert (cfg["router_epochs"], cfg["history_len"], cfg["n_experts"]) == (1, 32, 3)
+    tp = load_bundle(out / "bundle.json")
+    assert tp.config.backbone == "mlp" and tp.experts[0].backbones[0].kind == "mlp"
+
+
 def test_cli_reports_errors_and_exit_codes(tmp_path, capsys):
     rc = cli.main(["evaluate", "--bundle", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "o")])
