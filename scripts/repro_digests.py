@@ -6,8 +6,17 @@ one `<sha256>  seedN/<file>` line (sha256sum format) for metrics.csv,
 metrics_baseline.csv and bundle.json. It then runs `train-experts` on that
 run's config.json into OUT/seedN/experts and `train-router` on the expert
 bundle into OUT/seedN/router, and prints the same line for each training
-curve (curve_expert0-2.csv, curve_router.csv). With --expect FILE, every
-printed line must appear in FILE; any mismatch or missing line exits 1.
+curve (curve_expert0-2.csv, curve_router.csv). Last it runs
+`rarecast reproduce --seed N --mode global --backbone mlp` (perfbench's
+`mlp_global` configuration, the only one with MLP backbones) into
+OUT/seedN/mlp_global and prints the lines of its metrics.csv,
+metrics_baseline.csv and bundle.json. With --expect FILE, every printed
+line must appear in FILE; any mismatch or missing line exits 1.
+
+The subcommands' own messages go to stderr, so stdout without --expect is
+an expectations file as it stands:
+
+    PYTHONPATH=src python scripts/repro_digests.py > scripts/repro_digests.expected
 
 The committed expectations (scripts/repro_digests.expected, seeds 0-4) were
 recorded with numpy's bundled OpenBLAS 0.3.31 on an x86-64 Haswell-class
@@ -22,6 +31,7 @@ products across threads.
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -44,10 +54,12 @@ FILES = (
     "experts/curve_expert2.csv",
     "router/curve_router.csv",
 )
+MLP_FILES = ("mlp_global/metrics.csv", "mlp_global/metrics_baseline.csv", "mlp_global/bundle.json")
 
 
 def _run(seed: int, argv: list[str]) -> None:
-    rc = rarecast_main(argv)
+    with contextlib.redirect_stdout(sys.stderr):
+        rc = rarecast_main(argv)
     if rc != 0:
         raise SystemExit(f"seed {seed}: {argv[0]} failed (rc={rc})")
 
@@ -60,9 +72,14 @@ def digest_lines(seed: int, root: Path) -> list[str]:
         seed,
         ["train-router", "--bundle", str(out / "experts" / "bundle.json"), "--out", str(out / "router")],
     )
+    _run(
+        seed,
+        ["reproduce", "--seed", str(seed), "--mode", "global", "--backbone", "mlp",
+         "--out", str(out / "mlp_global")],
+    )
     return [
         f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  seed{seed}/{name}"
-        for name in FILES
+        for name in FILES + MLP_FILES
     ]
 
 
