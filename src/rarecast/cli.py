@@ -372,7 +372,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     data = prepare_data(cfg)
     if args.components is not None:
         enabled = frozenset(c for c in args.components.upper().split("+") if c) if args.components != "none" else frozenset()
-        report, _, _ = run_once(data, ablate_config(cfg, enabled))
+        report, _ = run_once(data, ablate_config(cfg, enabled))
         rows = [{"components": components_label(enabled), **row} for row in report_rows(report)]
     else:
         rows = ablation_table(data, cfg)
@@ -386,7 +386,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     cfg = resolve_config(args, base=PipelineConfig(**REPRODUCE_OVERRIDES))
     out = _outdir(args)
     data = prepare_data(cfg)
-    report, tp, _ = run_once(data, cfg)
+    report, tp = run_once(data, cfg)
     base = train_baseline(data, cfg)
     base_preds = baseline_predict(base, data.test_windows)
     base_report = evaluate(base_preds, data.test_windows.targets, data.thresholds)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dataset import LEVEL_KEYS, RarityLevel, RarityThresholds, label_points
-from .pipeline import PreparedData, TrainedPipeline, TrainLogs, predict_windows, train_pipeline
+from .pipeline import PreparedData, TrainedPipeline, predict_windows, train_pipeline
 
 # Benchmark sweep grids and report row order.
 BETA_SWEEP = (0.0, 0.1, 0.5, 0.7, 1.0, 1.5, 2.0)
@@ -124,14 +124,16 @@ def format_table(rows: Sequence[dict]) -> str:
     return "\n".join(lines)
 
 
-def run_once(
-    data: PreparedData, cfg: PipelineConfig
-) -> tuple[MetricsReport, TrainedPipeline, TrainLogs]:
-    """Train on the prepared data and evaluate on its test windows."""
-    tp, logs = train_pipeline(data, cfg)
+def run_once(data: PreparedData, cfg: PipelineConfig) -> tuple[MetricsReport, TrainedPipeline]:
+    """Train on the prepared data and evaluate on its test windows.
+
+    The training logs are dropped as soon as training returns: their lazy
+    curves hold the training arrays, which nothing here reads.
+    """
+    tp = train_pipeline(data, cfg)[0]
     preds, _, _ = predict_windows(tp, data.test_windows)
     report = evaluate(preds, data.test_windows.targets, data.thresholds)
-    return report, tp, logs
+    return report, tp
 
 
 @dataclass(eq=False)
@@ -151,7 +153,7 @@ def sweep_beta(
     for beta in betas:
         run_cfg = cfg.with_overrides(beta=float(beta))
         try:
-            report, _, _ = run_once(data, run_cfg)
+            report, _ = run_once(data, run_cfg)
         except Exception as exc:  # noqa: BLE001, keep sweeping past a bad cell
             result.errors.append({"beta": float(beta), "error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -168,7 +170,7 @@ def sweep_k(
     for k in ks:
         if not 1 <= int(k) <= cfg.n_experts:
             raise ValueError(f"sweep_k: k={k} outside [1, {cfg.n_experts}]")
-    tp, _ = train_pipeline(data, cfg)
+    tp = train_pipeline(data, cfg)[0]
     result = SweepResult()
     for k in ks:
         preds, _, _ = predict_windows(tp, data.test_windows, k=int(k))
@@ -205,7 +207,7 @@ def ablation_table(
     """One row per preset with overall and extreme-level MSE/MAE."""
     rows = []
     for preset in presets:
-        report, _, _ = run_once(data, ablate_config(cfg, preset))
+        report, _ = run_once(data, ablate_config(cfg, preset))
         extreme = report.get(RarityLevel.EXTREME_RARE)
         rows.append(
             {

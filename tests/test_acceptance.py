@@ -203,7 +203,7 @@ def preset_runs():
     for seed in range(5):
         cfg = BENCHMARK.with_overrides(seed=seed)
         data = prepare_data(cfg)
-        report, _, _ = run_once(data, cfg)
+        report, _ = run_once(data, cfg)
         runs.append((cfg, data, report))
     return runs, time.perf_counter() - start
 
@@ -231,12 +231,12 @@ def test_a08_component_ablation_trend(preset_runs):
     full_mses, none_mses = [], []
     for cfg, data, report in runs:
         full_mses.append(report.overall.mse)
-        none_report, _, _ = run_once(data, ablate_config(cfg, frozenset()))
+        none_report, _ = run_once(data, ablate_config(cfg, frozenset()))
         none_mses.append(none_report.overall.mse)
     # remaining grid cells complete from the same preset (one seed suffices)
     cfg, data, _ = runs[0]
     for preset in ({"WT"}, {"WT", "KD"}, {"WT", "RP"}):
-        report, _, _ = run_once(data, ablate_config(cfg, preset))
+        report, _ = run_once(data, ablate_config(cfg, preset))
         assert math.isfinite(report.overall.mse)
     assert np.median(full_mses) <= np.median(none_mses), (
         f"full {np.median(full_mses):.4f} vs none {np.median(none_mses):.4f} "

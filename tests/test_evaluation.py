@@ -88,12 +88,11 @@ def test_format_table_smoke():
 
 def test_run_once_smoke(tiny_data, tiny_cfg):
     cfg = tiny_cfg.with_overrides(epochs=1, router_epochs=1)
-    report, tp, logs = ev.run_once(tiny_data, cfg)
+    report, tp = ev.run_once(tiny_data, cfg)
     horizon = cfg.horizon
     assert report.overall.count == len(tiny_data.test_windows) * horizon
     assert report.overall.mse > 0.0
     assert tp.router is not None
-    assert len(logs.router_curve) == 2
 
 
 def test_sweep_k_varies_inference_only(tiny_data, tiny_cfg):
@@ -114,7 +113,7 @@ def test_sweep_beta_records_failures_and_continues(tiny_data, tiny_cfg, monkeypa
     def fake_run_once(data, cfg):
         if cfg.beta == pytest.approx(0.1):
             raise RuntimeError("boom")
-        return canned, None, None
+        return canned, None
 
     monkeypatch.setattr(ev, "run_once", fake_run_once)
     result = ev.sweep_beta(tiny_data, tiny_cfg, betas=[0.0, 0.1, 0.5])
