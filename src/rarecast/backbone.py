@@ -6,9 +6,13 @@ are bitwise reproducible for a fixed seed.
 
 Training runs on a ForecasterStack: B same-shaped models (the bands of an
 expert, or a gate as B=1) whose parameters live in one flat buffer. One
-`forecast`, `backward` and `step` call covers every model in the stack, with
+`forward`, `backward` and `step` call covers every model in the stack, with
 batched matmuls over the model axis and one Adam update on the flat buffer.
-A lone Forecaster is accepted by `forecast` and `backward` as the B=1 case.
+`forward` returns the output and the MLP's post-tanh hidden layer, and
+`backward` consumes that hidden layer instead of computing it again, as
+reverse mode keeps forward intermediates for the backward sweep. `forecast`
+is the forward's output alone, for inference. A lone Forecaster is accepted
+by `forward`, `forecast` and `backward` as the B=1 case.
 """
 
 from __future__ import annotations
@@ -213,11 +217,32 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(kind: str, p: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+def _forward(
+    kind: str, p: dict[str, np.ndarray], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
     if kind == "linear":
-        return _affine(x, p["w"], p["b"])
+        return _affine(x, p["w"], p["b"]), None
     h = _affine(x, p["w1"], p["b1"])
-    return _affine(np.tanh(h, out=h), p["w2"], p["b2"])
+    np.tanh(h, out=h)
+    return _affine(h, p["w2"], p["b2"]), h
+
+
+def forward(
+    model: Forecaster | ForecasterStack, history: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(output, hidden): the forecast and, for an mlp, its post-tanh hidden layer.
+
+    The output is shaped as `forecast` returns it. hidden is None for a
+    linear model; for an mlp it has the output's leading axes with the hidden
+    width last: (hidden,) or (N, hidden) for a Forecaster, (B, N, hidden)
+    for a stack. A training step passes it on to `backward`.
+    """
+    x = _check_input(model, history)
+    if isinstance(model, ForecasterStack):
+        return _forward(model.kind, model.params, x)
+    y, h = _forward(model.kind, _one(model), np.atleast_2d(x))
+    lone = (0, 0) if x.ndim == 1 else 0
+    return y[lone], None if h is None else h[lone]
 
 
 def forecast(model: Forecaster | ForecasterStack, history: np.ndarray) -> np.ndarray:
@@ -226,38 +251,49 @@ def forecast(model: Forecaster | ForecasterStack, history: np.ndarray) -> np.nda
     A Forecaster takes (T,) or a (N, T) batch and returns (H,) or (N, H). A
     stack takes (N, T) shared by every model or (B, N, T) and returns (B, N, H).
     """
-    x = _check_input(model, history)
-    if isinstance(model, ForecasterStack):
-        return _forward(model.kind, model.params, x)
-    y = _forward(model.kind, _one(model), np.atleast_2d(x))[0]
-    return y[0] if x.ndim == 1 else y
+    return forward(model, history)[0]
 
 
 def backward(
-    model: Forecaster | ForecasterStack, history: np.ndarray, output_grad: np.ndarray
+    model: Forecaster | ForecasterStack,
+    history: np.ndarray,
+    output_grad: np.ndarray,
+    hidden: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients of sum(output * output_grad), summed over the batch.
 
     output_grad is (N, H), shared by every model of a stack as in a band sum.
+    hidden is the hidden layer `forward` returned for this model and history:
+    backward consumes the forward's activations rather than recomputing
+    them. An mlp requires it; a linear model has none and takes None.
     A stack's gradients are written into its `grads` buffer and that dict is
     returned, so the next call overwrites them; a Forecaster gets new arrays.
     """
     x = _check_input(model, history)
     g = np.asarray(output_grad, dtype=np.float64)
+    h = None if hidden is None else np.asarray(hidden, dtype=np.float64)
     if isinstance(model, ForecasterStack):
         p, out = model.params, model.grads
     else:
+        if h is not None:
+            h = h[(None,) * (3 - x.ndim)]  # (B=1, N, hidden), as x and g become
         if x.ndim == 1:
             x, g = x[None, :], g[None, :]
         p, out = _one(model), {name: np.empty((1,) + w.shape) for name, w in model.params.items()}
     if g.shape != (x.shape[-2], model.output_len):
         raise ValueError("backward: output_grad shape must match the forecast shape")
     if model.kind == "linear":
+        if h is not None:
+            raise ValueError("backward: a linear model has no hidden layer")
         np.matmul(g.T, x, out=out["w"])
         out["b"][...] = g.sum(axis=0)
     else:
-        h = _affine(x, p["w1"], p["b1"])
-        np.tanh(h, out=h)
+        want = (p["w1"].shape[0], x.shape[-2], p["w1"].shape[1])
+        if h is None or h.shape != want:
+            got = None if h is None else h.shape
+            raise ValueError(
+                f"backward: mlp needs the forward's hidden layer, shape {want}, got {got}"
+            )
         dz = np.matmul(g, p["w2"])
         dz *= 1.0 - h * h
         np.matmul(dz.swapaxes(-1, -2), x, out=out["w1"])

@@ -90,13 +90,17 @@ def decompose_histories(
     return ewt.decompose_windows(x, n_bands, gamma)
 
 
-def _forward(stack: bb.ForecasterStack, components: np.ndarray) -> np.ndarray:
-    """Summed per-band forecasts; components is (N, n_bands, T)."""
-    bands = bb.forecast(stack, components.transpose(1, 0, 2))
+def _band_sum(bands: np.ndarray) -> np.ndarray:
+    """Sum of (B, N, H) per-band forecasts over the band axis."""
     out = bands[0]
     for y in bands[1:]:  # sequential band order keeps the bits of the sum
         out = out + y
     return out
+
+
+def _forward(stack: bb.ForecasterStack, components: np.ndarray) -> np.ndarray:
+    """Summed per-band forecasts; components is (N, n_bands, T)."""
+    return _band_sum(bb.forecast(stack, components.transpose(1, 0, 2)))
 
 
 def expert_predict_batch(
@@ -213,13 +217,13 @@ def train_expert(
         comp_order = order if rows is None else rows[order]
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            comps_b = components[comp_order[start : start + cfg.batch_size]]
-            preds = _forward(model, comps_b)
+            x = components[comp_order[start : start + cfg.batch_size]].transpose(1, 0, 2)
+            bands, hidden = bb.forward(model, x)
             teacher_b = teacher_preds[idx] if distill else None
             loss = combined_loss(
-                preds, targ[idx], teacher_b, plev[idx], penalty_level, cfg.beta, horizon
+                _band_sum(bands), targ[idx], teacher_b, plev[idx], penalty_level, cfg.beta, horizon
             )
-            grads = bb.backward(model, comps_b.transpose(1, 0, 2), np.asarray(loss.d_dpred))
+            grads = bb.backward(model, x, np.asarray(loss.d_dpred), hidden)
             bb.step(model, grads, opt)
         curve.snapshot()
     return expert, curve

@@ -218,13 +218,14 @@ def train_router(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             feats_b = feats[idx]
-            _, dlogits, total = _exp_shifted(bb.forecast(model, feats_b)[0])
+            logits, hidden = bb.forward(model, feats_b)
+            _, dlogits, total = _exp_shifted(logits[0])
             # w * (softmax - onehot) / B, in place and in that order.
             dlogits /= total[:, None]
             dlogits -= onehot[idx]
             dlogits *= sample_w[idx, None]
             dlogits /= len(idx)
-            bb.step(model, bb.backward(model, feats_b, dlogits), opt)
+            bb.step(model, bb.backward(model, feats_b, dlogits, hidden), opt)
         curve.snapshot()
     return router, curve
 

@@ -8,6 +8,7 @@ from rarecast.backbone import (
     OptimizerState,
     backward,
     forecast,
+    forward,
     make_forecaster,
     stack_at,
     stack_forecasters,
@@ -66,7 +67,7 @@ def test_backward_matches_finite_differences(kind):
     m = make_forecaster(kind, 10, 4, 5, rng)
     x = rng.standard_normal((7, 10))
     g = rng.standard_normal((7, 4))
-    grads = backward(m, x, g)
+    grads = backward(m, x, g, forward(m, x)[1])
     assert set(grads) == set(m.params)
 
     def objective() -> float:
@@ -184,9 +185,14 @@ def test_stacked_kernels_match_per_band_reference(kind, n_models, n):
         comps = rng.standard_normal((n, n_models, t))
         x = comps.transpose(1, 0, 2)
         g = rng.standard_normal((n, h))
-        out = forecast(s, x)
+        out, hidden = forward(s, x)
         assert out.shape == (n_models, n, h)
-        grads = backward(s, x, g)
+        np.testing.assert_array_equal(forecast(s, x), out)
+        if kind == "linear":
+            assert hidden is None
+        else:
+            assert hidden.shape == (n_models, n, 6)
+        grads = backward(s, x, g, hidden)
         for b in range(n_models):
             np.testing.assert_array_equal(out[b], _ref_forecast(ref[b], kind, comps[:, b, :]))
             ref_g = _ref_backward(ref[b], kind, comps[:, b, :], g)
@@ -202,6 +208,31 @@ def test_stacked_kernels_match_per_band_reference(kind, n_models, n):
     xs = rng.standard_normal((n, t))
     np.testing.assert_array_equal(forecast(s, xs), forecast(s, np.stack([xs] * n_models)))
     assert opt.step_count == 3
+
+
+def test_mlp_backward_needs_the_forwards_hidden_layer():
+    rng = np.random.default_rng(3)
+    m = make_forecaster("mlp", 6, 2, 4, rng)
+    s = stack_forecasters([make_forecaster("mlp", 6, 2, 4, rng) for _ in range(3)])
+    x, g = rng.standard_normal((5, 6)), rng.standard_normal((5, 2))
+    _, hidden = forward(m, x)
+    _, stack_hidden = forward(s, x)
+    assert hidden.shape == (5, 4) and stack_hidden.shape == (3, 5, 4)
+    for model, bad in [
+        (m, None), (m, hidden[:4]), (m, hidden[:, :3]), (m, hidden[0]), (m, stack_hidden),
+        (s, None), (s, stack_hidden[:2]), (s, hidden),
+    ]:
+        with pytest.raises(ValueError, match="hidden layer"):
+            backward(model, x, g, bad)
+    # a single window's hidden layer is (hidden,), like its forecast (H,)
+    out, h1 = forward(m, x[0])
+    assert out.shape == (2,) and h1.shape == (4,)
+    np.testing.assert_array_equal(backward(m, x[0], g[0], h1)["w2"], np.outer(g[0], h1))
+    with pytest.raises(ValueError, match="hidden layer"):
+        backward(m, x[0], g[0], hidden[:1])
+    lin = make_forecaster("linear", 6, 2, rng=rng)
+    with pytest.raises(ValueError, match="no hidden layer"):
+        backward(lin, x, g, hidden)
 
 
 def test_stack_members_alias_the_flat_buffer():
