@@ -53,8 +53,10 @@ FILES = (
     "experts/curve_expert1.csv",
     "experts/curve_expert2.csv",
     "router/curve_router.csv",
+    "mlp_global/metrics.csv",
+    "mlp_global/metrics_baseline.csv",
+    "mlp_global/bundle.json",
 )
-MLP_FILES = ("mlp_global/metrics.csv", "mlp_global/metrics_baseline.csv", "mlp_global/bundle.json")
 
 
 def _run(seed: int, argv: list[str]) -> None:
@@ -79,7 +81,7 @@ def digest_lines(seed: int, root: Path) -> list[str]:
     )
     return [
         f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  seed{seed}/{name}"
-        for name in FILES + MLP_FILES
+        for name in FILES
     ]
 
 
