@@ -122,6 +122,11 @@ def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _reject_constant(literal: str) -> float:
+    """Python's json reads NaN and Infinity, which JSON itself has no spelling for."""
+    raise ValueError(f"{literal} is not a JSON number")
+
+
 def save_bundle(tp: TrainedPipeline, path: str | Path) -> None:
     payload = _payload(tp)
     body = _canonical(payload)
@@ -135,8 +140,8 @@ def load_bundle(path: str | Path) -> TrainedPipeline:
     if not path.exists():
         raise FileNotFoundError(f"load_bundle: no such file: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+    except ValueError as exc:  # a JSONDecodeError, or a NaN/Infinity literal
         raise BundleError(f"load_bundle: {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise BundleError(f"load_bundle: {path} is not a bundle (top level is not an object)")

@@ -178,6 +178,21 @@ def test_bundle_rejects_bad_json_and_missing_file(tmp_path):
         load_bundle(tmp_path / "nope.json")
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_bundle_rejects_non_finite_literals(tiny_pipeline, tmp_path, literal):
+    # Python's json reads these non-standard literals; the checksum step used
+    # to fail on them with a bare ValueError that did not name the file.
+    tp, _ = tiny_pipeline
+    path = tmp_path / "bundle.json"
+    save_bundle(tp, path)
+    doc = json.loads(path.read_text())
+    doc["payload"]["thresholds"][0] = float(literal.replace("Infinity", "inf"))
+    path.write_text(json.dumps(doc))
+    assert literal in path.read_text()
+    with pytest.raises(BundleError, match=f"{re.escape(str(path))} is not valid JSON: {literal}"):
+        load_bundle(path)
+
+
 # ----------------------------------------------------------------- assertion
 
 
