@@ -168,6 +168,8 @@ def _pipeline_from(payload: dict) -> TrainedPipeline:
     experts = [_expert_from(e) for e in payload["experts"]]
     if len(experts) != cfg.n_experts:
         raise ValueError(f"{len(experts)} experts, config says n_experts={cfg.n_experts}")
+    # Inference decomposes once, with the first expert's settings, for every expert.
+    first = experts[0]
     for e in experts:
         dims = (e.n_bands, e.history_len, e.horizon)
         if dims != (cfg.n_bands, cfg.history_len, cfg.horizon):
@@ -175,6 +177,21 @@ def _pipeline_from(payload: dict) -> TrainedPipeline:
                 f"expert {e.level} has (n_bands, input_len, output_len) = {dims}, config says "
                 f"{(cfg.n_bands, cfg.history_len, cfg.horizon)}"
             )
+        if (e.mode, e.gamma) != (cfg.mode, cfg.gamma):
+            raise ValueError(
+                f"expert {e.level} has (mode, gamma) = {(e.mode, e.gamma)}, config says "
+                f"{(cfg.mode, cfg.gamma)}"
+            )
+        if cfg.mode == "global" and _bank_dict(e.bank) != _bank_dict(first.bank):
+            raise ValueError(
+                f"expert {e.level}'s filter bank differs from expert {first.level}'s; "
+                "global mode decomposes with one bank"
+            )
+    bank_shape = (cfg.n_bands, cfg.history_len // 2 + 1)
+    if cfg.mode == "global" and first.bank.filters.shape != bank_shape:
+        raise ValueError(
+            f"the global filter bank has shape {first.bank.filters.shape}, config needs {bank_shape}"
+        )
     router = None
     if payload["router"] is not None:
         r = payload["router"]

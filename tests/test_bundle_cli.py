@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rarecast import cli
-from rarecast.bundle import FORMAT_VERSION, BundleError, _canonical, load_bundle, save_bundle
+from rarecast.bundle import FORMAT_VERSION, BundleError, _bank_dict, _canonical, load_bundle, save_bundle
+from rarecast.ewt import Boundaries, build_filter_bank
 from rarecast.evaluation import LEVEL_KEYS
 from rarecast.pipeline import TrainedPipeline, predict_windows
 
@@ -110,6 +111,14 @@ def test_bundle_rejects_malformed_payload_with_valid_checksum(tiny_pipeline, tmp
         load_bundle(path)
 
 
+def _go_global(payload: dict, cuts: list[float], n_bins: int = 17) -> None:
+    """Switch a tiny payload to global mode; expert i gets a bank split at cuts[i]."""
+    payload["config"]["mode"] = "global"
+    for e, cut in zip(payload["experts"], cuts):
+        bank = build_filter_bank(Boundaries(np.array([0.0, cut, np.pi])), n_bins)
+        e.update(mode="global", bank=_bank_dict(bank))
+
+
 MISMATCHES = {
     "config_n_bands": (lambda p: p["config"].update(n_bands=3), "n_bands"),
     "config_history_len": (lambda p: p["config"].update(history_len=40), "input_len"),
@@ -119,6 +128,12 @@ MISMATCHES = {
     "router_n_experts": (lambda p: p["router"].update(n_experts=2, k=1), "n_experts"),
     "expert_n_bands": (lambda p: p["experts"][1].update(n_bands=3), "backbone per band"),
     "backbone_input_len": (lambda p: p["experts"][0]["backbones"][0].update(input_len=40), "shapes"),
+    # inference decomposes once, with the first expert's settings, for all experts
+    "expert_gamma": (lambda p: p["experts"][1].update(gamma=0.0), r"\(mode, gamma\)"),
+    "expert_gamma_negative": (lambda p: p["experts"][2].update(gamma=-1.0), r"\(mode, gamma\)"),
+    "config_mode": (lambda p: p["config"].update(mode="global"), r"\(mode, gamma\)"),
+    "global_banks_differ": (lambda p: _go_global(p, [1.0, 1.0, 1.5]), "filter bank differs"),
+    "global_bank_size": (lambda p: _go_global(p, [1.0, 1.0, 1.0], n_bins=9), "filter bank has shape"),
 }
 
 
