@@ -221,6 +221,13 @@ def test_decompose_windows_single_band_copies():
     assert x[0, 0] != 99.0
 
 
+@pytest.mark.parametrize("n_bands", [1, 4])
+@pytest.mark.parametrize("gamma", [None, 0.0, 5.0])
+def test_decompose_windows_empty_batch(n_bands, gamma):
+    out = decompose_windows(np.empty((0, 64)), n_bands, gamma)
+    assert out.shape == (0, n_bands, 64) and out.dtype == np.float64
+
+
 def test_decompose_with_bank_matches_single():
     x = np.random.default_rng(5).standard_normal((4, 64))
     bank = build_filter_bank(detect_boundaries(x[0], 2), 33)

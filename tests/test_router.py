@@ -312,6 +312,15 @@ def test_pipeline_predict_uniform_and_argmax():
         pipeline_predict(experts, router, hist)
 
 
+def test_pipeline_predict_batch_empty(tiny_pipeline):
+    tp, _ = tiny_pipeline
+    cfg = tp.config
+    preds, alphas, sparse = pipeline_predict_batch(tp.experts, tp.router, np.empty((0, cfg.history_len)))
+    assert (preds.shape, alphas.shape, sparse.shape) == (
+        (0, cfg.horizon), (0, cfg.n_experts), (0, cfg.n_experts)
+    )
+
+
 def test_sparse_weights_stay_on_simplex(tiny_pipeline, tiny_data):
     tp, _ = tiny_pipeline
     hist = tiny_data.test_windows[:64].histories
