@@ -9,6 +9,10 @@ not a tight frame: sum of gains is 1, sum of squared gains is not.
 
 Bin j of an n_bins half spectrum is assigned the normalized frequency
 pi * j / (n_bins - 1).
+
+A bank depends only on its bin count, its gamma and its boundary row, and
+windows share few distinct boundary rows, so built banks are kept in one
+process-wide memo of bounded size and looked up before any is built.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -192,6 +197,8 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     answer at several times the cost, which would eat the saving it buys.
     """
     n = a.shape[0]
+    if n <= 1:
+        return a, np.zeros(n, dtype=np.intp)
     order = np.lexsort(a.T)
     ranked = a[order]
     new = np.empty(n, dtype=bool)
@@ -207,32 +214,71 @@ def _check_gamma(gamma: float | None, caller: str) -> None:
         raise ValueError(f"{caller}: gamma must be None or finite and >= 0, got {gamma}")
 
 
-def _build_filters_batch(
-    omegas: np.ndarray, n_bins: int, gamma: float | None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Filter tensors (N, n_bands, n_bins) for each boundary row.
+# Filter bytes the bank memo may hold; it empties when a new bank would overflow it.
+_MEMO_BYTES = 32 * 2**20
+
+
+class _BankMemo:
+    """Built banks by (n_bins, gamma, boundary-row bytes): read-only filters and effective gamma.
+
+    One memo serves the whole process. A bank is a function of its key alone,
+    so sharing it between callers changes what a call costs, never what it
+    returns. The lock keeps the byte count true when threads insert at once.
+    """
+
+    def __init__(self) -> None:
+        self._banks: dict[tuple, tuple[np.ndarray, float]] = {}
+        self._nbytes = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._banks)
+
+    @property
+    def nbytes(self) -> int:
+        return self._nbytes
+
+    def get(self, key: tuple) -> tuple[np.ndarray, float] | None:
+        return self._banks.get(key)
+
+    def put(self, key: tuple, filters: np.ndarray, gamma: float) -> None:
+        f = filters.copy()
+        f.flags.writeable = False
+        with self._lock:
+            if key in self._banks or f.nbytes > _MEMO_BYTES:
+                return
+            if self._nbytes + f.nbytes > _MEMO_BYTES:
+                self._banks.clear()
+                self._nbytes = 0
+            self._banks[key] = (f, float(gamma))
+            self._nbytes += f.nbytes
+
+    def clear(self) -> None:
+        with self._lock:
+            self._banks.clear()
+            self._nbytes = 0
+
+
+_memo = _BankMemo()
+
+
+def _filters_for_rows(
+    om: np.ndarray, n_bins: int, gamma: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Filters (U, n_bands, n_bins) and effective gammas (U,) built for each boundary row.
 
     Band b is the difference of two cumulative rising edges, so the rows of
-    each bank telescope to one at every bin. gamma None means half of the
-    feasible maximum per row; an explicit gamma is clamped down per row when
-    infeasible (count of clamped rows returned). gamma 0 gives hard masks
-    with the convention that a bin exactly on a boundary joins the upper band.
-    A bank depends on its boundary row alone, and windows share few distinct
-    rows, so each distinct row is built once and gathered back.
+    each bank telescope to one at every bin. All edges of all rows are one
+    broadcast; each row's bank depends on that row alone.
     """
-    om, inv = _unique_rows(np.asarray(omegas, dtype=np.float64))
     n_bands = om.shape[1] - 1
     freqs = bin_frequencies(n_bins)
-
     feasible = max_transition_ratio(om)
-    n_clamped = 0
     if gamma is None:
         gam = 0.5 * feasible
     else:
         gam = np.full(om.shape[0], float(gamma))
-        over = gam > feasible
-        n_clamped = int(np.count_nonzero(over[inv]))
-        gam = np.where(over, feasible, gam)
+        gam = np.where(gam > feasible, feasible, gam)
 
     # Cumulative edges: ups[:, 0] = 1 (no lower edge for band 1), ups[:, B] = 0
     # (band B runs through pi). Interior edge k rises from 0 to 1 around
@@ -246,8 +292,41 @@ def _build_filters_batch(
         s = np.clip((freqs - (center - width)) / (2.0 * width), 0.0, 1.0)
     hard = (freqs >= center).astype(np.float64)
     ups[:, 1:n_bands, :] = np.where(width > 0.0, 0.5 * (1.0 - np.cos(np.pi * s)), hard)
-    filters = ups[:, :-1, :] - ups[:, 1:, :]
-    return filters[inv], gam[inv], n_clamped
+    return ups[:, :-1, :] - ups[:, 1:, :], gam
+
+
+def _build_filters_batch(
+    omegas: np.ndarray, n_bins: int, gamma: float | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Filter tensors (N, n_bands, n_bins) for each boundary row.
+
+    gamma None means half of the feasible maximum per row; an explicit gamma
+    is clamped down per row when infeasible (count of clamped rows returned).
+    gamma 0 gives hard masks with the convention that a bin exactly on a
+    boundary joins the upper band. Each distinct row is looked up in the bank
+    memo, the misses are built in one _filters_for_rows call, and the banks
+    are gathered back into a new array, so no caller holds a memo array.
+    """
+    om, inv = _unique_rows(np.asarray(omegas, dtype=np.float64))
+    # float.hex keeps -0.0 apart from 0.0, whose effective gammas differ in sign
+    gamma_key = None if gamma is None else float(gamma).hex()
+    keys = [(n_bins, gamma_key, row.tobytes()) for row in om]
+    filters = np.empty((om.shape[0], om.shape[1] - 1, n_bins))
+    gam = np.empty(om.shape[0])
+    miss = []
+    for i, key in enumerate(keys):
+        hit = _memo.get(key)
+        if hit is None:
+            miss.append(i)
+        else:
+            filters[i], gam[i] = hit
+    if miss:
+        filters[miss], gam[miss] = _filters_for_rows(om[miss], n_bins, gamma)
+        for i in miss:
+            _memo.put(keys[i], filters[i], gam[i])
+    gam = gam[inv]
+    n_clamped = 0 if gamma is None else int(np.count_nonzero(gam < gamma))
+    return filters[inv], gam, n_clamped
 
 
 def build_filter_bank(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rarecast import ewt
 from rarecast.ewt import (
     BandComponents,
     _build_filters_batch,
@@ -440,3 +441,86 @@ def test_decompose_windows_warns_once_when_gamma_is_clamped():
     # perfbench/workloads.py counts fallback windows by this pattern; the
     # clamp message must not be mistaken for one
     assert not re.match(r"decompose_windows: (\d+) of \d+ windows", clamped[0])
+
+
+# ------------------------------------------------------------------ bank memo
+
+
+def test_bank_memo_cold_and_warm_give_the_same_bits():
+    om = _shared_boundary_rows(4)
+    x = np.random.default_rng(31).standard_normal((60, 64))
+    for gamma in (None, 0.0, 0.05, 5.0):
+        ewt._memo.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cold = _build_filters_batch(om, 33, gamma), decompose_windows(x, 4, gamma)
+            n_cold = len(ewt._memo)
+            warm = _build_filters_batch(om, 33, gamma), decompose_windows(x, 4, gamma)
+        distinct = _unique_rows(np.vstack([om, _detect_boundaries_batch(x, 4)[0]]))[0]
+        assert len(ewt._memo) == n_cold == len(distinct)  # the warm calls built nothing
+        for a, b in zip(cold[0], warm[0]):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(cold[1], warm[1])
+        want = _edge_loop_filters(om, 33, gamma)
+        np.testing.assert_array_equal(warm[0][0], want[0])
+        np.testing.assert_array_equal(warm[0][1], want[1])
+
+
+def test_bank_memo_hits_still_count_and_warn_about_clamping():
+    om = _shared_boundary_rows(3)
+    x = np.random.default_rng(4).standard_normal((50, 64))
+    bounds = Boundaries(np.array([0.0, 0.1, np.pi]))
+    ewt._memo.clear()
+    messages = []
+    for _ in range(2):  # the second pass hits the memo on every row
+        assert _build_filters_batch(om, 33, 5.0)[2] == len(om)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            decompose_windows(x, 4, gamma=5.0)
+            bank = build_filter_bank(bounds, 33, gamma=5.0)
+        messages.append([str(w.message) for w in caught if "gamma" in str(w.message)])
+        assert bank.gamma == max_transition_ratio(bounds.omegas)[0]
+    assert messages[0] == messages[1] and len(messages[0]) == 2
+    assert messages[0][0].startswith("decompose_windows: gamma 5.0 infeasible for 50 of 50 windows")
+    assert messages[0][1].startswith("build_filter_bank: gamma 5.0 infeasible")
+
+
+def test_bank_memo_empties_when_full_and_stays_correct(monkeypatch):
+    om = _unique_rows(_shared_boundary_rows(4))[0][:10]
+    bank_bytes = 4 * 33 * 8
+    monkeypatch.setattr(ewt, "_MEMO_BYTES", 3 * bank_bytes)
+    ewt._memo.clear()
+    sizes = []
+    for row in om:
+        got = _build_filters_batch(row[None, :], 33, None)
+        np.testing.assert_array_equal(got[0], _edge_loop_filters(row[None, :], 33, None)[0])
+        sizes.append((len(ewt._memo), ewt._memo.nbytes))
+    assert sizes == [(n, n * bank_bytes) for n in (1, 2, 3) * 3 + (1,)]
+    # a batch of more distinct rows than the memo can hold
+    for _ in range(2):
+        np.testing.assert_array_equal(
+            _build_filters_batch(om, 33, 0.05)[0], _edge_loop_filters(om, 33, 0.05)[0]
+        )
+    assert ewt._memo.nbytes <= 3 * bank_bytes
+    # a bank larger than the whole budget is built but never kept
+    ewt._memo.clear()
+    big = _build_filters_batch(om[:1], 4 * 33, None)[0]
+    np.testing.assert_array_equal(big, _edge_loop_filters(om[:1], 4 * 33, None)[0])
+    assert len(ewt._memo) == 0
+
+
+@pytest.mark.parametrize("n_rows", [1, 40])
+def test_bank_memo_cannot_be_changed_through_a_returned_array(n_rows):
+    om = _shared_boundary_rows(4)[:n_rows]
+    ewt._memo.clear()
+    for _ in range(2):  # a miss, then a hit, each handing out its own arrays
+        filters, gam, _ = _build_filters_batch(om, 33, None)
+        filters[...] = 7.0
+        gam[...] = 7.0
+    want = _edge_loop_filters(om, 33, None)
+    got = _build_filters_batch(om, 33, None)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    bank = build_filter_bank(Boundaries(om[0]), 33)
+    np.testing.assert_array_equal(bank.filters, want[0][0])
+    assert not bank.filters.flags.writeable
