@@ -10,7 +10,12 @@ curve (curve_expert0-2.csv, curve_router.csv). Last it runs
 `rarecast reproduce --seed N --mode global --backbone mlp` (perfbench's
 `mlp_global` configuration, the only one with MLP backbones) into
 OUT/seedN/mlp_global and prints the lines of its metrics.csv,
-metrics_baseline.csv and bundle.json. With --expect FILE, every printed
+metrics_baseline.csv and bundle.json. Then it synthesizes a
+PREDICT_POINTS-point series from seed PREDICT_SEED + N into OUT/seedN/series
+and runs `rarecast predict` on it with the first run's bundle.json twice:
+the default last-window forecast (one window) into OUT/seedN/predict_last
+and `--all-windows` (every window in one batch) into OUT/seedN/predict_all,
+printing the line of each forecast.csv. With --expect FILE, every printed
 line must appear in FILE; any mismatch or missing line exits 1.
 
 The subcommands' own messages go to stderr, so stdout without --expect is
@@ -56,7 +61,12 @@ FILES = (
     "mlp_global/metrics.csv",
     "mlp_global/metrics_baseline.csv",
     "mlp_global/bundle.json",
+    "predict_last/forecast.csv",
+    "predict_all/forecast.csv",
 )
+# The predict series is drawn from its own seed, apart from every training seed.
+PREDICT_SEED = 1000
+PREDICT_POINTS = 2000
 
 
 def _run(seed: int, argv: list[str]) -> None:
@@ -79,6 +89,15 @@ def digest_lines(seed: int, root: Path) -> list[str]:
         ["reproduce", "--seed", str(seed), "--mode", "global", "--backbone", "mlp",
          "--out", str(out / "mlp_global")],
     )
+    _run(
+        seed,
+        ["synth", "--seed", str(PREDICT_SEED + seed), "--synth-n", str(PREDICT_POINTS),
+         "--out", str(out / "series")],
+    )
+    predict = ["predict", "--bundle", str(out / "bundle.json"),
+               "--data", str(out / "series" / "series.csv"), "--column", "value"]
+    _run(seed, predict + ["--out", str(out / "predict_last")])
+    _run(seed, predict + ["--all-windows", "--out", str(out / "predict_all")])
     return [
         f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  seed{seed}/{name}"
         for name in FILES

@@ -13,6 +13,12 @@ pi * j / (n_bins - 1).
 A bank depends only on its bin count, its gamma and its boundary row, and
 windows share few distinct boundary rows, so built banks are kept in one
 process-wide memo of bounded size and looked up before any is built.
+
+A single window, the shape of one forecast request, takes a one-row path:
+its peaks are found and ranked on the magnitude spectrum as Python floats
+(_row_boundaries, which also completes every fallback row of a batch), and
+its boundary row is looked up in the memo directly rather than through the
+batch's row deduplication and gather. Both give the batch path's bits.
 """
 
 from __future__ import annotations
@@ -105,6 +111,35 @@ def bin_frequencies(n_bins: int) -> np.ndarray:
     return freqs
 
 
+@functools.lru_cache
+def _bin_frequency_list(n_bins: int) -> tuple[float, ...]:
+    """bin_frequencies(n_bins) as Python floats, for the one-row detector."""
+    return tuple(bin_frequencies(n_bins).tolist())
+
+
+def _row_boundaries(mag: list[float], n_bands: int) -> tuple[list[float], bool]:
+    """Edges (n_bands + 1) of one row from its magnitude spectrum, and whether it fell back.
+
+    The batch detector's rules on Python floats: strict interior maxima,
+    ranked by magnitude with ties to the lower bin (a stable sort), the
+    n_bands largest kept and boundaries at midpoints of adjacent kept maxima.
+    With fewer maxima the widest band (the first, on equal widths) is halved
+    until the count is reached. The sums, halvings and differences are the
+    float64 operations the batch path performs, so the bits agree.
+    """
+    freqs = _bin_frequency_list(len(mag))
+    peaks = [j for j in range(1, len(mag) - 1) if mag[j - 1] < mag[j] > mag[j + 1]]
+    kept = sorted(sorted(peaks, key=mag.__getitem__, reverse=True)[:n_bands])
+    edges = [0.0]
+    edges.extend(0.5 * (freqs[a] + freqs[b]) for a, b in zip(kept, kept[1:]))
+    edges.append(math.pi)
+    while len(edges) < n_bands + 1:
+        widths = [hi - lo for lo, hi in zip(edges, edges[1:])]
+        w = widths.index(max(widths))
+        edges.insert(w + 1, 0.5 * (edges[w] + edges[w + 1]))
+    return edges, len(kept) < n_bands
+
+
 def _detect_boundaries_batch(signals: np.ndarray, n_bands: int) -> tuple[np.ndarray, int]:
     """Boundary edges (N, n_bands + 1) for each row of signals.
 
@@ -112,47 +147,41 @@ def _detect_boundaries_batch(signals: np.ndarray, n_bands: int) -> tuple[np.ndar
     (the DC bin would otherwise dominate). Strict local maxima only, DC and
     Nyquist excluded; ties broken toward the lower frequency. Rows with too
     few maxima are completed by halving the widest band; the second return
-    value counts such rows.
+    value counts such rows. A single row, and each fallback row of a batch,
+    goes through _row_boundaries; the other rows of a batch are ranked in
+    one stable argsort.
     """
     x = np.asarray(signals, dtype=np.float64)
     n, t = x.shape
     if t < 2 * n_bands:
         raise ValueError(f"detect_boundaries: signal length {t} < 2 * n_bands = {2 * n_bands}")
-    omegas = np.empty((n, n_bands + 1))
-    omegas[:, 0] = 0.0
-    omegas[:, -1] = np.pi
     if n_bands == 1:
-        return omegas, 0
+        return np.tile([0.0, np.pi], (n, 1)), 0
 
-    mag = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1))
-    n_bins = mag.shape[1]
-    freqs = bin_frequencies(n_bins)
+    # x.mean(axis=1)'s own sum and division, without its Python wrapper
+    mag = np.abs(np.fft.rfft(x - np.add.reduce(x, axis=1, keepdims=True) / t, axis=1))
+    if n == 1:
+        edges, fell_back = _row_boundaries(mag[0].tolist(), n_bands)
+        return np.array([edges]), int(fell_back)
+    freqs = bin_frequencies(mag.shape[1])
     # Strict interior maxima; a plateau never counts.
     is_max = np.zeros_like(mag, dtype=bool)
-    if n_bins >= 3:
-        is_max[:, 1:-1] = (mag[:, 1:-1] > mag[:, :-2]) & (mag[:, 1:-1] > mag[:, 2:])
+    is_max[:, 1:-1] = (mag[:, 1:-1] > mag[:, :-2]) & (mag[:, 1:-1] > mag[:, 2:])
     score = np.where(is_max, mag, -np.inf)
     # Stable sort on the negated score keeps equal magnitudes in bin order,
     # which is exactly the lower-frequency tie break.
     order = np.argsort(-score, axis=1, kind="stable")
-    n_found = is_max.sum(axis=1)
 
     # Rows with enough maxima: midpoints of adjacent kept peaks, all at once.
+    omegas = np.empty((n, n_bands + 1))
+    omegas[:, 0] = 0.0
+    omegas[:, -1] = np.pi
     peaks = freqs[np.sort(order[:, :n_bands], axis=1)]
     omegas[:, 1:-1] = 0.5 * (peaks[:, :-1] + peaks[:, 1:])
 
-    fallback = np.flatnonzero(n_found < n_bands)
+    fallback = np.flatnonzero(is_max.sum(axis=1) < n_bands)
     for i in fallback:
-        k = int(n_found[i])
-        kept = freqs[np.sort(order[i, :k])]
-        edges = [0.0]
-        edges.extend(0.5 * (kept[:-1] + kept[1:]))
-        edges.append(np.pi)
-        while len(edges) < n_bands + 1:
-            widths = np.diff(edges)
-            w = int(np.argmax(widths))
-            edges.insert(w + 1, 0.5 * (edges[w] + edges[w + 1]))
-        omegas[i, :] = edges
+        omegas[i], _ = _row_boundaries(mag[i].tolist(), n_bands)
     return omegas, int(fallback.size)
 
 
@@ -303,13 +332,26 @@ def _build_filters_batch(
     gamma None means half of the feasible maximum per row; an explicit gamma
     is clamped down per row when infeasible (count of clamped rows returned).
     gamma 0 gives hard masks with the convention that a bin exactly on a
-    boundary joins the upper band. Each distinct row is looked up in the bank
-    memo, the misses are built in one _filters_for_rows call, and the banks
-    are gathered back into a new array, so no caller holds a memo array.
+    boundary joins the upper band. A single row is looked up in the bank memo
+    directly and a hit is copied out. Otherwise each distinct row is looked
+    up, the misses are built in one _filters_for_rows call, and the banks are
+    gathered back into a new array. Either way no caller holds a memo array.
     """
-    om, inv = _unique_rows(np.asarray(omegas, dtype=np.float64))
+    om = np.asarray(omegas, dtype=np.float64)
     # float.hex keeps -0.0 apart from 0.0, whose effective gammas differ in sign
     gamma_key = None if gamma is None else float(gamma).hex()
+    if om.shape[0] == 1:
+        key = (n_bins, gamma_key, om[0].tobytes())
+        hit = _memo.get(key)
+        if hit is None:
+            filters, gam = _filters_for_rows(om, n_bins, gamma)
+            _memo.put(key, filters[0], gam[0])
+        else:
+            filters, gam = hit[0][None].copy(), np.array([hit[1]])
+        n_clamped = 0 if gamma is None else int(gam[0] < gamma)
+        return filters, gam, n_clamped
+
+    om, inv = _unique_rows(om)
     keys = [(n_bins, gamma_key, row.tobytes()) for row in om]
     filters = np.empty((om.shape[0], om.shape[1] - 1, n_bins))
     gam = np.empty(om.shape[0])

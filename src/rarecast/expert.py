@@ -59,6 +59,8 @@ class ExpertModel:
             raise ValueError("ExpertModel: need one backbone per band")
         if self.mode == "global" and self.bank is None:
             raise ValueError("ExpertModel: global mode requires a filter bank")
+        if self.mode == "per_window" and self.bank is not None:
+            raise ValueError("ExpertModel: per_window mode builds a bank per window, it takes none")
         self.stack = bb.stack_forecasters(self.backbones)
 
     @property

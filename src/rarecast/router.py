@@ -17,10 +17,10 @@ from .config import PipelineConfig
 from .dataset import Windows
 from .expert import (
     ExpertModel,
+    _band_sum,
     collapse_level,
     decompose_histories,
     expert_level,
-    expert_predict_batch,
 )
 from .rng import ROUTER_INIT, ROUTER_SHUFFLE, substream
 
@@ -68,6 +68,23 @@ def gate_forward(router: Router, expert_outputs: np.ndarray) -> tuple[np.ndarray
     return logits, softmax(logits)
 
 
+def _topk_row(row: list[float], k: int) -> np.ndarray:
+    """select_topk_batch of one NaN-free row, as Python floats; returns (1, E).
+
+    A stable sort on the negated weights keeps ties in index order, and the
+    kept weights are summed left to right, which is numpy's own order for
+    fewer than 8 of them, so the bits match the batch path.
+    """
+    keep = sorted(range(len(row)), key=lambda j: -row[j])[:k]
+    total = sum(row[j] for j in keep)
+    if total <= 0.0:
+        raise ValueError("select_topk: selected weights sum to zero")
+    out = [0.0] * len(row)
+    for j in keep:
+        out[j] = row[j] / total
+    return np.array([out])
+
+
 def select_topk_batch(alphas: np.ndarray, k: int) -> np.ndarray:
     """Row-wise select_topk of an (N, E) weight matrix."""
     a = np.asarray(alphas, dtype=np.float64)
@@ -75,6 +92,10 @@ def select_topk_batch(alphas: np.ndarray, k: int) -> np.ndarray:
         raise ValueError("select_topk_batch: expected an (N, E) weight matrix")
     if not 1 <= k <= a.shape[1]:
         raise ValueError(f"select_topk: k must be in [1, {a.shape[1]}], got {k}")
+    if a.shape[0] == 1 and k < 8:
+        row = a[0].tolist()
+        if all(v == v for v in row):  # argsort ranks NaN apart from sorted()
+            return _topk_row(row, k)
     keep = np.argsort(-a, axis=1, kind="stable")[:, :k]
     rows = np.arange(a.shape[0])[:, None]
     kept = a[rows, keep]
@@ -147,11 +168,25 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 def stack_expert_outputs(
     experts: list[ExpertModel], histories: np.ndarray, components: np.ndarray | None = None
 ) -> np.ndarray:
-    """Expert forecast tensor (N, H, E) on shared histories."""
+    """Expert forecast tensor (N, H, E) on shared histories.
+
+    The components are transposed to (n_bands, N, T) once, and each expert's
+    band stack runs the backbone kernel on them directly; the shape check
+    here stands in for the one bb.forecast makes per call.
+    """
     if components is None:
         first = experts[0]
         components = decompose_histories(histories, first.n_bands, first.mode, first.bank, first.gamma)
-    cols = [expert_predict_batch(e, histories, components) for e in experts]
+    c = np.asarray(components, dtype=np.float64)
+    for e in experts:
+        s = e.stack
+        if c.ndim != 3 or c.shape[1:] != (s.n_models, s.input_len):
+            raise ValueError(
+                f"stack_expert_outputs: components shaped {c.shape}, expert {e.level} "
+                f"needs (N, {s.n_models}, {s.input_len})"
+            )
+    bands = c.transpose(1, 0, 2)
+    cols = [_band_sum(bb._forward(e.stack.kind, e.stack.params, bands)[0]) for e in experts]
     return np.stack(cols, axis=-1)
 
 
@@ -240,10 +275,18 @@ def pipeline_predict_batch(
     """Fused forecasts for stacked histories.
 
     Returns (predictions (N, H), alphas (N, E), sparse weights (N, E)).
-    k overrides the router's stored arity for inference-time sweeps.
+    k overrides the router's stored arity for inference-time sweeps. A
+    history holding NaN or an infinity raises ValueError.
     """
     k = router.k if k is None else int(k)
-    outputs = stack_expert_outputs(experts, np.atleast_2d(histories), components)
+    x = np.atleast_2d(np.asarray(histories, dtype=np.float64))
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=-1))
+        raise ValueError(
+            f"pipeline_predict_batch: {bad.size} of {x.shape[0]} histories hold NaN or "
+            f"infinite values, the first is window {bad[0]}"
+        )
+    outputs = stack_expert_outputs(experts, x, components)
     _, alphas = gate_forward(router, outputs)
     sparse = select_topk_batch(alphas, k)
     preds = fuse(outputs, sparse)

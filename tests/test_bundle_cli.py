@@ -134,6 +134,13 @@ MISMATCHES = {
     "config_mode": (lambda p: p["config"].update(mode="global"), r"\(mode, gamma\)"),
     "global_banks_differ": (lambda p: _go_global(p, [1.0, 1.0, 1.5]), "filter bank differs"),
     "global_bank_size": (lambda p: _go_global(p, [1.0, 1.0, 1.0], n_bins=9), "filter bank has shape"),
+    # a per-window expert ignores a bank; carried along, it changed the re-saved bytes
+    "per_window_bank": (
+        lambda p: p["experts"][1].update(
+            bank=_bank_dict(build_filter_bank(Boundaries(np.array([0.0, np.pi])), 99))
+        ),
+        "per_window mode",
+    ),
 }
 
 

@@ -26,6 +26,7 @@ from rarecast.ewt import (
     reconstruct,
     write_filter_bank_csv,
 )
+from rarecast.router import pipeline_predict
 
 
 def two_tone(t_len: int = 512, k1: int = 52, k2: int = 204) -> np.ndarray:
@@ -328,6 +329,17 @@ def test_detect_boundaries_batch_matches_row_loop(n_bands):
         assert got_fallback == want_fallback, name
         if name == "constant" and n_bands > 1:
             assert got_fallback == rows.shape[0]  # no maxima at all: every row falls back
+        # Each row alone (N == 1, the one-row detector) gives the batch row's bits
+        # and falls back exactly when the row has fewer than n_bands maxima.
+        mag = np.abs(np.fft.rfft(rows - rows.mean(axis=1, keepdims=True), axis=1))
+        n_found = ((mag[:, 1:-1] > mag[:, :-2]) & (mag[:, 1:-1] > mag[:, 2:])).sum(axis=1)
+        falls_back = (n_found < n_bands) & (n_bands > 1)
+        for i, row in enumerate(rows):
+            alone, alone_fallback = _detect_boundaries_batch(row[None, :], n_bands)
+            assert alone.shape == (1, n_bands + 1)
+            assert alone.tobytes() == got[i].tobytes(), f"{name} row {i}"
+            assert alone_fallback == int(falls_back[i]), f"{name} row {i}"
+        assert int(falls_back.sum()) == got_fallback, name
 
 
 def test_tied_rows_really_tie():
@@ -446,7 +458,7 @@ def test_decompose_windows_warns_once_when_gamma_is_clamped():
 # ------------------------------------------------------------------ bank memo
 
 
-def test_bank_memo_cold_and_warm_give_the_same_bits():
+def test_bank_memo_cold_and_warm_give_the_same_bits(tiny_pipeline, tiny_data):
     om = _shared_boundary_rows(4)
     x = np.random.default_rng(31).standard_normal((60, 64))
     for gamma in (None, 0.0, 0.05, 5.0):
@@ -464,6 +476,15 @@ def test_bank_memo_cold_and_warm_give_the_same_bits():
         want = _edge_loop_filters(om, 33, gamma)
         np.testing.assert_array_equal(warm[0][0], want[0])
         np.testing.assert_array_equal(warm[0][1], want[1])
+    # One window end to end: a request from an emptied memo, then the same request warm.
+    tp, _ = tiny_pipeline
+    for history in tiny_data.test_windows[:40].histories:
+        ewt._memo.clear()
+        cold = pipeline_predict(tp.experts, tp.router, history)
+        assert len(ewt._memo) == 1  # the one-row lookup built and kept this window's bank
+        warm = pipeline_predict(tp.experts, tp.router, history)
+        assert len(ewt._memo) == 1
+        assert cold.tobytes() == warm.tobytes()
 
 
 def test_bank_memo_hits_still_count_and_warn_about_clamping():

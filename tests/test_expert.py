@@ -94,6 +94,10 @@ def test_expert_model_validation():
         ExpertModel(level=0, n_bands=2, backbones=[lin])
     with pytest.raises(ValueError, match="requires a filter bank"):
         ExpertModel(level=0, n_bands=1, backbones=[lin], mode="global")
+    bank = build_filter_bank(Boundaries(np.array([0.0, np.pi])), 99)
+    with pytest.raises(ValueError, match="per_window mode .* takes none"):
+        # decompose_histories ignores a bank in this mode, so one would ride along unused
+        ExpertModel(level=0, n_bands=1, backbones=[lin], mode="per_window", bank=bank)
     merged = ExpertModel(level=5, n_bands=1, backbones=[lin])
     assert merged.penalty_level is RarityLevel.EXTREME_RARE
     assert (merged.history_len, merged.horizon) == (8, 2)

@@ -91,17 +91,23 @@ def test_select_topk_oracles():
     tied = select_topk(np.array([0.4, 0.3, 0.3]), 2)
     np.testing.assert_allclose(tied, [4 / 7, 3 / 7, 0.0], atol=1e-12)
     assert tied[2] == 0.0
-    # the batched kernel is bitwise the 1-d function row by row, ties and k = E included
+    # the batched kernel is bitwise the 1-d function (the one-row path) row by
+    # row, ties, unnormalized weights and k = E included
     rng = np.random.default_rng(12)
     for n_experts in range(1, 5):
         rows = np.concatenate([
             softmax(rng.standard_normal((64, n_experts))),
             rng.integers(1, 3, size=(64, n_experts)) / 4.0,  # many exact ties
+            rng.random((64, n_experts)) * 10.0 ** rng.uniform(-8, 8, (64, n_experts)),
         ])
         for k in range(1, n_experts + 1):
             batch = select_topk_batch(rows, k)
             for row, got in zip(rows, batch):
-                assert np.array_equal(got, select_topk(row, k))
+                assert got.tobytes() == select_topk(row, k).tobytes()
+    # a NaN row leaves the one-row path and is ranked as the batch ranks it
+    nan_rows = np.array([[np.nan, 0.5, 0.2], [0.5, np.nan, 0.5]])
+    for row, got in zip(nan_rows, select_topk_batch(nan_rows, 2)):
+        assert got.tobytes() == select_topk(row, 2).tobytes()
 
 
 def test_select_topk_errors():
@@ -319,6 +325,30 @@ def test_pipeline_predict_batch_empty(tiny_pipeline):
     assert (preds.shape, alphas.shape, sparse.shape) == (
         (0, cfg.horizon), (0, cfg.n_experts), (0, cfg.n_experts)
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pipeline_predict_rejects_non_finite_history(tiny_pipeline, tiny_data, bad):
+    # A NaN history used to come back as an all-NaN forecast under a misleading
+    # "fewer than n spectral maxima" warning, an infinite one as a NaN row.
+    tp, _ = tiny_pipeline
+    hist = tiny_data.test_windows[:6].histories.copy()
+    hist[2, 5] = bad
+    hist[4, -1] = bad
+    with pytest.raises(ValueError, match="2 of 6 histories hold NaN or infinite values, the first is window 2"):
+        pipeline_predict_batch(tp.experts, tp.router, hist)
+    with pytest.raises(ValueError, match="1 of 1 histories .* the first is window 0"):
+        pipeline_predict(tp.experts, tp.router, hist[4])
+
+
+def test_stack_expert_outputs_checks_the_components_shape():
+    experts = _experts(2, 16, 4)
+    hist = np.random.default_rng(2).standard_normal((3, 16))
+    for comps in (np.zeros((3, 2, 16)), np.zeros((3, 1, 15)), np.zeros((3, 16))):
+        with pytest.raises(ValueError, match="needs \\(N, 1, 16\\)"):
+            stack_expert_outputs(experts, hist, comps)
+    ok = stack_expert_outputs(experts, hist, hist[:, None, :])
+    np.testing.assert_array_equal(ok[..., 1], expert_predict_batch(experts[1], hist))
 
 
 def test_sparse_weights_stay_on_simplex(tiny_pipeline, tiny_data):
