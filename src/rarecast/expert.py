@@ -101,8 +101,18 @@ def _band_sum(bands: np.ndarray) -> np.ndarray:
 
 
 def _forward(stack: bb.ForecasterStack, components: np.ndarray) -> np.ndarray:
-    """Summed per-band forecasts; components is (N, n_bands, T)."""
-    return _band_sum(bb.forecast(stack, components.transpose(1, 0, 2)))
+    """Summed per-band forecasts; components is (N, n_bands, T).
+
+    The backbone kernel runs on the components directly; the shape check
+    here stands in for the one bb.forecast would make.
+    """
+    c = np.asarray(components, dtype=np.float64)
+    if c.ndim != 3 or c.shape[1:] != (stack.n_models, stack.input_len):
+        raise ValueError(
+            f"expert forecast: components shaped {c.shape}, "
+            f"needs (N, {stack.n_models}, {stack.input_len})"
+        )
+    return _band_sum(bb._forward(stack.kind, stack.params, c.transpose(1, 0, 2))[0])
 
 
 def expert_predict_batch(

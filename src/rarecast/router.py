@@ -17,10 +17,10 @@ from .config import PipelineConfig
 from .dataset import Windows
 from .expert import (
     ExpertModel,
-    _band_sum,
     collapse_level,
     decompose_histories,
     expert_level,
+    expert_predict_batch,
 )
 from .rng import ROUTER_INIT, ROUTER_SHUFFLE, substream
 
@@ -72,11 +72,14 @@ def _topk_row(row: list[float], k: int) -> np.ndarray:
     """select_topk_batch of one NaN-free row, as Python floats; returns (1, E).
 
     A stable sort on the negated weights keeps ties in index order, and the
-    kept weights are summed left to right, which is numpy's own order for
-    fewer than 8 of them, so the bits match the batch path.
+    kept weights are added one by one in that order, which is numpy's own
+    order for fewer than 8 of them, so the bits match the batch path. The
+    builtin sum() is not used: from Python 3.12 it compensates its rounding.
     """
     keep = sorted(range(len(row)), key=lambda j: -row[j])[:k]
-    total = sum(row[j] for j in keep)
+    total = row[keep[0]]
+    for j in keep[1:]:
+        total += row[j]
     if total <= 0.0:
         raise ValueError("select_topk: selected weights sum to zero")
     out = [0.0] * len(row)
@@ -168,25 +171,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 def stack_expert_outputs(
     experts: list[ExpertModel], histories: np.ndarray, components: np.ndarray | None = None
 ) -> np.ndarray:
-    """Expert forecast tensor (N, H, E) on shared histories.
-
-    The components are transposed to (n_bands, N, T) once, and each expert's
-    band stack runs the backbone kernel on them directly; the shape check
-    here stands in for the one bb.forecast makes per call.
-    """
+    """Expert forecast tensor (N, H, E) on shared histories."""
     if components is None:
         first = experts[0]
         components = decompose_histories(histories, first.n_bands, first.mode, first.bank, first.gamma)
-    c = np.asarray(components, dtype=np.float64)
-    for e in experts:
-        s = e.stack
-        if c.ndim != 3 or c.shape[1:] != (s.n_models, s.input_len):
-            raise ValueError(
-                f"stack_expert_outputs: components shaped {c.shape}, expert {e.level} "
-                f"needs (N, {s.n_models}, {s.input_len})"
-            )
-    bands = c.transpose(1, 0, 2)
-    cols = [_band_sum(bb._forward(e.stack.kind, e.stack.params, bands)[0]) for e in experts]
+    cols = [expert_predict_batch(e, histories, components) for e in experts]
     return np.stack(cols, axis=-1)
 
 

@@ -347,6 +347,8 @@ def test_stack_expert_outputs_checks_the_components_shape():
     for comps in (np.zeros((3, 2, 16)), np.zeros((3, 1, 15)), np.zeros((3, 16))):
         with pytest.raises(ValueError, match="needs \\(N, 1, 16\\)"):
             stack_expert_outputs(experts, hist, comps)
+        with pytest.raises(ValueError, match="needs \\(N, 1, 16\\)"):
+            expert_predict_batch(experts[0], hist, comps)
     ok = stack_expert_outputs(experts, hist, hist[:, None, :])
     np.testing.assert_array_equal(ok[..., 1], expert_predict_batch(experts[1], hist))
 
