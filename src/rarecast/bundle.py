@@ -128,11 +128,15 @@ def _reject_constant(literal: str) -> float:
 
 
 def save_bundle(tp: TrainedPipeline, path: str | Path) -> None:
-    payload = _payload(tp)
-    body = _canonical(payload)
+    """Write the document {checksum, format_version, payload}, keys sorted, compact.
+
+    The payload is encoded once: its canonical text is both what the
+    checksum covers and, spliced in verbatim, the document's payload.
+    """
+    body = _canonical(_payload(tp))
     checksum = hashlib.sha256(body.encode()).hexdigest()
-    doc = {"format_version": FORMAT_VERSION, "checksum": checksum, "payload": payload}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False))
+    head = f'{{"checksum":"{checksum}","format_version":{FORMAT_VERSION},"payload":'
+    Path(path).write_text(head + body + "}")
 
 
 def load_bundle(path: str | Path) -> TrainedPipeline:

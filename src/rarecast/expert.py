@@ -83,8 +83,18 @@ def decompose_histories(
     bank: ewt.FilterBank | None,
     gamma: float | None = None,
 ) -> np.ndarray:
-    """Band components (N, n_bands, T) for stacked histories under either mode."""
+    """Band components (N, n_bands, T) for stacked histories under either mode.
+
+    A history holding NaN or an infinity raises ValueError: its components,
+    and every forecast made from them, would be NaN.
+    """
     x = np.atleast_2d(np.asarray(histories, dtype=np.float64))
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=-1))
+        raise ValueError(
+            f"decompose_histories: {bad.size} of {x.shape[0]} histories hold NaN or "
+            f"infinite values, the first is window {bad[0]}"
+        )
     if mode == "global":
         if bank is None:
             raise ValueError("decompose_histories: global mode requires a bank")

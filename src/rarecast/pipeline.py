@@ -150,11 +150,9 @@ def train_baseline(data: PreparedData, cfg: PipelineConfig) -> ExpertModel:
     This is the reference model for directional checks: no decomposition,
     no rarity penalty, no distillation, same backbone and budget.
     """
-    base_cfg = cfg.with_overrides(
-        n_bands=1, beta=0.0, use_rare_penalty=False, level_scope="cumulative", mode="per_window"
-    )
+    base_cfg = cfg.with_overrides(n_bands=1, beta=0.0, use_rare_penalty=False, mode="per_window")
     model, _ = train_expert(
-        data.train_windows, 0, None, base_cfg, components=data.train_windows.histories[:, None, :].copy()
+        data.train_windows, 0, None, base_cfg, components=data.train_windows.histories[:, None, :]
     )
     return model
 

@@ -268,14 +268,7 @@ def pipeline_predict_batch(
     history holding NaN or an infinity raises ValueError.
     """
     k = router.k if k is None else int(k)
-    x = np.atleast_2d(np.asarray(histories, dtype=np.float64))
-    if not np.isfinite(x).all():
-        bad = np.flatnonzero(~np.isfinite(x).all(axis=-1))
-        raise ValueError(
-            f"pipeline_predict_batch: {bad.size} of {x.shape[0]} histories hold NaN or "
-            f"infinite values, the first is window {bad[0]}"
-        )
-    outputs = stack_expert_outputs(experts, x, components)
+    outputs = stack_expert_outputs(experts, histories, components)
     _, alphas = gate_forward(router, outputs)
     sparse = select_topk_batch(alphas, k)
     preds = fuse(outputs, sparse)

@@ -46,6 +46,19 @@ def test_bundle_save_is_byte_deterministic(tiny_pipeline, tmp_path):
     assert a.read_bytes() == c.read_bytes()
 
 
+def test_bundle_text_is_the_sorted_compact_dump_of_the_document(tiny_pipeline, tmp_path):
+    # save_bundle splices the canonical payload text into the document rather
+    # than encoding the payload a second time; the bytes must not change.
+    tp, _ = tiny_pipeline
+    path = tmp_path / "bundle.json"
+    save_bundle(tp, path)
+    payload = json.loads(path.read_text())["payload"]
+    checksum = hashlib.sha256(_canonical(payload).encode()).hexdigest()
+    doc = {"format_version": FORMAT_VERSION, "checksum": checksum, "payload": payload}
+    want = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    assert path.read_text() == want
+
+
 def test_bundle_without_router(tiny_pipeline, tmp_path):
     tp, _ = tiny_pipeline
     bare = TrainedPipeline(

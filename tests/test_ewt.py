@@ -1,7 +1,10 @@
 """Boundary detection, filter bank construction, and band decomposition."""
 
+import importlib
 import re
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -545,3 +548,67 @@ def test_bank_memo_cannot_be_changed_through_a_returned_array(n_rows):
     bank = build_filter_bank(Boundaries(om[0]), 33)
     np.testing.assert_array_equal(bank.filters, want[0][0])
     assert not bank.filters.flags.writeable
+
+
+# ------------------------------------------------------------------ row blocks
+
+
+def _block_signals(n: int) -> np.ndarray:
+    """Random rows, every fifth one constant (no spectral maxima, so a fallback row)."""
+    x = np.random.default_rng(41).standard_normal((n, 64))
+    x[::5] = 1.5
+    return x
+
+
+def _decompose_all(x: np.ndarray, bank: ewt.FilterBank) -> list[np.ndarray]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [decompose_windows(x, 4, None), decompose_windows(x, 4, 0.05), decompose_with_bank(x, bank)]
+
+
+@pytest.mark.parametrize("n_rows", [32, 33, 1, 0])
+def test_blocks_give_the_one_block_bits(monkeypatch, n_rows):
+    # 32 rows are four whole blocks of 8, 33 leave a one-row tail block
+    x = _block_signals(n_rows)
+    bank = build_filter_bank(Boundaries(np.array([0.0, 0.5, 1.0, 2.0, np.pi])), 33)
+    whole = _decompose_all(x, bank)
+    monkeypatch.setattr(ewt, "_BLOCK_ROWS", 8)
+    for got, want in zip(_decompose_all(x, bank), whole):
+        assert got.shape == (n_rows, 4, 64)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_block_warnings_come_once_per_call_with_summed_counts(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    fallback_re = importlib.import_module("workloads").FALLBACK_RE
+    monkeypatch.setattr(ewt, "_BLOCK_ROWS", 8)
+    x = _block_signals(33)  # constant rows 0, 5, ..., 30 spread over all five blocks
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        decompose_windows(x, 4, gamma=5.0)
+    assert [str(w.message) for w in caught] == [
+        "decompose_windows: 7 of 33 windows had fewer than 4 spectral maxima, "
+        "padded by subdividing the widest band",
+        "decompose_windows: gamma 5.0 infeasible for 33 of 33 windows, "
+        "clamped to each window's feasible maximum",
+    ]
+    assert [m.group(1) for w in caught if (m := fallback_re.match(str(w.message)))] == ["7"]
+
+
+@pytest.mark.parametrize("shared_bank", [False, True])
+def test_block_memory_stays_bounded(monkeypatch, shared_bank):
+    # Four blocks of rows: a one-shot decomposition held two to three times its
+    # result in transients on top of it, the blocked one holds those of one block.
+    monkeypatch.setattr(ewt, "_BLOCK_ROWS", 512)
+    x = np.random.default_rng(43).standard_normal((4 * 512, 64))
+    bank = build_filter_bank(Boundaries(np.array([0.0, 0.5, 1.0, 2.0, np.pi])), 33)
+    run = (lambda: decompose_with_bank(x, bank)) if shared_bank else (lambda: decompose_windows(x, 4))
+    run()  # fill the bank memo first: what it keeps is not a transient of the call
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = out.nbytes // 4
+    assert peak < out.nbytes + 4 * block_bytes

@@ -7,7 +7,7 @@ import pytest
 
 from rarecast.cli import REPRODUCE_OVERRIDES
 from rarecast.config import PipelineConfig
-from rarecast.dataset import RarityLevel, TimeSeries
+from rarecast.dataset import RarityLevel, TimeSeries, Windows
 from rarecast.expert import (
     ExpertModel,
     build_expert_chain,
@@ -18,7 +18,7 @@ from rarecast.expert import (
     train_expert,
 )
 from rarecast.ewt import Boundaries, build_filter_bank
-from rarecast.pipeline import load_series, prepare_data, train_pipeline
+from rarecast.pipeline import baseline_predict, load_series, prepare_data, train_pipeline
 from rarecast import backbone as bb
 
 
@@ -117,6 +117,40 @@ def test_decompose_histories_modes():
     np.testing.assert_allclose(glob.sum(axis=1), hist, atol=1e-9)
     with pytest.raises(ValueError, match="requires a bank"):
         decompose_histories(hist, 2, "global", None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("mode", ["per_window", "global"])
+def test_expert_predict_rejects_non_finite_history(mode, bad):
+    # A NaN history used to come back as an all-NaN forecast, in per-window
+    # mode under a "fewer than n spectral maxima" warning that named the wrong cause.
+    rng = np.random.default_rng(5)
+    bank = build_filter_bank(Boundaries(np.array([0.0, 1.0, np.pi])), 17) if mode == "global" else None
+    expert = ExpertModel(
+        level=0, n_bands=2, mode=mode, bank=bank,
+        backbones=[bb.make_forecaster("linear", 32, 4, rng=rng) for _ in range(2)],
+    )
+    hist = rng.standard_normal((5, 32))
+    hist[3, 7] = bad
+    with pytest.raises(ValueError, match="1 of 5 histories hold NaN or infinite values, the first is window 3"):
+        expert_predict_batch(expert, hist)
+    with pytest.raises(ValueError, match="1 of 1 histories .* the first is window 0"):
+        expert_predict(expert, hist[3])
+    with pytest.raises(ValueError, match="1 of 5 histories"):
+        decompose_histories(hist, 2, mode, bank)
+
+
+def test_baseline_predict_rejects_non_finite_history(tiny_data):
+    # The 1-band baseline skips the band search, so a NaN passed straight through.
+    rng = np.random.default_rng(6)
+    base = ExpertModel(level=0, n_bands=1, backbones=[bb.make_forecaster("linear", 32, 8, rng=rng)])
+    wins = tiny_data.test_windows[:4]
+    hist = wins.histories.copy()
+    hist[1, 0] = np.nan
+    hist[2, -1] = -np.inf
+    bad = Windows(hist, wins.targets, wins.point_levels, wins.window_levels)
+    with pytest.raises(ValueError, match="2 of 4 histories hold NaN or infinite values, the first is window 1"):
+        baseline_predict(base, bad)
 
 
 def test_expert_forecast_is_sum_of_band_forecasts():
