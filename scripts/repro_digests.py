@@ -11,12 +11,14 @@ curve (curve_expert0-2.csv, curve_router.csv). Last it runs
 `mlp_global` configuration, the only one with MLP backbones) into
 OUT/seedN/mlp_global and prints the lines of its metrics.csv,
 metrics_baseline.csv and bundle.json. Then it synthesizes a
-PREDICT_POINTS-point series from seed PREDICT_SEED + N into OUT/seedN/series
-and runs `rarecast predict` on it with the first run's bundle.json twice:
-the default last-window forecast (one window) into OUT/seedN/predict_last
-and `--all-windows` (every window in one batch) into OUT/seedN/predict_all,
-printing the line of each forecast.csv. With --expect FILE, every printed
-line must appear in FILE; any mismatch or missing line exits 1.
+PREDICT_POINTS-point series from seed PREDICT_SEED + N, with spike rate 0.01
+and scale 4.0 fixed rather than taken from the config defaults, into
+OUT/seedN/series and runs `rarecast predict` on it with the first run's
+bundle.json twice: the default last-window forecast (one window) into
+OUT/seedN/predict_last and `--all-windows` (every window in one batch) into
+OUT/seedN/predict_all, printing the line of each forecast.csv. With --expect
+FILE, every printed line must appear in FILE; any mismatch or missing line
+exits 1.
 
 The subcommands' own messages go to stderr, so stdout without --expect is
 an expectations file as it stands:
@@ -92,7 +94,7 @@ def digest_lines(seed: int, root: Path) -> list[str]:
     _run(
         seed,
         ["synth", "--seed", str(PREDICT_SEED + seed), "--synth-n", str(PREDICT_POINTS),
-         "--out", str(out / "series")],
+         "--spike-rate", "0.01", "--spike-scale", "4.0", "--out", str(out / "series")],
     )
     predict = ["predict", "--bundle", str(out / "bundle.json"),
                "--data", str(out / "series" / "series.csv"), "--column", "value"]

@@ -1,9 +1,9 @@
 """Command line surface: data synthesis, training, prediction, evaluation, sweeps.
 
 Every run resolves one flat config: an optional --config JSON snapshot, else
-the defaults (for evaluate, the bundle's own config), with explicit flags on
-top. It writes the resolved snapshot next to its outputs, so any run can be
-reproduced bitwise from its own out directory.
+the defaults, which are the benchmark preset (for evaluate, the bundle's own
+config), with explicit flags on top. It writes the resolved snapshot next to
+its outputs, so any run can be reproduced bitwise from its own out directory.
 """
 
 from __future__ import annotations
@@ -51,33 +51,10 @@ from .pipeline import (
 )
 from .router import pipeline_predict_batch, train_router
 
-# Tuned benchmark preset. Three experts (top rarity levels merged), linear
-# backbones and a linear gate, inverse-frequency class weights on. Short
-# expert schedule: longer training lets the rare experts drift on quiet
-# windows and erodes the overall-MSE margin of the full configuration.
-# Router schedule: the smallest of {5, 10, 20, 40, 80} epochs whose median
-# validation-split overall and extreme MSE (seeds 5-9) are within 1% of the
-# 80-epoch medians, for this preset and its global-mode MLP variant.
-REPRODUCE_OVERRIDES = dict(
-    history_len=64,
-    horizon=16,
-    stride=1,
-    n_bands=4,
-    beta=0.5,
-    k=2,
-    n_experts=3,
-    backbone="linear",
-    epochs=10,
-    batch_size=128,
-    level_scope="exact",
-    gate_hidden=0,
-    router_epochs=5,
-    class_weights=True,
-    source="synth",
-    synth_n=20000,
-    spike_rate=0.02,
-    spike_scale=5.0,
-)
+# The benchmark preset is PipelineConfig's defaults. No command reads this empty
+# mapping; it stays until perfbench/workloads.py and tests/test_acceptance.py
+# stop importing it, with the benchmark harness's next change.
+REPRODUCE_OVERRIDES: dict = {}
 
 
 def _add_common(parser: argparse.ArgumentParser, data: bool = True) -> None:
@@ -219,9 +196,7 @@ def cmd_train_experts(args: argparse.Namespace) -> int:
 
 def cmd_train_router(args: argparse.Namespace) -> int:
     tp = load_bundle(args.bundle)
-    cfg = tp.config if args.k is None else tp.config.with_overrides(k=args.k)
-    if args.router_epochs is not None:
-        cfg = cfg.with_overrides(router_epochs=args.router_epochs)
+    cfg = resolve_config(args, base=tp.config)
     out = _outdir(args)
     data = prepare_data(cfg, normalizer=tp.normalizer, thresholds=tp.thresholds)
     router, curve = train_router(tp.experts, data.train_windows, cfg)
@@ -267,15 +242,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 _LEVEL_BY_KEY = {key: level for level, key in LEVEL_KEYS.items()}
 _ASSERT_RE = re.compile(
-    rf"^(overall|{'|'.join(_LEVEL_BY_KEY)})\.(mse|mae)(<=|>=|<|>)([-+0-9.eE]+)$"
+    rf"^(overall|{'|'.join(_LEVEL_BY_KEY)})\.(mse|mae)(<=|>=|<|>)"
+    r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)$"
 )
 
 
-def check_assertion(report, expr: str) -> tuple[bool, str]:
+def _parse_assertion(expr: str) -> tuple[str, ...]:
     m = _ASSERT_RE.match(expr.replace(" ", ""))
     if not m:
         raise ValueError(f"evaluate: cannot parse assertion {expr!r}")
-    level_key, metric, op, bound = m.groups()
+    return m.groups()
+
+
+def check_assertion(report, expr: str) -> tuple[bool, str]:
+    level_key, metric, op, bound = _parse_assertion(expr)
     if level_key == "overall":
         lm = report.overall
     else:
@@ -288,17 +268,27 @@ def check_assertion(report, expr: str) -> tuple[bool, str]:
     return ok, f"{expr}: {level_key}.{metric}={value:.6g} {'ok' if ok else 'FAILED'}"
 
 
+# Besides the series (its source, seed and length), evaluate may change only
+# the window stride and the fusion arity; every other field is the model's.
+_EVALUATE_FREE = {"source", "data_path", "data_column", "delimiter", "synth_n", "spike_rate",
+                  "spike_scale", "seed", "stride", "k"}
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    for expr in args.assertions or []:
+        _parse_assertion(expr)  # a malformed assertion fails before any work
     tp = load_bundle(args.bundle)
     if tp.router is None:
         raise ValueError("evaluate: bundle has no router, run train-router first")
     cfg = resolve_config(args, base=tp.config)
-    cfg = cfg.with_overrides(
-        history_len=tp.config.history_len,
-        horizon=tp.config.horizon,
-        n_bands=tp.config.n_bands,
-        mode=tp.config.mode,
-    )
+    for name in PipelineConfig.__dataclass_fields__:
+        ours, theirs = getattr(cfg, name), getattr(tp.config, name)
+        if name not in _EVALUATE_FREE and ours != theirs:
+            flag = {"n_bands": "bands", "n_experts": "experts"}.get(name, name.replace("_", "-"))
+            flag = f"--{flag}" if getattr(args, name, None) is not None else "--config"
+            raise ValueError(
+                f"evaluate: {flag} sets {name}={ours!r}, which contradicts the bundle's {name}={theirs!r}"
+            )
     out = _outdir(args)
     data = prepare_data(cfg, normalizer=tp.normalizer, thresholds=tp.thresholds)
     preds, alphas, sparse = predict_windows(tp, data.test_windows, k=args.k)
@@ -334,14 +324,17 @@ def _raw_thresholds(tp: TrainedPipeline) -> RarityThresholds:
     )
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+def _parse_list(text: str, kind: type, what: str) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{what} must be comma-separated {kind.__name__}s, got {text!r}") from None
 
 
 def cmd_sweep_beta(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    betas = _parse_list(args.betas, float, "sweep-beta: --betas") if args.betas else list(BETA_SWEEP)
     out = _outdir(args)
-    betas = _parse_floats(args.betas) if args.betas else list(BETA_SWEEP)
     data = prepare_data(cfg)
     result = sweep_beta(data, cfg, betas)
     write_rows_csv(result.rows, out / "sweep_beta.csv")
@@ -356,8 +349,8 @@ def cmd_sweep_beta(args: argparse.Namespace) -> int:
 
 def cmd_sweep_k(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    ks = _parse_list(args.ks, int, "sweep-k: --ks") if args.ks else None
     out = _outdir(args)
-    ks = [int(v) for v in args.ks.split(",")] if args.ks else None
     data = prepare_data(cfg)
     result = sweep_k(data, cfg, ks)
     write_rows_csv(result.rows, out / "sweep_k.csv")
@@ -368,14 +361,14 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    out = _outdir(args)
-    data = prepare_data(cfg)
     if args.components is not None:
-        enabled = frozenset(c for c in args.components.upper().split("+") if c) if args.components != "none" else frozenset()
-        report, _ = run_once(data, ablate_config(cfg, enabled))
+        enabled = frozenset(args.components.upper().split("+")) - {"", "NONE"}
+        cell = ablate_config(cfg, enabled)  # unknown components fail before any work
+        report, _ = run_once(prepare_data(cfg), cell)
         rows = [{"components": components_label(enabled), **row} for row in report_rows(report)]
     else:
-        rows = ablation_table(data, cfg)
+        rows = ablation_table(prepare_data(cfg), cfg)
+    out = _outdir(args)
     write_rows_csv(rows, out / "ablation.csv")
     write_config_snapshot(cfg, out)
     print(format_table(rows))
@@ -383,7 +376,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args, base=PipelineConfig(**REPRODUCE_OVERRIDES))
+    cfg = resolve_config(args)
     out = _outdir(args)
     data = prepare_data(cfg)
     report, tp = run_once(data, cfg)

@@ -330,7 +330,7 @@ def synth_base(seed: int, n: int) -> np.ndarray:
 
 
 def synth_generate(
-    seed: int, n: int, spike_rate: float = 0.01, spike_scale: float = 4.0
+    seed: int, n: int, spike_rate: float = 0.02, spike_scale: float = 5.0
 ) -> TimeSeries:
     """Deterministic synthetic series with heavy-tailed positive spike pulses.
 

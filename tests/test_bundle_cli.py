@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from rarecast import cli
 from rarecast.bundle import FORMAT_VERSION, BundleError, _bank_dict, _canonical, load_bundle, save_bundle
+from rarecast.config import PipelineConfig
 from rarecast.ewt import Boundaries, build_filter_bank
 from rarecast.evaluation import LEVEL_KEYS
 from rarecast.pipeline import TrainedPipeline, predict_windows
@@ -431,13 +432,14 @@ def test_cli_ablate_single_cell(tmp_path):
     assert all(line.startswith("WT+RP,") for line in lines[1:])
 
 
-def test_cli_reproduce_smoke(tmp_path, monkeypatch):
-    quick = dict(cli.REPRODUCE_OVERRIDES)
-    quick.update(history_len=32, horizon=8, stride=2, n_bands=2, epochs=1,
-                 router_epochs=1, synth_n=6000)
-    monkeypatch.setattr(cli, "REPRODUCE_OVERRIDES", quick)
+# small sizes for reproduce, whose defaults are the full benchmark preset
+QUICK_FLAGS = ["--history-len", "32", "--horizon", "8", "--stride", "2", "--bands", "2",
+               "--epochs", "1", "--router-epochs", "1", "--synth-n", "6000"]
+
+
+def test_cli_reproduce_smoke(tmp_path):
     out = tmp_path / "repro"
-    assert cli.main(["reproduce", "--seed", "3", "--out", str(out)]) == 0
+    assert cli.main(["reproduce", "--seed", "3", *QUICK_FLAGS, "--out", str(out)]) == 0
     for name in ("metrics.csv", "metrics_baseline.csv", "bundle.json",
                  "config.json", "summary.txt"):
         assert (out / name).exists()
@@ -446,13 +448,9 @@ def test_cli_reproduce_smoke(tmp_path, monkeypatch):
     assert "overall" in summary and "extreme" in summary
 
 
-def test_cli_reproduce_explicit_flags_win_over_the_preset(tmp_path, monkeypatch):
-    quick = dict(cli.REPRODUCE_OVERRIDES)
-    quick.update(history_len=32, horizon=8, stride=2, n_bands=2, epochs=1,
-                 router_epochs=1, synth_n=6000)
-    monkeypatch.setattr(cli, "REPRODUCE_OVERRIDES", quick)
+def test_cli_reproduce_explicit_flags_win_over_the_preset(tmp_path):
     out = tmp_path / "repro"
-    argv = ["reproduce", "--seed", "3", "--backbone", "mlp", "--mode", "global",
+    argv = ["reproduce", "--seed", "3", *QUICK_FLAGS, "--backbone", "mlp", "--mode", "global",
             "--epochs", "2", "--out", str(out)]
     assert cli.main(argv) == 0
     cfg = json.loads((out / "config.json").read_text())
@@ -461,6 +459,60 @@ def test_cli_reproduce_explicit_flags_win_over_the_preset(tmp_path, monkeypatch)
     assert (cfg["router_epochs"], cfg["history_len"], cfg["n_experts"]) == (1, 32, 3)
     tp = load_bundle(out / "bundle.json")
     assert tp.config.backbone == "mlp" and tp.experts[0].backbones[0].kind == "mlp"
+
+
+def test_cli_train_experts_and_reproduce_share_one_set_of_defaults(tmp_path):
+    # Both resolve PipelineConfig() under the seed, so a second set of
+    # defaults for either command shows up here.
+    for command in ("train-experts", "reproduce"):
+        assert cli.main([command, "--seed", "0", "--out", str(tmp_path / command)]) == 0
+    written = (tmp_path / "reproduce" / "config.json").read_bytes()
+    assert (tmp_path / "train-experts" / "config.json").read_bytes() == written
+    assert json.loads(written) == PipelineConfig().to_dict()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--backbone", "mlp"], ["--experts", "2"], ["--normalization", "identity"],
+     ["--epochs", "99"], ["--history-len", "64"], ["--horizon", "16"], ["--bands", "4"],
+     ["--mode", "global"], ["--config", "lr=0.01"]],
+)
+def test_cli_evaluate_rejects_values_that_contradict_the_bundle(flags, tiny_pipeline, tmp_path, capsys):
+    bundle = tmp_path / "bundle.json"
+    save_bundle(tiny_pipeline[0], bundle)
+    if flags[0] == "--config":
+        snapshot = tmp_path / "config.json"
+        snapshot.write_text(json.dumps(tiny_pipeline[0].config.with_overrides(lr=0.01).to_dict()))
+        flags = ["--config", str(snapshot)]
+    out = tmp_path / "eval"
+    assert cli.main(["evaluate", "--bundle", str(bundle), *flags, "--out", str(out)]) == 1
+    assert re.match(rf"error: evaluate: {flags[0]} sets \w+=.* contradicts the bundle", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["evaluate", "--assert", "overall.mse<=1e"], "evaluate: cannot parse assertion 'overall.mse<=1e'"),
+        (["sweep-k", "--ks", "1,,2"], "sweep-k: --ks must be comma-separated ints, got '1,,2'"),
+        (["sweep-beta", "--betas", "0,x"], "sweep-beta: --betas must be comma-separated floats"),
+        (["ablate", "--components", "WT+XX"], "ablate: unknown components ['XX']"),
+        (["ablate", "--components", "None"], None),
+    ],
+)
+def test_cli_list_and_assertion_arguments_fail_before_any_work(argv, error, tiny_pipeline, tmp_path, capsys):
+    bundle = tmp_path / "bundle.json"
+    save_bundle(tiny_pipeline[0], bundle)
+    source = ["--bundle", str(bundle)] if argv[0] == "evaluate" else TINY_FLAGS
+    out = tmp_path / "out"
+    rc = cli.main([*argv, *source, "--out", str(out)])
+    if error is None:
+        assert rc == 0
+        rows = (out / "ablation.csv").read_text().splitlines()[1:]
+        assert rows and all(row.startswith("none,") for row in rows)
+    else:
+        assert rc == 1 and error in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_reports_errors_and_exit_codes(tmp_path, capsys):

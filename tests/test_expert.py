@@ -5,7 +5,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from rarecast.cli import REPRODUCE_OVERRIDES
 from rarecast.config import PipelineConfig
 from rarecast.dataset import RarityLevel, TimeSeries, Windows
 from rarecast.expert import (
@@ -259,7 +258,7 @@ def test_chain_trains_on_unnormalized_large_scale_series(tiny_cfg):
 def test_rare_experts_beat_normal_on_their_own_windows():
     """Median over 5 seeds at the benchmark preset: each level's expert must
     be at least as good as the normal expert on held-out windows of its level."""
-    cfg0 = PipelineConfig(**REPRODUCE_OVERRIDES)
+    cfg0 = PipelineConfig()
     gaps = {c: ([], []) for c in range(cfg0.n_experts)}
     for seed in range(5):
         cfg = cfg0.with_overrides(seed=seed)
