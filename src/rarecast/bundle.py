@@ -1,14 +1,22 @@
 """Model persistence: a versioned JSON container with a content checksum.
 
+Format 2: the payload holds `config`, `normalizer`, `thresholds`, one filter
+`bank` (null in per_window mode), `experts` (per expert, in level order, a
+list of per-band parameter dicts) and `router` (the gate's parameter dict,
+or null). The config is the only copy of a setting: load rebuilds every
+expert and the gate from it, and each stored parameter dict must match the
+names and shapes of the model it rebuilds.
+
 Arrays are stored as nested lists of full-precision floats (repr round-trips
 a float64 exactly), so save, load, save again produces identical bytes. The
 checksum covers the canonical payload encoding; any corruption, a format
-version this code does not know, or a payload whose shapes disagree with its
-own config is a hard error.
+version this code does not read (format-1 bundles must be retrained), or
+parameters whose shapes disagree with the config is a hard error.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -21,9 +29,9 @@ from .dataset import Normalizer, RarityThresholds
 from .ewt import Boundaries, FilterBank
 from .expert import ExpertModel
 from .pipeline import TrainedPipeline
-from .router import Router
+from .router import Router, gate_kind
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class BundleError(ValueError):
@@ -34,39 +42,24 @@ def _arr(a: np.ndarray) -> list:
     return np.asarray(a, dtype=np.float64).tolist()
 
 
-def _forecaster_dict(model: bb.Forecaster) -> dict:
-    return {
-        "kind": model.kind,
-        "input_len": model.input_len,
-        "output_len": model.output_len,
-        "hidden": model.hidden,
-        "params": {k: _arr(v) for k, v in sorted(model.params.items())},
-    }
+def _params(model: bb.Forecaster) -> dict:
+    return {k: _arr(v) for k, v in model.params.items()}
 
 
-def _forecaster_from(d: dict) -> bb.Forecaster:
-    model = bb.Forecaster(
-        kind=d["kind"],
-        input_len=int(d["input_len"]),
-        output_len=int(d["output_len"]),
-        hidden=int(d["hidden"]),
-        params={k: np.asarray(v, dtype=np.float64) for k, v in d["params"].items()},
-    )
-    template = bb.make_forecaster(model.kind, model.input_len, model.output_len, model.hidden)
-    shapes = {k: v.shape for k, v in model.params.items()}
-    if shapes != {k: v.shape for k, v in template.params.items()}:
-        raise ValueError(f"{model.kind} forecaster parameter shapes {shapes} do not match its dimensions")
-    return model
+def _forecaster_from(params: dict, template: bb.Forecaster, what: str) -> bb.Forecaster:
+    """The template's model holding the stored parameters, which must match its names and shapes."""
+    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    shapes = {k: v.shape for k, v in arrays.items()}
+    want = {k: v.shape for k, v in template.params.items()}
+    if shapes != want:
+        raise ValueError(f"{what} has parameter shapes {shapes}, config needs {want}")
+    return dataclasses.replace(template, params=arrays)
 
 
 def _bank_dict(bank: FilterBank | None) -> dict | None:
     if bank is None:
         return None
-    return {
-        "filters": _arr(bank.filters),
-        "omegas": _arr(bank.boundaries.omegas),
-        "gamma": bank.gamma,
-    }
+    return {"filters": _arr(bank.filters), "omegas": _arr(bank.boundaries.omegas), "gamma": bank.gamma}
 
 
 def _bank_from(d: dict | None) -> FilterBank | None:
@@ -79,42 +72,15 @@ def _bank_from(d: dict | None) -> FilterBank | None:
     )
 
 
-def _expert_dict(e: ExpertModel) -> dict:
-    return {
-        "level": e.level,
-        "n_bands": e.n_bands,
-        "mode": e.mode,
-        "gamma": e.gamma,
-        "bank": _bank_dict(e.bank),
-        "backbones": [_forecaster_dict(m) for m in e.backbones],
-    }
-
-
-def _expert_from(d: dict) -> ExpertModel:
-    return ExpertModel(
-        level=int(d["level"]),
-        n_bands=int(d["n_bands"]),
-        backbones=[_forecaster_from(m) for m in d["backbones"]],
-        mode=d["mode"],
-        bank=_bank_from(d["bank"]),
-        gamma=None if d["gamma"] is None else float(d["gamma"]),
-    )
-
-
 def _payload(tp: TrainedPipeline) -> dict:
     return {
         "config": tp.config.to_dict(),
         "normalizer": {"mean": tp.normalizer.mean, "std": tp.normalizer.std},
         "thresholds": list(tp.thresholds.as_tuple()),
-        "experts": [_expert_dict(e) for e in tp.experts],
-        "router": None
-        if tp.router is None
-        else {
-            "k": tp.router.k,
-            "n_experts": tp.router.n_experts,
-            "horizon": tp.router.horizon,
-            "gate": _forecaster_dict(tp.router.gate),
-        },
+        # Inference decomposes once, with the first expert's bank, for every expert.
+        "bank": _bank_dict(tp.experts[0].bank),
+        "experts": [[_params(m) for m in e.backbones] for e in tp.experts],
+        "router": None if tp.router is None else _params(tp.router.gate),
     }
 
 
@@ -167,49 +133,40 @@ def load_bundle(path: str | Path) -> TrainedPipeline:
 
 
 def _pipeline_from(payload: dict) -> TrainedPipeline:
-    """Rebuild a pipeline, checking every model's shape against the payload's config."""
+    """Rebuild a pipeline from its config, checking every stored parameter against it."""
     cfg = PipelineConfig.from_dict(payload["config"])
-    experts = [_expert_from(e) for e in payload["experts"]]
-    if len(experts) != cfg.n_experts:
-        raise ValueError(f"{len(experts)} experts, config says n_experts={cfg.n_experts}")
-    # Inference decomposes once, with the first expert's settings, for every expert.
-    first = experts[0]
-    for e in experts:
-        dims = (e.n_bands, e.history_len, e.horizon)
-        if dims != (cfg.n_bands, cfg.history_len, cfg.horizon):
-            raise ValueError(
-                f"expert {e.level} has (n_bands, input_len, output_len) = {dims}, config says "
-                f"{(cfg.n_bands, cfg.history_len, cfg.horizon)}"
-            )
-        if (e.mode, e.gamma) != (cfg.mode, cfg.gamma):
-            raise ValueError(
-                f"expert {e.level} has (mode, gamma) = {(e.mode, e.gamma)}, config says "
-                f"{(cfg.mode, cfg.gamma)}"
-            )
-        if cfg.mode == "global" and _bank_dict(e.bank) != _bank_dict(first.bank):
-            raise ValueError(
-                f"expert {e.level}'s filter bank differs from expert {first.level}'s; "
-                "global mode decomposes with one bank"
-            )
+    if len(payload["experts"]) != cfg.n_experts:
+        raise ValueError(f"{len(payload['experts'])} experts, config says n_experts={cfg.n_experts}")
+    bank = _bank_from(payload["bank"])
+    backbone = bb.make_forecaster(cfg.backbone, cfg.history_len, cfg.horizon, cfg.hidden)
+    experts = [
+        ExpertModel(
+            level=level,
+            n_bands=cfg.n_bands,
+            backbones=[
+                _forecaster_from(p, backbone, f"expert {level} band {b}") for b, p in enumerate(bands)
+            ],
+            mode=cfg.mode,
+            bank=bank,
+            gamma=cfg.gamma,
+        )
+        for level, bands in enumerate(payload["experts"])
+    ]
     bank_shape = (cfg.n_bands, cfg.history_len // 2 + 1)
-    if cfg.mode == "global" and first.bank.filters.shape != bank_shape:
+    if bank is not None and bank.filters.shape != bank_shape:
         raise ValueError(
-            f"the global filter bank has shape {first.bank.filters.shape}, config needs {bank_shape}"
+            f"the global filter bank has shape {bank.filters.shape}, config needs {bank_shape}"
         )
     router = None
     if payload["router"] is not None:
-        r = payload["router"]
+        kind, width = gate_kind(cfg.gate_hidden)
+        gate = bb.make_forecaster(kind, cfg.horizon * cfg.n_experts, cfg.n_experts, width)
         router = Router(
-            gate=_forecaster_from(r["gate"]),
-            n_experts=int(r["n_experts"]),
-            horizon=int(r["horizon"]),
-            k=int(r["k"]),
+            gate=_forecaster_from(payload["router"], gate, "the gate"),
+            n_experts=cfg.n_experts,
+            horizon=cfg.horizon,
+            k=cfg.k,
         )
-        if (router.horizon, router.n_experts) != (cfg.horizon, cfg.n_experts):
-            raise ValueError(
-                f"router has (horizon, n_experts) = {(router.horizon, router.n_experts)}, "
-                f"config says {(cfg.horizon, cfg.n_experts)}"
-            )
     th = payload["thresholds"]
     return TrainedPipeline(
         experts=experts,

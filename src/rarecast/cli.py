@@ -212,12 +212,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     tp = load_bundle(args.bundle)
     if tp.router is None:
         raise ValueError("predict: bundle has no router, run train-router first")
-    cfg = tp.config
-    out = _outdir(args)
-    column = args.data_column if args.data_column is not None else cfg.data_column
-    if column is None:
+    if args.data_column is None and tp.config.data_column is None:
         raise ValueError("predict: --column is required when the bundle has no CSV column")
-    series = load_csv(args.data_path, column, args.delimiter or cfg.delimiter)
+    cfg = resolve_config(args, base=tp.config)  # this run's series and k on the bundle's model
+    out = _outdir(args)
+    series = load_csv(cfg.data_path, cfg.data_column, cfg.delimiter)
     values = tp.normalizer.apply(series.values)
     t, h = cfg.history_len, cfg.horizon
     if len(values) < t:
@@ -225,7 +224,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     first, stride = (0, cfg.stride) if args.all_windows else (len(values) - t, 1)
     hist = np.ascontiguousarray(window_view(values[first:], t, stride))
     starts = range(first, len(values) - t + 1, stride)
-    preds, alphas, sparse = pipeline_predict_batch(tp.experts, tp.router, hist, k=args.k)
+    preds, alphas, sparse = pipeline_predict_batch(tp.experts, tp.router, hist, k=cfg.k)
     preds = tp.normalizer.invert(preds)
     rows = []
     for s, p in zip(starts, preds):

@@ -45,6 +45,11 @@ class Router:
             raise ValueError("Router: gate output must be n_experts")
 
 
+def gate_kind(gate_hidden: int) -> tuple[str, int]:
+    """The gate's backbone kind and hidden width: gate_hidden 0 means a linear gate."""
+    return ("mlp", gate_hidden) if gate_hidden > 0 else ("linear", 1)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
@@ -216,10 +221,9 @@ def train_router(
         w_by_class[nonzero] = n / (nonzero.sum() * counts[nonzero])
         sample_w = w_by_class[labels]
 
-    kind = "mlp" if cfg.gate_hidden > 0 else "linear"
+    kind, width = gate_kind(cfg.gate_hidden)
     gate = bb.make_forecaster(
-        kind, horizon * n_experts, n_experts, max(cfg.gate_hidden, 1),
-        substream(cfg.seed, ROUTER_INIT),
+        kind, horizon * n_experts, n_experts, width, substream(cfg.seed, ROUTER_INIT)
     )
     model = bb.stack_forecasters([gate])  # the gate is a stack of one
     opt = bb.OptimizerState(lr=cfg.router_lr)

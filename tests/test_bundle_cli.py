@@ -12,11 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rarecast import cli
-from rarecast.bundle import FORMAT_VERSION, BundleError, _bank_dict, _canonical, load_bundle, save_bundle
+from rarecast.bundle import FORMAT_VERSION, BundleError, _canonical, load_bundle, save_bundle
 from rarecast.config import PipelineConfig
 from rarecast.ewt import Boundaries, build_filter_bank
 from rarecast.evaluation import LEVEL_KEYS
-from rarecast.pipeline import TrainedPipeline, predict_windows
+from rarecast.pipeline import TrainedPipeline, predict_windows, train_pipeline
 
 
 # ------------------------------------------------------------------- bundles
@@ -83,14 +83,47 @@ def test_bundle_rejects_corruption(tiny_pipeline, tmp_path):
 
 
 def test_bundle_rejects_unknown_version(tiny_pipeline, tmp_path):
+    # Format 1 stored a copy of the config's settings on every expert and the
+    # router; this build reads only format 2, and a format-1 bundle is retrained.
     tp, _ = tiny_pipeline
     path = tmp_path / "bundle.json"
     save_bundle(tp, path)
     doc = json.loads(path.read_text())
-    doc["format_version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(BundleError, match="format version"):
-        load_bundle(path)
+    for version in (1, 99):
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BundleError, match=f"has format version {version}, this build reads 2"):
+            load_bundle(path)
+
+
+@pytest.mark.parametrize("mode", ["per_window", "global"])
+def test_bundle_stores_weights_only_and_rebuilds_settings_from_config(tiny_data, tiny_cfg, tmp_path, mode):
+    cfg = tiny_cfg.with_overrides(mode=mode, k=1, epochs=1, router_epochs=1)
+    tp, _ = train_pipeline(tiny_data, cfg)
+    path = tmp_path / "bundle.json"
+    save_bundle(tp, path)
+    payload = json.loads(path.read_text())["payload"]
+    assert set(payload) == {"config", "normalizer", "thresholds", "bank", "experts", "router"}
+    assert (payload["bank"] is None) == (mode == "per_window")
+    assert [len(bands) for bands in payload["experts"]] == [cfg.n_bands] * cfg.n_experts
+    for params in [p for bands in payload["experts"] for p in bands] + [payload["router"]]:
+        assert set(params) == {"w", "b"}  # arrays only: no level, mode, gamma, bank, k, kind, hidden
+
+    tp2 = load_bundle(path)
+    assert tp2.router.k == cfg.k == 1
+    assert (tp2.router.horizon, tp2.router.n_experts) == (cfg.horizon, cfg.n_experts)
+    assert [e.level for e in tp2.experts] == list(range(cfg.n_experts))
+    for e in tp2.experts:
+        assert (e.n_bands, e.mode, e.gamma) == (cfg.n_bands, cfg.mode, cfg.gamma)
+        assert e.bank is tp2.experts[0].bank
+        assert all(m.kind == cfg.backbone for m in e.backbones)
+    wins = tiny_data.test_windows[:40]
+    np.testing.assert_array_equal(predict_windows(tp, wins)[0], predict_windows(tp2, wins)[0])
+
+    # the config is the only copy of k: editing it changes the loaded router
+    payload["config"]["k"] = 2
+    _write_payload(path, payload)
+    assert load_bundle(path).router.k == 2
 
 
 def _write_payload(path, payload) -> None:
@@ -111,7 +144,7 @@ def test_bundle_rejects_malformed_payload_with_valid_checksum(tiny_pipeline, tmp
     no_thresholds = copy.deepcopy(good)
     del no_thresholds["thresholds"]
     ragged = copy.deepcopy(good)
-    ragged["experts"][0]["backbones"][1]["params"]["w"][0].append(0.0)
+    ragged["experts"][0][1]["w"][0].append(0.0)
     path = tmp_path / "bad.json"
     for name, payload in [
         ("null", None), ("empty", {}), ("list", []), ("no thresholds", no_thresholds),
@@ -125,36 +158,38 @@ def test_bundle_rejects_malformed_payload_with_valid_checksum(tiny_pipeline, tmp
         load_bundle(path)
 
 
-def _go_global(payload: dict, cuts: list[float], n_bins: int = 17) -> None:
-    """Switch a tiny payload to global mode; expert i gets a bank split at cuts[i]."""
-    payload["config"]["mode"] = "global"
-    for e, cut in zip(payload["experts"], cuts):
-        bank = build_filter_bank(Boundaries(np.array([0.0, cut, np.pi])), n_bins)
-        e.update(mode="global", bank=_bank_dict(bank))
+def _bank(n_bins: int) -> dict:
+    """A stored two-band filter bank over n_bins frequency bins."""
+    bank = build_filter_bank(Boundaries(np.array([0.0, 1.0, np.pi])), n_bins)
+    return {"filters": bank.filters.tolist(), "omegas": bank.boundaries.omegas.tolist(), "gamma": bank.gamma}
 
 
+def _resize_gate(p: dict, n_out: int, n_in: int) -> None:
+    """Cut the stored linear gate down to an (n_out, n_in) weight."""
+    p["router"]["w"] = [row[:n_in] for row in p["router"]["w"][:n_out]]
+    p["router"]["b"] = p["router"]["b"][:n_out]
+
+
+# The tiny payload: 3 experts of 2 linear bands over 32-step histories and
+# 8-step horizons, per_window mode, and a linear gate.
 MISMATCHES = {
-    "config_n_bands": (lambda p: p["config"].update(n_bands=3), "n_bands"),
-    "config_history_len": (lambda p: p["config"].update(history_len=40), "input_len"),
-    "config_horizon": (lambda p: p["config"].update(horizon=4), "output_len"),
+    "config_n_bands": (lambda p: p["config"].update(n_bands=3), "backbone per band"),
+    "config_history_len": (lambda p: p["config"].update(history_len=40), "band 0 has parameter shapes"),
+    "config_horizon": (lambda p: p["config"].update(horizon=4), "band 0 has parameter shapes"),
     "config_n_experts": (lambda p: p["config"].update(n_experts=2, k=1), "n_experts=2"),
-    "router_horizon": (lambda p: p["router"].update(horizon=4), "horizon"),
-    "router_n_experts": (lambda p: p["router"].update(n_experts=2, k=1), "n_experts"),
-    "expert_n_bands": (lambda p: p["experts"][1].update(n_bands=3), "backbone per band"),
-    "backbone_input_len": (lambda p: p["experts"][0]["backbones"][0].update(input_len=40), "shapes"),
-    # inference decomposes once, with the first expert's settings, for all experts
-    "expert_gamma": (lambda p: p["experts"][1].update(gamma=0.0), r"\(mode, gamma\)"),
-    "expert_gamma_negative": (lambda p: p["experts"][2].update(gamma=-1.0), r"\(mode, gamma\)"),
-    "config_mode": (lambda p: p["config"].update(mode="global"), r"\(mode, gamma\)"),
-    "global_banks_differ": (lambda p: _go_global(p, [1.0, 1.0, 1.5]), "filter bank differs"),
-    "global_bank_size": (lambda p: _go_global(p, [1.0, 1.0, 1.0], n_bins=9), "filter bank has shape"),
-    # a per-window expert ignores a bank; carried along, it changed the re-saved bytes
-    "per_window_bank": (
-        lambda p: p["experts"][1].update(
-            bank=_bank_dict(build_filter_bank(Boundaries(np.array([0.0, np.pi])), 99))
-        ),
-        "per_window mode",
+    "config_backbone": (lambda p: p["config"].update(backbone="mlp"), "band 0 has parameter shapes"),
+    "config_mode": (lambda p: p["config"].update(mode="global"), "requires a filter bank"),
+    "expert_n_bands": (lambda p: p["experts"][1].pop(), "backbone per band"),
+    "backbone_input_len": (
+        lambda p: p["experts"][0][1].update(w=[row[:-1] for row in p["experts"][0][1]["w"]]),
+        "expert 0 band 1 has parameter shapes",
     ),
+    "global_bank_size": (
+        lambda p: (p["config"].update(mode="global"), p.update(bank=_bank(9))), "filter bank has shape"
+    ),
+    "per_window_bank": (lambda p: p.update(bank=_bank(17)), "per_window mode"),
+    "router_horizon": (lambda p: _resize_gate(p, 3, 4 * 3), "the gate has parameter shapes"),
+    "router_n_experts": (lambda p: _resize_gate(p, 2, 8 * 2), "the gate has parameter shapes"),
 }
 
 
@@ -332,6 +367,32 @@ def test_cli_predict_reads_delimiter_from_bundle(tmp_path, capsys):
                    "--data", str(semi), "--out", str(pred_dir)])
     assert rc == 0, capsys.readouterr().err
     assert len((pred_dir / "forecast.csv").read_text().splitlines()) == 2
+
+
+def test_cli_predict_snapshot_describes_the_run(tiny_pipeline, tmp_path, capsys):
+    bundle = tmp_path / "bundle.json"
+    save_bundle(tiny_pipeline[0], bundle)  # synth-trained, k=2
+    series = tmp_path / "series.csv"
+    values = np.random.default_rng(0).normal(size=100).tolist()
+    series.write_text("t;level\n" + "".join(f"{i};{v!r}\n" for i, v in enumerate(values)))
+    flags = ["--bundle", str(bundle), "--data", str(series), "--column", "level", "--delimiter", ";"]
+
+    snapshots = {}
+    for k in (None, 1):
+        out = tmp_path / f"k{k}"
+        assert cli.main(["predict", *flags, *(["--k", str(k)] if k else []), "--out", str(out)]) == 0
+        snapshots[k] = json.loads((out / "config.json").read_text())
+    assert (snapshots[None]["k"], snapshots[1]["k"]) == (2, 1)
+    run = {"source": "csv", "data_path": str(series), "data_column": "level", "delimiter": ";"}
+    assert {name: snapshots[1][name] for name in run} == run
+    assert {**snapshots[1], "k": 2} == snapshots[None]
+
+    # a bad --k is a config error, raised before the CSV is read
+    rc = cli.main(["predict", "--bundle", str(bundle), "--data", str(tmp_path / "missing.csv"),
+                   "--column", "level", "--k", "4", "--out", str(tmp_path / "bad")])
+    assert rc == 1
+    assert re.match(r"error: config: k must be in \[1, n_experts=3\]", capsys.readouterr().err)
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_evaluate_applies_override_flags_to_bundle_config(tiny_pipeline, tmp_path):
