@@ -16,9 +16,11 @@ and scale 4.0 fixed rather than taken from the config defaults, into
 OUT/seedN/series and runs `rarecast predict` on it with the first run's
 bundle.json twice: the default last-window forecast (one window) into
 OUT/seedN/predict_last and `--all-windows` (every window in one batch) into
-OUT/seedN/predict_all, printing the line of each forecast.csv. With --expect
-FILE, every printed line must appear in FILE; any mismatch or missing line
-exits 1.
+OUT/seedN/predict_all, printing the line of the series.csv and of each
+forecast.csv. Last it runs `rarecast ewt-dump` on the first run's
+config.json into OUT/seedN/ewt and prints the line of its filters.csv. With
+--expect FILE, every printed line must appear in FILE; any mismatch or
+missing line exits 1.
 
 The subcommands' own messages go to stderr, so stdout without --expect is
 an expectations file as it stands:
@@ -63,8 +65,10 @@ FILES = (
     "mlp_global/metrics.csv",
     "mlp_global/metrics_baseline.csv",
     "mlp_global/bundle.json",
+    "series/series.csv",
     "predict_last/forecast.csv",
     "predict_all/forecast.csv",
+    "ewt/filters.csv",
 )
 # The predict series is drawn from its own seed, apart from every training seed.
 PREDICT_SEED = 1000
@@ -100,6 +104,7 @@ def digest_lines(seed: int, root: Path) -> list[str]:
                "--data", str(out / "series" / "series.csv"), "--column", "value"]
     _run(seed, predict + ["--out", str(out / "predict_last")])
     _run(seed, predict + ["--all-windows", "--out", str(out / "predict_all")])
+    _run(seed, ["ewt-dump", "--config", str(out / "config.json"), "--out", str(out / "ewt")])
     return [
         f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  seed{seed}/{name}"
         for name in FILES
