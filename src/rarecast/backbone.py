@@ -34,9 +34,6 @@ class Forecaster:
     hidden: int
     params: dict[str, np.ndarray]
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
 
 @dataclass(eq=False)
 class ForecasterStack:

@@ -161,12 +161,7 @@ def _pipeline_from(payload: dict) -> TrainedPipeline:
     if payload["router"] is not None:
         kind, width = gate_kind(cfg.gate_hidden)
         gate = bb.make_forecaster(kind, cfg.horizon * cfg.n_experts, cfg.n_experts, width)
-        router = Router(
-            gate=_forecaster_from(payload["router"], gate, "the gate"),
-            n_experts=cfg.n_experts,
-            horizon=cfg.horizon,
-            k=cfg.k,
-        )
+        router = Router(gate=_forecaster_from(payload["router"], gate, "the gate"), k=cfg.k)
     th = payload["thresholds"]
     return TrainedPipeline(
         experts=experts,

@@ -9,7 +9,6 @@ its outputs, so any run can be reproduced bitwise from its own out directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -110,14 +109,6 @@ def write_config_snapshot(cfg: PipelineConfig, out: Path) -> None:
     out.joinpath("config.json").write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=1))
 
 
-def _write_series_csv(values: np.ndarray, path: Path, column: str = "value") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([column])
-        for v in values:
-            writer.writerow([repr(float(v))])
-
-
 def _write_curves(curves: dict[int, Sequence[dict]], out: Path) -> None:
     for level, curve in curves.items():
         write_rows_csv(curve, out / f"curve_expert{level}.csv")
@@ -138,7 +129,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg = resolve_config(args).with_overrides(source="synth")
     out = _outdir(args)
     series = load_series(cfg)
-    _write_series_csv(series.values, out / "series.csv")
+    write_rows_csv([{"value": float(v)} for v in series.values], out / "series.csv")
     write_config_snapshot(cfg, out)
     print(f"wrote {len(series)} points to {out / 'series.csv'}")
     return 0
@@ -290,7 +281,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
     out = _outdir(args)
     data = prepare_data(cfg, normalizer=tp.normalizer, thresholds=tp.thresholds)
-    preds, alphas, sparse = predict_windows(tp, data.test_windows, k=args.k)
+    preds, alphas, sparse = predict_windows(tp, data.test_windows, k=cfg.k)
     targets = data.test_windows.targets
     if args.raw:
         preds = tp.normalizer.invert(preds)
@@ -426,7 +417,13 @@ def cmd_ewt_dump(args: argparse.Namespace) -> int:
     out = _outdir(args)
     data = prepare_data(cfg)
     bank = fit_global_bank(data.train, cfg)
-    ewt.write_filter_bank_csv(bank, out / "filters.csv")
+    freqs = ewt.bin_frequencies(bank.n_bins)
+    rows = [
+        {"bin": j, "omega": float(freqs[j])}
+        | {f"gain_band{b + 1}": float(g) for b, g in enumerate(bank.filters[:, j])}
+        for j in range(bank.n_bins)
+    ]
+    write_rows_csv(rows, out / "filters.csv")
     write_config_snapshot(cfg, out)
     edges = ", ".join(f"{w:.6g}" for w in bank.boundaries.omegas)
     print(f"boundaries (rad): {edges}\nfilters at {out / 'filters.csv'}")
@@ -498,20 +495,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_evaluate)
 
-    _find(sub, "sweep-beta").add_argument("--betas", help="comma-separated sweep values")
-    _find(sub, "sweep-k").add_argument("--ks", help="comma-separated k values")
-    _find(sub, "ablate").add_argument(
+    sub.choices["sweep-beta"].add_argument("--betas", help="comma-separated sweep values")
+    sub.choices["sweep-k"].add_argument("--ks", help="comma-separated k values")
+    sub.choices["ablate"].add_argument(
         "--components", help="single cell, e.g. WT+RP or none (default: full table preset)"
     )
-    ll = _find(sub, "loss-landscape")
+    ll = sub.choices["loss-landscape"]
     ll.add_argument("--lo", type=float, default=-5.0)
     ll.add_argument("--hi", type=float, default=5.0)
     ll.add_argument("--steps", type=int, default=201)
     return parser
-
-
-def _find(sub: argparse._SubParsersAction, name: str) -> argparse.ArgumentParser:
-    return sub.choices[name]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -27,18 +27,20 @@ result's rows and dropped, so the working memory beyond the result stays
 that of one block whatever N is. A row's components depend on that row
 alone, so the blocks change no bits; a one-row tail block takes the
 one-row path, which matches the batch path. Fallback and clamp counts are
-summed over the blocks and warned about once per call.
+summed over the blocks and warned about once per call. decompose is the
+one-row case of decompose_with_bank.
+
+The module is numerics only and does no file I/O; `rarecast ewt-dump`
+writes a bank's gains as rows of a CSV.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import threading
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -419,21 +421,13 @@ def _apply_filters(
 def decompose(signal: np.ndarray, bank: FilterBank) -> BandComponents:
     """Split a signal into additive band components via the given bank.
 
-    The bank must have been built for this signal length. A single-band bank
-    is the identity and short-circuits to a copy of the input.
+    The one-row case of decompose_with_bank: the bank must have been built
+    for this signal length, and a single-band bank is the identity.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("decompose: expected a 1-d signal")
-    n_bins = x.size // 2 + 1
-    if n_bins != bank.n_bins:
-        raise ValueError(
-            f"decompose: signal of length {x.size} has {n_bins} spectrum bins, "
-            f"bank was built for {bank.n_bins}"
-        )
-    if bank.n_bands == 1:
-        return BandComponents(x[None, :])
-    return BandComponents(_apply_filters(x[None, :], bank.filters[None, :, :])[0])
+    return BandComponents(decompose_with_bank(x[None, :], bank)[0])
 
 
 def decompose_windows(
@@ -479,13 +473,19 @@ def decompose_windows(
 
 
 def decompose_with_bank(signals: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """Batch variant of decompose with one shared bank; returns (N, n_bands, T).
+    """Decompose stacked signals (N, T) with one shared bank into (N, n_bands, T).
 
-    Rows run in blocks of _BLOCK_ROWS, as in decompose_windows.
+    The bank must have been built for length T. A single-band bank is the
+    identity and returns a copy. Rows run in blocks of _BLOCK_ROWS, as in
+    decompose_windows.
     """
     x = np.atleast_2d(np.asarray(signals, dtype=np.float64))
-    if x.shape[1] // 2 + 1 != bank.n_bins:
-        raise ValueError("decompose_with_bank: signal length does not match the bank")
+    n_bins = x.shape[1] // 2 + 1
+    if n_bins != bank.n_bins:
+        raise ValueError(
+            f"decompose_with_bank: signals of length {x.shape[1]} have {n_bins} spectrum "
+            f"bins, the bank was built for {bank.n_bins}"
+        )
     if bank.n_bands == 1:
         return x[:, None, :].copy()
     out = np.empty((x.shape[0], bank.n_bands, x.shape[1]))
@@ -501,20 +501,3 @@ def reconstruct(components: BandComponents | np.ndarray) -> np.ndarray:
     if c.ndim != 2:
         raise ValueError("reconstruct: expected (n_bands, length) components")
     return c.sum(axis=0)
-
-
-def filter_bank_rows(bank: FilterBank) -> list[tuple]:
-    """Debug rows (bin index, frequency, gain per band) for CSV export."""
-    freqs = bin_frequencies(bank.n_bins)
-    rows = []
-    for j in range(bank.n_bins):
-        rows.append((j, float(freqs[j])) + tuple(float(g) for g in bank.filters[:, j]))
-    return rows
-
-
-def write_filter_bank_csv(bank: FilterBank, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "omega"] + [f"gain_band{b + 1}" for b in range(bank.n_bands)])
-        for row in filter_bank_rows(bank):
-            writer.writerow([row[0]] + [repr(v) for v in row[1:]])

@@ -5,7 +5,8 @@ the per-band forecasts on the decomposed history. The band backbones share
 one stacked parameter buffer, so each training step is one forward, one
 backward and one Adam update over all bands. Experts are trained level
 by level, normal first, each rare expert distilling from the level below it
-through the bounded distillation term.
+through the bounded distillation term: the frozen teacher forecasts once, on
+the component rows its student trains on.
 """
 
 from __future__ import annotations
@@ -168,7 +169,6 @@ def train_expert(
     cfg: PipelineConfig,
     bank: ewt.FilterBank | None = None,
     components: np.ndarray | None = None,
-    teacher_preds: np.ndarray | None = None,
     rows: np.ndarray | None = None,
 ) -> tuple[ExpertModel, bb.EpochCurve]:
     """Train one expert on its level's windows.
@@ -176,10 +176,10 @@ def train_expert(
     components are the windows' band components, row for row, or, when rows
     is given, those of a larger window set in which window i is row rows[i];
     minibatches are gathered from it, so a chain shares one component array.
-    The teacher (the expert one level down) stays frozen; its predictions on
-    the raw histories feed the distillation term when beta > 0. Returns the
-    trained expert and the per-epoch loss curve, computed when first read;
-    row 0 is the loss before any update.
+    The teacher (the expert one level down) stays frozen; when beta > 0 its
+    forecasts on the same component rows feed the distillation term. Returns
+    the trained expert and the per-epoch loss curve, computed when first
+    read; row 0 is the loss before any update.
     """
     if not windows:
         raise ValueError(f"train_expert: no samples for level {level}")
@@ -200,8 +200,8 @@ def train_expert(
             raise ValueError(
                 f"train_expert: level {level} with beta={cfg.beta} requires a teacher"
             )
-        if teacher_preds is None:
-            teacher_preds = expert_predict_batch(teacher, hist)
+        # The gather components[rows] is freed once the teacher has forecast on it.
+        teacher_preds = _forward(teacher.stack, components if rows is None else components[rows])
     else:
         teacher_preds = None
 
@@ -291,19 +291,12 @@ def build_expert_chain(
         else:
             sel = np.flatnonzero(wlev == c)
         subset = windows[sel]
-        teacher_preds = None
-        if teacher is not None and cfg.beta > 0.0:
-            teacher_preds = _forward(teacher.stack, components[sel])
         log.info(
             "training %s expert on %d windows (scope=%s)",
             expert_level(c).name, len(subset), cfg.level_scope,
         )
         expert, curve = train_expert(
-            subset, c, teacher, cfg,
-            bank=bank,
-            components=components,
-            teacher_preds=teacher_preds,
-            rows=sel,
+            subset, c, teacher, cfg, bank=bank, components=components, rows=sel
         )
         result.experts.append(expert)
         result.curves[c] = curve

@@ -3,6 +3,8 @@
 The gate sees the flattened (H, E) matrix of expert forecasts and emits one
 logit per expert. Training uses the full softmax against the window's rarity
 label; at inference only the k largest weights are kept and renormalized.
+A Router holds the gate and k alone: the expert count E and the horizon H
+are read off the gate's shape (E outputs, H * E inputs).
 """
 
 from __future__ import annotations
@@ -29,20 +31,31 @@ log = logging.getLogger(__name__)
 
 @dataclass(eq=False)
 class Router:
-    """Gate network plus the fusion arity k."""
+    """Gate network plus the fusion arity k.
+
+    The gate's shape is the only record of the expert count (its outputs)
+    and the horizon (its inputs per expert).
+    """
 
     gate: bb.Forecaster
-    n_experts: int
-    horizon: int
     k: int
 
     def __post_init__(self) -> None:
+        if self.gate.input_len % self.gate.output_len:
+            raise ValueError(
+                f"Router: gate input count {self.gate.input_len} is not a whole multiple "
+                f"of its output count {self.gate.output_len}"
+            )
         if not 1 <= self.k <= self.n_experts:
             raise ValueError(f"Router: k must be in [1, {self.n_experts}], got {self.k}")
-        if self.gate.input_len != self.horizon * self.n_experts:
-            raise ValueError("Router: gate input must be horizon * n_experts")
-        if self.gate.output_len != self.n_experts:
-            raise ValueError("Router: gate output must be n_experts")
+
+    @property
+    def n_experts(self) -> int:
+        return self.gate.output_len
+
+    @property
+    def horizon(self) -> int:
+        return self.gate.input_len // self.gate.output_len
 
 
 def gate_kind(gate_hidden: int) -> tuple[str, int]:
@@ -228,7 +241,7 @@ def train_router(
     model = bb.stack_forecasters([gate])  # the gate is a stack of one
     opt = bb.OptimizerState(lr=cfg.router_lr)
     shuffle_rng = substream(cfg.seed, ROUTER_SHUFFLE)
-    router = Router(gate=gate, n_experts=n_experts, horizon=horizon, k=cfg.k)
+    router = Router(gate=gate, k=cfg.k)
 
     def curve_rows(stacks: list[bb.ForecasterStack]) -> list[dict]:
         out = []

@@ -32,7 +32,7 @@ def test_make_forecaster_init_bounds_and_determinism():
         np.testing.assert_array_equal(a.params[k], b.params[k])
     assert np.abs(a.params["w1"]).max() <= 1.0 / np.sqrt(16)
     np.testing.assert_array_equal(a.params["b1"], 0.0)
-    assert a.n_params() == 8 * 16 + 8 + 4 * 8 + 4
+    assert sum(p.size for p in a.params.values()) == 8 * 16 + 8 + 4 * 8 + 4
     # linear kind ignores the hidden argument
     assert make_forecaster("linear", 4, 2, hidden=64).hidden == 0
 
@@ -135,7 +135,7 @@ def test_step_validation():
 def test_forecaster_dataclass_shape():
     m = Forecaster(kind="linear", input_len=2, output_len=1, hidden=0,
                    params={"w": np.zeros((1, 2)), "b": np.zeros(1)})
-    assert m.n_params() == 3
+    assert {k: v.shape for k, v in m.params.items()} == {"w": (1, 2), "b": (1,)}
 
 
 # ------------------------------------------- stacked kernels vs per-band loop
@@ -239,7 +239,7 @@ def test_stack_members_alias_the_flat_buffer():
     models = [make_forecaster("mlp", 6, 3, 4, np.random.default_rng(i)) for i in range(3)]
     before = [{k: v.copy() for k, v in m.params.items()} for m in models]
     s = stack_forecasters(models)
-    assert s.flat.size == sum(m.n_params() for m in models)
+    assert s.flat.size == sum(p.size for m in models for p in m.params.values())
     for b, m in enumerate(models):
         for name, p in m.params.items():
             np.testing.assert_array_equal(p, before[b][name])

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from rarecast import cli
 from rarecast.bundle import FORMAT_VERSION, BundleError, _canonical, load_bundle, save_bundle
 from rarecast.config import PipelineConfig
+from rarecast.dataset import load_csv
 from rarecast.ewt import Boundaries, build_filter_bank
 from rarecast.evaluation import LEVEL_KEYS
-from rarecast.pipeline import TrainedPipeline, predict_windows, train_pipeline
+from rarecast.pipeline import TrainedPipeline, load_series, predict_windows, train_pipeline
 
 
 # ------------------------------------------------------------------- bundles
@@ -416,6 +417,25 @@ def test_cli_evaluate_applies_override_flags_to_bundle_config(tiny_pipeline, tmp
     assert total_count(moved) > total_count(plain)
 
 
+def test_cli_evaluate_forecasts_with_the_snapshot_k(tiny_pipeline, tmp_path):
+    bundle = tmp_path / "bundle.json"
+    save_bundle(tiny_pipeline[0], bundle)  # k=2
+    snapshot = tmp_path / "snap.json"
+    snapshot.write_text(json.dumps({**tiny_pipeline[0].config.to_dict(), "k": 1}))
+    runs = {
+        "plain": [],
+        "flag": ["--k", "1"],
+        "snapshot": ["--config", str(snapshot)],
+    }
+    for name, flags in runs.items():
+        assert cli.main(["evaluate", "--bundle", str(bundle), *flags,
+                         "--out", str(tmp_path / name)]) == 0
+    metrics = {name: (tmp_path / name / "metrics.csv").read_bytes() for name in runs}
+    k = {name: json.loads((tmp_path / name / "config.json").read_text())["k"] for name in runs}
+    assert k == {"plain": 2, "flag": 1, "snapshot": 1}
+    assert metrics["snapshot"] == metrics["flag"] != metrics["plain"]
+
+
 def test_cli_verbose_shows_expert_chain_progress(tmp_path, capsys):
     out = tmp_path / "experts"
     assert cli.main(["train-experts", "--out", str(out), *TINY_FLAGS]) == 0
@@ -452,11 +472,23 @@ def test_cli_label_on_csv(tmp_path):
     assert thresholds[0] == "t_moderate,t_very,t_extreme"
 
 
+def test_cli_synth_series_round_trips_bitwise(tmp_path):
+    out = tmp_path / "synth"
+    assert cli.main(["synth", "--out", str(out), "--synth-n", "3000", "--seed", "5"]) == 0
+    cfg = PipelineConfig.from_dict(json.loads((out / "config.json").read_text()))
+    written = load_csv(out / "series.csv", "value").values
+    expected = load_series(cfg).values
+    assert written.dtype == expected.dtype and written.tobytes() == expected.tobytes()
+
+
 def test_cli_ewt_dump(tmp_path):
     out = tmp_path / "ewt"
     assert cli.main(["ewt-dump", "--out", str(out), *TINY_FLAGS]) == 0
     lines = (out / "filters.csv").read_text().splitlines()
     assert lines[0] == "bin,omega,gain_band1,gain_band2"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == list(range(32 // 2 + 1))  # one row per bin
+    assert all(abs(sum(row[2:]) - 1.0) < 1e-12 for row in rows)
 
 
 def test_cli_loss_landscape(tmp_path):

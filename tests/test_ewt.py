@@ -24,10 +24,8 @@ from rarecast.ewt import (
     decompose_windows,
     decompose_with_bank,
     detect_boundaries,
-    filter_bank_rows,
     max_transition_ratio,
     reconstruct,
-    write_filter_bank_csv,
 )
 from rarecast.router import pipeline_predict
 
@@ -255,21 +253,6 @@ def test_reconstruction_property(seed, n_bands, log2_len):
         comps = decompose_windows(x[None, :], n_bands)
     recon = comps[0].sum(axis=0)
     assert np.abs(recon - x).max() <= 1e-9 * max(1.0, np.abs(x).max())
-
-
-# -------------------------------------------------------------- csv export
-
-
-def test_filter_bank_csv(tmp_path):
-    bank = build_filter_bank(Boundaries(np.array([0.0, 1.2, np.pi])), 17)
-    rows = filter_bank_rows(bank)
-    assert len(rows) == 17
-    assert all(abs(sum(r[2:]) - 1.0) < 1e-12 for r in rows)
-    path = tmp_path / "filters.csv"
-    write_filter_bank_csv(bank, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "bin,omega,gain_band1,gain_band2"
-    assert len(lines) == 18
 
 
 # ------------------------------------ batched boundary detection vs row loop

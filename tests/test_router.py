@@ -49,14 +49,14 @@ def _experts(n_experts: int, history_len: int, horizon: int, seed: int = 0):
 
 
 def test_router_validation():
+    router = Router(gate=_gate(4, 3), k=3)
+    assert (router.n_experts, router.horizon) == (3, 4)
     with pytest.raises(ValueError, match="k must be"):
-        Router(gate=_gate(4, 3), n_experts=3, horizon=4, k=0)
+        Router(gate=_gate(4, 3), k=0)
     with pytest.raises(ValueError, match="k must be"):
-        Router(gate=_gate(4, 3), n_experts=3, horizon=4, k=4)
-    with pytest.raises(ValueError, match="gate input"):
-        Router(gate=_gate(5, 3), n_experts=3, horizon=4, k=1)
-    with pytest.raises(ValueError, match="gate output"):
-        Router(gate=bb.make_forecaster("linear", 12, 2), n_experts=3, horizon=4, k=1)
+        Router(gate=_gate(4, 3), k=4)
+    with pytest.raises(ValueError, match="not a whole multiple"):
+        Router(gate=bb.make_forecaster("linear", 13, 3), k=1)
 
 
 def test_softmax_oracle_and_shift_invariance():
@@ -70,7 +70,7 @@ def test_softmax_oracle_and_shift_invariance():
 
 
 def test_zero_gate_is_uniform():
-    router = Router(gate=_gate(4, 3), n_experts=3, horizon=4, k=2)
+    router = Router(gate=_gate(4, 3), k=2)
     router.gate.params["w"] = np.zeros_like(router.gate.params["w"])
     router.gate.params["b"] = np.zeros_like(router.gate.params["b"])
     logits, alpha = gate_forward(router, np.random.default_rng(0).standard_normal((7, 4, 3)))
@@ -161,8 +161,7 @@ def test_gate_permutation_invariance():
     the fused forecast unchanged."""
     horizon, n_experts = 5, 3
     rng = np.random.default_rng(11)
-    router = Router(gate=_gate(horizon, n_experts, seed=1), n_experts=n_experts,
-                    horizon=horizon, k=2)
+    router = Router(gate=_gate(horizon, n_experts, seed=1), k=2)
     out = rng.standard_normal((horizon, n_experts))
     _, alpha = gate_forward(router, out)
     fused = fuse(out, select_topk(alpha, router.k))
@@ -177,7 +176,7 @@ def test_gate_permutation_invariance():
     gate_p = bb.make_forecaster("linear", horizon * n_experts, n_experts)
     gate_p.params["w"] = w_p
     gate_p.params["b"] = router.gate.params["b"][perm]
-    router_p = Router(gate=gate_p, n_experts=n_experts, horizon=horizon, k=2)
+    router_p = Router(gate=gate_p, k=2)
 
     _, alpha_p = gate_forward(router_p, out[:, perm])
     np.testing.assert_allclose(alpha_p, alpha[perm], atol=1e-12)
@@ -298,8 +297,7 @@ def test_pipeline_predict_uniform_and_argmax():
     hist = rng.standard_normal((10, 32))
     outputs = stack_expert_outputs(experts, hist)
 
-    router = Router(gate=_gate(horizon, n_experts), n_experts=n_experts,
-                    horizon=horizon, k=n_experts)
+    router = Router(gate=_gate(horizon, n_experts), k=n_experts)
     router.gate.params["w"] = np.zeros_like(router.gate.params["w"])
     router.gate.params["b"] = np.zeros_like(router.gate.params["b"])
     preds, alphas, sparse = pipeline_predict_batch(experts, router, hist)
