@@ -31,11 +31,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(eq=False)
 class Router:
-    """Gate network plus the fusion arity k.
-
-    The gate's shape is the only record of the expert count (its outputs)
-    and the horizon (its inputs per expert).
-    """
+    """Gate network plus the fusion arity k; E and H are read off the gate's shape."""
 
     gate: bb.Forecaster
     k: int
