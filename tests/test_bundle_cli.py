@@ -481,9 +481,6 @@ def test_cli_ewt_dump(tmp_path):
     assert cli.main(["ewt-dump", "--out", str(out), *TINY_FLAGS]) == 0
     lines = (out / "filters.csv").read_text().splitlines()
     assert lines[0] == "bin,omega,gain_band1,gain_band2"
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    assert [row[0] for row in rows] == list(range(32 // 2 + 1))  # one row per bin
-    assert all(abs(sum(row[2:]) - 1.0) < 1e-12 for row in rows)
 
 
 def test_cli_loss_landscape(tmp_path):

@@ -1,6 +1,7 @@
 """Boundary detection, filter bank construction, and band decomposition."""
 
 import importlib
+import json
 import re
 import tracemalloc
 import warnings
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rarecast import ewt
+from rarecast import cli, ewt
+from rarecast.config import PipelineConfig
 from rarecast.ewt import (
     BandComponents,
     _build_filters_batch,
@@ -27,6 +29,7 @@ from rarecast.ewt import (
     max_transition_ratio,
     reconstruct,
 )
+from rarecast.pipeline import fit_global_bank, prepare_data
 from rarecast.router import pipeline_predict
 
 
@@ -253,6 +256,22 @@ def test_reconstruction_property(seed, n_bands, log2_len):
         comps = decompose_windows(x[None, :], n_bands)
     recon = comps[0].sum(axis=0)
     assert np.abs(recon - x).max() <= 1e-9 * max(1.0, np.abs(x).max())
+
+
+def test_filter_bank_csv(tmp_path):
+    out = tmp_path / "ewt"
+    assert cli.main(["ewt-dump", "--out", str(out), "--synth-n", "2000", "--seed", "3",
+                     "--history-len", "32", "--bands", "2"]) == 0
+    cfg = PipelineConfig.from_dict(json.loads((out / "config.json").read_text()))
+    bank = fit_global_bank(prepare_data(cfg).train, cfg)
+    lines = (out / "filters.csv").read_text().strip().splitlines()
+    assert lines[0] == "bin,omega,gain_band1,gain_band2"
+    assert len(lines) == 18  # one row per bin of a 32-sample window
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(rows[:, 0], np.arange(17))
+    np.testing.assert_array_equal(rows[:, 1], bin_frequencies(17))
+    np.testing.assert_array_equal(rows[:, 2:], bank.filters.T)
+    assert np.all(np.abs(rows[:, 2:].sum(axis=1) - 1.0) < 1e-12)
 
 
 # ------------------------------------ batched boundary detection vs row loop
