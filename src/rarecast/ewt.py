@@ -20,15 +20,18 @@ its peaks are found and ranked on the magnitude spectrum as Python floats
 its boundary row is looked up in the memo directly rather than through the
 batch's row deduplication and gather. Both give the batch path's bits.
 
-decompose_windows and decompose_with_bank allocate their (N, n_bands, T)
-result once and fill it in blocks of _BLOCK_ROWS rows: each block's spectra,
-boundaries, banks and products are built, inverted straight into the
-result's rows and dropped, so the working memory beyond the result stays
-that of one block whatever N is. A row's components depend on that row
-alone, so the blocks change no bits; a one-row tail block takes the
-one-row path, which matches the batch path. Fallback and clamp counts are
-summed over the blocks and warned about once per call. decompose is the
-one-row case of decompose_with_bank.
+decompose_windows and decompose_with_bank return (N, n_bands, T)
+components stored band-major: the memory is one (n_bands, N, T) array and
+the caller gets its transpose(1, 0, 2) view, so each band's rows are one
+contiguous (N, T) block for the expert matmuls. The result is allocated
+once and filled in blocks of _BLOCK_ROWS rows: each block's spectra,
+boundaries, banks (band-major too) and products are built, inverted
+straight into the result's columns and dropped, so the working memory
+beyond the result stays that of one block whatever N is. A row's
+components depend on that row alone, so the blocks change no bits; a
+one-row tail block takes the one-row path, which matches the batch path.
+Fallback and clamp counts are summed over the blocks and warned about once
+per call. decompose is the one-row case of decompose_with_bank.
 
 The module is numerics only and does no file I/O; `rarecast ewt-dump`
 writes a bank's gains as rows of a CSV.
@@ -338,7 +341,7 @@ def _filters_for_rows(
 def _build_filters_batch(
     omegas: np.ndarray, n_bins: int, gamma: float | None
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Filter tensors (N, n_bands, n_bins) for each boundary row.
+    """Filter tensors (N, n_bands, n_bins) for each boundary row, stored band-major.
 
     gamma None means half of the feasible maximum per row; an explicit gamma
     is clamped down per row when infeasible (count of clamped rows returned).
@@ -347,6 +350,8 @@ def _build_filters_batch(
     directly and a hit is copied out. Otherwise each distinct row is looked
     up, the misses are built in one _filters_for_rows call, and the banks are
     gathered back into a new array. Either way no caller holds a memo array.
+    The result is the transpose(1, 0, 2) view of an (n_bands, N, n_bins)
+    array, so _apply_filters multiplies contiguous band blocks.
     """
     om = np.asarray(omegas, dtype=np.float64)
     # float.hex keeps -0.0 apart from 0.0, whose effective gammas differ in sign
@@ -364,7 +369,8 @@ def _build_filters_batch(
 
     om, inv = _unique_rows(om)
     keys = [(n_bins, gamma_key, row.tobytes()) for row in om]
-    filters = np.empty((om.shape[0], om.shape[1] - 1, n_bins))
+    by_band = np.empty((om.shape[1] - 1, om.shape[0], n_bins))
+    filters = by_band.transpose(1, 0, 2)
     gam = np.empty(om.shape[0])
     miss = []
     for i, key in enumerate(keys):
@@ -379,7 +385,7 @@ def _build_filters_batch(
             _memo.put(keys[i], filters[i], gam[i])
     gam = gam[inv]
     n_clamped = 0 if gamma is None else int(np.count_nonzero(gam < gamma))
-    return filters[inv], gam, n_clamped
+    return np.take(by_band, inv, axis=1).transpose(1, 0, 2), gam, n_clamped
 
 
 def build_filter_bank(
@@ -410,12 +416,14 @@ _BLOCK_ROWS = 4096
 def _apply_filters(
     signals: np.ndarray, filters: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Band components (N, n_bands, T) of signals (N, T) under filters (N or 1, n_bands, n_bins).
+    """Band-major components (n_bands, N, T) of signals (N, T) under filters (N or 1, n_bands, n_bins).
 
-    Written into out when it is given.
+    Written into out, an (n_bands, N, T) array or column slice, when it is given.
     """
     spec = np.fft.rfft(signals, axis=-1)
-    return np.fft.irfft(spec[:, None, :] * filters, n=signals.shape[-1], axis=-1, out=out)
+    return np.fft.irfft(
+        spec[None] * filters.transpose(1, 0, 2), n=signals.shape[-1], axis=-1, out=out
+    )
 
 
 def decompose(signal: np.ndarray, bank: FilterBank) -> BandComponents:
@@ -436,7 +444,8 @@ def decompose_windows(
     """Per-window decomposition of stacked signals (N, T) into (N, n_bands, T).
 
     Each row gets its own boundaries and bank, matching detect_boundaries +
-    build_filter_bank + decompose row by row. Rows run in blocks of
+    build_filter_bank + decompose row by row. The result is a band-major
+    (n_bands, N, T) array's transpose(1, 0, 2) view. Rows run in blocks of
     _BLOCK_ROWS; fallback subdivision and gamma clamping warnings are each
     aggregated over the whole call into one message.
     """
@@ -447,14 +456,14 @@ def decompose_windows(
     if n_bands == 1:
         return x[:, None, :].copy()
     n, t = x.shape
-    out = np.empty((n, n_bands, t))
+    out = np.empty((n_bands, n, t))
     n_fallback = n_clamped = 0
     # An empty batch still runs one (empty) block, so its length is checked too.
     for s in range(0, max(n, 1), _BLOCK_ROWS):
         block = x[s : s + _BLOCK_ROWS]
         omegas, block_fallback = _detect_boundaries_batch(block, n_bands)
         filters, _, block_clamped = _build_filters_batch(omegas, t // 2 + 1, gamma)
-        _apply_filters(block, filters, out[s : s + _BLOCK_ROWS])
+        _apply_filters(block, filters, out[:, s : s + _BLOCK_ROWS])
         n_fallback += block_fallback
         n_clamped += block_clamped
     if n_fallback:
@@ -469,17 +478,19 @@ def decompose_windows(
             "windows, clamped to each window's feasible maximum",
             stacklevel=2,
         )
-    return out
+    return out.transpose(1, 0, 2)
 
 
 def decompose_with_bank(signals: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Decompose stacked signals (N, T) with one shared bank into (N, n_bands, T).
 
     The bank must have been built for length T. A single-band bank is the
-    identity and returns a copy. Rows run in blocks of _BLOCK_ROWS, as in
-    decompose_windows.
+    identity and returns a copy. The result is band-major and rows run in
+    blocks of _BLOCK_ROWS, as in decompose_windows.
     """
-    x = np.atleast_2d(np.asarray(signals, dtype=np.float64))
+    x = np.asarray(signals, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("decompose_with_bank: expected a (N, T) array")
     n_bins = x.shape[1] // 2 + 1
     if n_bins != bank.n_bins:
         raise ValueError(
@@ -488,10 +499,10 @@ def decompose_with_bank(signals: np.ndarray, bank: FilterBank) -> np.ndarray:
         )
     if bank.n_bands == 1:
         return x[:, None, :].copy()
-    out = np.empty((x.shape[0], bank.n_bands, x.shape[1]))
+    out = np.empty((bank.n_bands,) + x.shape)
     for s in range(0, x.shape[0], _BLOCK_ROWS):
-        _apply_filters(x[s : s + _BLOCK_ROWS], bank.filters[None, :, :], out[s : s + _BLOCK_ROWS])
-    return out
+        _apply_filters(x[s : s + _BLOCK_ROWS], bank.filters[None], out[:, s : s + _BLOCK_ROWS])
+    return out.transpose(1, 0, 2)
 
 
 def reconstruct(components: BandComponents | np.ndarray) -> np.ndarray:

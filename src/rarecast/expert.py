@@ -84,12 +84,16 @@ def decompose_histories(
     bank: ewt.FilterBank | None,
     gamma: float | None = None,
 ) -> np.ndarray:
-    """Band components (N, n_bands, T) for stacked histories under either mode.
+    """Band components (N, n_bands, T) for stacked histories (N, T) under either mode.
 
+    The components are stored band-major, as both decompositions return
+    them: result.transpose(1, 0, 2) is a contiguous (n_bands, N, T) array.
     A history holding NaN or an infinity raises ValueError: its components,
     and every forecast made from them, would be NaN.
     """
-    x = np.atleast_2d(np.asarray(histories, dtype=np.float64))
+    x = np.asarray(histories, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("decompose_histories: expected a (N, T) array")
     if not np.isfinite(x).all():
         bad = np.flatnonzero(~np.isfinite(x).all(axis=-1))
         raise ValueError(
@@ -114,8 +118,10 @@ def _band_sum(bands: np.ndarray) -> np.ndarray:
 def _forward(stack: bb.ForecasterStack, components: np.ndarray) -> np.ndarray:
     """Summed per-band forecasts; components is (N, n_bands, T).
 
-    The backbone kernel runs on the components directly; the shape check
-    here stands in for the one bb.forecast would make.
+    The backbone kernel runs on the components' (n_bands, N, T) transpose,
+    which for band-major components is a contiguous block per band, so each
+    band's matmul reads its rows with unit stride. The shape check here
+    stands in for the one bb.forecast would make.
     """
     c = np.asarray(components, dtype=np.float64)
     if c.ndim != 3 or c.shape[1:] != (stack.n_models, stack.input_len):
@@ -176,6 +182,8 @@ def train_expert(
     components are the windows' band components, row for row, or, when rows
     is given, those of a larger window set in which window i is row rows[i];
     minibatches are gathered from it, so a chain shares one component array.
+    Gathers run band by band: band-major components, as decompose_histories
+    returns them, are read in place, and C-ordered ones are copied once.
     The teacher (the expert one level down) stays frozen; when beta > 0 its
     forecasts on the same component rows feed the distillation term. Returns
     the trained expert and the per-epoch loss curve, computed when first
@@ -192,6 +200,14 @@ def train_expert(
         raise ValueError("train_expert: rows needs components and one row per window")
     if components is None:
         components = decompose_histories(hist, cfg.n_bands, cfg.mode, bank, cfg.gamma)
+    # (n_bands, N, T): a view of band-major components, one copy of C-ordered
+    # ones. Every gather below takes rows band by band from it into a new
+    # contiguous block, and np.take would copy a non-contiguous source whole.
+    by_band = np.ascontiguousarray(np.asarray(components, dtype=np.float64).transpose(1, 0, 2))
+
+    def band_rows(r: np.ndarray | None) -> np.ndarray:
+        """Components (n, n_bands, T) of component rows r (all when None), band-major."""
+        return (by_band if r is None else np.take(by_band, r, axis=1)).transpose(1, 0, 2)
 
     penalty_level = expert_level(level) if cfg.use_rare_penalty else RarityLevel.NORMAL
     distill = level > 0 and cfg.beta > 0.0
@@ -200,8 +216,9 @@ def train_expert(
             raise ValueError(
                 f"train_expert: level {level} with beta={cfg.beta} requires a teacher"
             )
-        # The gather components[rows] is freed once the teacher has forecast on it.
-        teacher_preds = _forward(teacher.stack, components if rows is None else components[rows])
+        # The teacher forecasts on a temporary gather of this level's rows,
+        # dropped before the first epoch.
+        teacher_preds = _forward(teacher.stack, band_rows(rows))
     else:
         teacher_preds = None
 
@@ -223,7 +240,7 @@ def train_expert(
     shuffle_rng = substream(cfg.seed, SHUFFLE, level)
 
     def curve_rows(stacks: list[bb.ForecasterStack]) -> list[dict]:
-        comps = components if rows is None else components[rows]
+        comps = band_rows(rows)
         out = []
         for epoch, stack in enumerate(stacks):
             r, k, tot = _losses_on(
@@ -239,7 +256,7 @@ def train_expert(
         comp_order = order if rows is None else rows[order]
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            x = components[comp_order[start : start + cfg.batch_size]].transpose(1, 0, 2)
+            x = np.take(by_band, comp_order[start : start + cfg.batch_size], axis=1)
             bands, hidden = bb.forward(model, x)
             teacher_b = teacher_preds[idx] if distill else None
             loss = combined_loss(

@@ -243,6 +243,18 @@ def test_decompose_with_bank_matches_single():
         decompose_with_bank(np.zeros((2, 100)), bank)
 
 
+@pytest.mark.parametrize("shape", [(64,), (2, 3, 64)])
+def test_decompositions_reject_input_that_is_not_2d(shape):
+    # np.atleast_2d read a 3-d batch as rows of its last-but-one axis, which
+    # failed with "signals of length 3 have 2 spectrum bins", and let 1-d through.
+    bank = build_filter_bank(Boundaries(np.array([0.0, 1.0, np.pi])), 33)
+    x = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"decompose_with_bank: expected a \(N, T\) array"):
+        decompose_with_bank(x, bank)
+    with pytest.raises(ValueError, match=r"decompose_windows: expected a \(N, T\) array"):
+        decompose_windows(x, 2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -566,6 +578,27 @@ def _decompose_all(x: np.ndarray, bank: ewt.FilterBank) -> list[np.ndarray]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return [decompose_windows(x, 4, None), decompose_windows(x, 4, 0.05), decompose_with_bank(x, bank)]
+
+
+@pytest.mark.parametrize("n_bands", [1, 4])
+@pytest.mark.parametrize("n_rows", [33, 1])
+def test_components_are_band_major_behind_the_window_major_shape(monkeypatch, n_rows, n_bands):
+    # Blocks of 8 rows: 33 rows span five blocks, the last a one-row tail.
+    monkeypatch.setattr(ewt, "_BLOCK_ROWS", 8)
+    x = _block_signals(n_rows)
+    t = x.shape[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bank = build_filter_bank(detect_boundaries(x[-1], n_bands), t // 2 + 1)
+        per_window = decompose_windows(x, n_bands, 0.05)
+        shared = decompose_with_bank(x, bank)
+        for got in (per_window, shared):
+            assert got.shape == (n_rows, n_bands, t)
+            assert got.transpose(1, 0, 2).flags.c_contiguous
+        for i in range(n_rows):
+            own = build_filter_bank(detect_boundaries(x[i], n_bands), t // 2 + 1, 0.05)
+            np.testing.assert_array_equal(per_window[i], decompose(x[i], own).components)
+            np.testing.assert_array_equal(shared[i], decompose(x[i], bank).components)
 
 
 @pytest.mark.parametrize("n_rows", [32, 33, 1, 0])

@@ -1,6 +1,7 @@
 """Expert chain: level assignment, distillation wiring, specialization."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,15 @@ def test_decompose_histories_modes():
         decompose_histories(hist, 2, "global", None)
 
 
+@pytest.mark.parametrize("shape", [(32,), (1, 5, 32)])
+def test_decompose_histories_rejects_input_that_is_not_2d(shape):
+    # np.atleast_2d let 1-d through and read a 3-d batch as rows of its last-but-one axis
+    bank = build_filter_bank(Boundaries(np.array([0.0, 1.0, np.pi])), 17)
+    for mode, mode_bank in (("global", bank), ("per_window", None)):
+        with pytest.raises(ValueError, match=r"decompose_histories: expected a \(N, T\) array"):
+            decompose_histories(np.zeros(shape), 2, mode, mode_bank)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("mode", ["per_window", "global"])
 def test_expert_predict_rejects_non_finite_history(mode, bad):
@@ -190,6 +200,31 @@ def test_train_expert_errors(tiny_data):
         train_expert(tiny_data.train_windows[:0], 0, None, _small_cfg())
     with pytest.raises(ValueError, match="requires a teacher"):
         train_expert(tiny_data.train_windows[:50], 1, None, _small_cfg())
+
+
+def test_train_expert_reads_band_major_components_in_place(tiny_data):
+    # Minibatches, teacher rows and curve rows are gathered band by band from
+    # the components as the decomposition stores them; no step may copy the
+    # whole array, as a C-ordered copy of it would.
+    wins = tiny_data.train_windows
+    cfg = _small_cfg(epochs=2)
+    comps = decompose_histories(wins.histories, cfg.n_bands, cfg.mode, None)
+    teacher, _ = train_expert(wins, 0, None, cfg, components=comps)
+    rows = np.arange(0, len(wins), 8)
+    subset = wins[rows]
+    tracemalloc.start()
+    try:
+        train_expert(wins, 0, None, cfg, components=comps)
+        normal_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _, curve = train_expert(subset, 1, teacher, cfg, components=comps, rows=rows)
+        list(curve)  # the curve gathers its rows when read
+        rare_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comps.nbytes > 2**20
+    assert normal_peak < comps.nbytes // 2
+    assert rare_peak < comps.nbytes // 2  # an eighth of the rows, gathered one copy at a time
 
 
 def test_teacher_stays_frozen(tiny_data):

@@ -271,6 +271,32 @@ def test_column_reductions_match_the_axis_form_bitwise(n_experts):
     np.testing.assert_array_equal(e / total[:, None], softmax(z))
 
 
+@pytest.mark.parametrize("backbone", ["linear", "mlp"])
+def test_c_ordered_components_give_the_band_major_bits(tiny_data, tiny_cfg, backbone):
+    # The decomposition stores components band-major; a caller's C-ordered copy
+    # of them must train and forecast through the same path to the same bits.
+    wins = tiny_data.train_windows
+    cfg = tiny_cfg.with_overrides(backbone=backbone, epochs=2, router_epochs=2)
+    band_major = expert_mod.decompose_histories(wins.histories, cfg.n_bands, cfg.mode, None)
+    c_ordered = np.ascontiguousarray(band_major)
+    assert band_major.transpose(1, 0, 2).flags.c_contiguous
+    assert not c_ordered.transpose(1, 0, 2).flags.c_contiguous
+    runs = []
+    for comps in (band_major, c_ordered):
+        chain = expert_mod.build_expert_chain(wins, cfg, None, comps)
+        router, _ = train_router(chain.experts, wins, cfg, comps)
+        outputs = stack_expert_outputs(chain.experts, wins.histories, comps)
+        curves = [list(chain.curves[c]) for c in range(cfg.n_experts)]
+        runs.append(([e.stack.flat for e in chain.experts], router.gate.params, outputs, curves))
+    (flat_a, gate_a, out_a, curves_a), (flat_b, gate_b, out_b, curves_b) = runs
+    for a, b in zip(flat_a, flat_b):
+        np.testing.assert_array_equal(a, b)
+    for name in gate_a:
+        np.testing.assert_array_equal(gate_a[name], gate_b[name])
+    np.testing.assert_array_equal(out_a, out_b)
+    assert curves_a == curves_b
+
+
 def test_trained_router_beats_chance(tiny_pipeline):
     _, logs = tiny_pipeline
     curve = logs.router_curve
