@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rarecast.dataset import load_csv
 from rarecast.ewt import Boundaries, build_filter_bank
 from rarecast.evaluation import LEVEL_KEYS
 from rarecast.pipeline import TrainedPipeline, load_series, predict_windows, train_pipeline
+from rarecast.router import pipeline_predict_batch
 
 
 # ------------------------------------------------------------------- bundles
@@ -59,6 +61,28 @@ def test_bundle_text_is_the_sorted_compact_dump_of_the_document(tiny_pipeline, t
     doc = {"format_version": FORMAT_VERSION, "checksum": checksum, "payload": payload}
     want = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     assert path.read_text() == want
+
+
+FIXTURES = Path(__file__).parent / "data"
+
+
+def test_recorded_format_2_bundle_loads_resaves_and_forecasts_bitwise(tmp_path):
+    """A format-2 bundle recorded by an earlier build still reads the same.
+
+    bundle_v2.json is save_bundle of train_pipeline at PipelineConfig(synth_n=4000,
+    history_len=16, horizon=4, n_bands=2, epochs=1); bundle_v2_forecasts.json holds
+    8 test-split windows (rows 0, 54, ..., 380, evenly spaced) and their
+    predict_windows forecasts from that build.
+    """
+    src = FIXTURES / "bundle_v2.json"
+    recorded = json.loads((FIXTURES / "bundle_v2_forecasts.json").read_text())
+    tp = load_bundle(src)
+    again = tmp_path / "again.json"
+    save_bundle(tp, again)
+    assert again.read_bytes() == src.read_bytes()
+    hist = np.array(recorded["histories"])
+    preds, _, _ = pipeline_predict_batch(tp.experts, tp.router, hist)
+    np.testing.assert_array_equal(preds, np.array(recorded["forecasts"]))
 
 
 def test_bundle_without_router(tiny_pipeline, tmp_path):
