@@ -4,20 +4,20 @@ Two kinds: a linear map and a one-hidden-layer tanh MLP. Both map a length-T
 history to a length-H forecast. Everything is plain float64 numpy so runs
 are bitwise reproducible for a fixed seed.
 
-Training runs on a ForecasterStack: B same-shaped models (the bands of an
-expert, or a gate as B=1) whose parameters live in one flat buffer. One
-`forward`, `backward` and `step` call covers every model in the stack, with
-batched matmuls over the model axis and one Adam update on the flat buffer.
-`forward` returns the output and the MLP's post-tanh hidden layer, and
-`backward` consumes that hidden layer instead of computing it again, as
-reverse mode keeps forward intermediates for the backward sweep. `forecast`
-is the forward's output alone, for inference. A lone Forecaster is accepted
-by `forward`, `forecast` and `backward` as the B=1 case.
+There is one model type, the ForecasterStack: B same-shaped models (the
+bands of an expert, or the gate as B=1) whose parameters live in one flat
+buffer. `init_params` draws one model's parameter dict and `stack_params`
+copies B of them into a stack. One `forward`, `backward` and `step` call
+covers every model in the stack, with batched matmuls over the model axis
+and one Adam update on the flat buffer. `forward` returns the output and the
+MLP's post-tanh hidden layer, and `backward` consumes that hidden layer
+instead of computing it again, as reverse mode keeps forward intermediates
+for the backward sweep. `forecast` is the forward's output alone, for
+inference.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -27,84 +27,64 @@ KINDS = ("linear", "mlp")
 
 
 @dataclass(eq=False)
-class Forecaster:
-    kind: str
-    input_len: int
-    output_len: int
-    hidden: int
-    params: dict[str, np.ndarray]
-
-
-@dataclass(eq=False)
 class ForecasterStack:
     """Same-shaped forecasters sharing one flat parameter buffer.
 
-    `params[name]` is a (B, ...) view of `flat`, and member b's
-    `params[name]` is its b-th slice, so members read and write the shared
-    buffer. `grads` mirrors that layout over `grad_flat`; `backward` fills it
-    and `step` consumes it.
+    `params[name]` is a (B, ...) view of `flat` whose b-th slice is model
+    b's parameter. `grads` mirrors that layout over `grad_flat`; `backward`
+    fills it and `step` consumes it. The model count and the input and
+    output lengths are read off the parameter shapes.
     """
 
-    members: list[Forecaster]
+    kind: str
     flat: np.ndarray
     params: dict[str, np.ndarray]
     grad_flat: np.ndarray
     grads: dict[str, np.ndarray]
 
     @property
-    def kind(self) -> str:
-        return self.members[0].kind
+    def n_models(self) -> int:
+        return len(next(iter(self.params.values())))
 
     @property
     def input_len(self) -> int:
-        return self.members[0].input_len
+        return next(iter(self.params.values())).shape[-1]  # w or w1: (B, out, T)
 
     @property
     def output_len(self) -> int:
-        return self.members[0].output_len
-
-    @property
-    def n_models(self) -> int:
-        return len(self.members)
+        return next(reversed(self.params.values())).shape[-1]  # b or b2: (B, H)
 
 
-def make_forecaster(
-    kind: str, input_len: int, output_len: int, hidden: int = 32, rng: np.random.Generator | None = None
-) -> Forecaster:
-    """Fresh model with weights uniform in +-1/sqrt(fan_in) and zero biases."""
+def param_shapes(kind: str, input_len: int, output_len: int, hidden: int = 32) -> dict[str, tuple[int, ...]]:
+    """One model's parameter names and shapes, in draw and buffer order; a linear model has no hidden."""
     if kind not in KINDS:
-        raise ValueError(f"make_forecaster: kind must be one of {KINDS}, got {kind!r}")
+        raise ValueError(f"param_shapes: kind must be one of {KINDS}, got {kind!r}")
     if input_len < 1 or output_len < 1:
-        raise ValueError("make_forecaster: input_len and output_len must be positive")
-    rng = rng if rng is not None else np.random.default_rng(0)
-
-    def uniform(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
+        raise ValueError("param_shapes: input_len and output_len must be positive")
     if kind == "linear":
-        params = {
-            "w": uniform((output_len, input_len), input_len),
-            "b": np.zeros(output_len),
-        }
-        hidden = 0
-    else:
-        if hidden < 1:
-            raise ValueError("make_forecaster: mlp needs hidden >= 1")
-        params = {
-            "w1": uniform((hidden, input_len), input_len),
-            "b1": np.zeros(hidden),
-            "w2": uniform((output_len, hidden), hidden),
-            "b2": np.zeros(output_len),
-        }
-    return Forecaster(kind=kind, input_len=input_len, output_len=output_len, hidden=hidden, params=params)
+        return {"w": (output_len, input_len), "b": (output_len,)}
+    if hidden < 1:
+        raise ValueError("param_shapes: mlp needs hidden >= 1")
+    return {"w1": (hidden, input_len), "b1": (hidden,), "w2": (output_len, hidden), "b2": (output_len,)}
 
 
-def _bind(
-    members: list[Forecaster], shapes: dict[str, tuple[int, ...]], flat: np.ndarray
-) -> ForecasterStack:
-    """Stack over `flat` itself: (B, ...) views per parameter, member b's params rebound to slice b."""
-    n = len(members)
+def init_params(
+    kind: str, input_len: int, output_len: int, hidden: int = 32, rng: np.random.Generator | None = None
+) -> dict[str, np.ndarray]:
+    """Fresh parameters for one model: weights uniform in +-1/sqrt(fan_in), zero biases."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    params = {}
+    for name, shape in param_shapes(kind, input_len, output_len, hidden).items():
+        if len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[1])
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            params[name] = np.zeros(shape)
+    return params
+
+
+def _bind(kind: str, shapes: dict[str, tuple[int, ...]], n: int, flat: np.ndarray) -> ForecasterStack:
+    """Stack of n models over `flat` itself: a (n, ...) view per parameter."""
     grad_flat = np.zeros_like(flat)
     params, grads = {}, {}
     start = 0
@@ -113,41 +93,40 @@ def _bind(
         params[name] = flat[start:stop].reshape((n,) + shape)
         grads[name] = grad_flat[start:stop].reshape((n,) + shape)
         start = stop
-    for b, m in enumerate(members):
-        for name, p in params.items():
-            m.params[name] = p[b]
-    return ForecasterStack(list(members), flat, params, grad_flat, grads)
+    return ForecasterStack(kind, flat, params, grad_flat, grads)
 
 
-def stack_forecasters(models: list[Forecaster]) -> ForecasterStack:
-    """Copy same-shaped models into one flat buffer and rebind their params to views of it."""
+def stack_params(kind: str, models: Sequence[dict[str, np.ndarray]]) -> ForecasterStack:
+    """A stack holding a copy of each model's parameter dict, in model order.
+
+    Every dict must hold the kind's parameter names with the shapes of one
+    model of that kind, and all dicts the same shapes. The buffer follows
+    `param_shapes` order whatever the dicts' key order.
+    """
     if not models:
-        raise ValueError("stack_forecasters: need at least one model")
-    first = models[0]
-    shapes = {name: np.shape(p) for name, p in first.params.items()}
-    for m in models:
-        same = (m.kind, m.input_len, m.output_len, m.hidden) == (
-            first.kind, first.input_len, first.output_len, first.hidden
-        )
-        if not same or {name: np.shape(p) for name, p in m.params.items()} != shapes:
-            raise ValueError("stack_forecasters: models must share kind and parameter shapes")
+        raise ValueError("stack_params: need at least one model")
+    shapes = {name: np.shape(p) for name, p in models[0].items()}
+    names = list(param_shapes(kind, 1, 1, 1))
+    first, last = shapes.get(names[0], ()), shapes.get(names[-1], ())
+    if len(first) != 2 or len(last) != 1 or shapes != param_shapes(kind, first[1], last[0], first[0]):
+        raise ValueError(f"stack_params: parameter shapes {shapes} are not those of a {kind} model")
+    if any({name: np.shape(p) for name, p in m.items()} != shapes for m in models):
+        raise ValueError("stack_params: models must share parameter shapes")
     flat = np.concatenate(
-        [np.stack([m.params[name] for m in models]).ravel() for name in shapes], dtype=np.float64
+        [np.stack([m[name] for m in models]).ravel() for name in names], dtype=np.float64
     )
-    return _bind(models, shapes, flat)
+    return _bind(kind, {name: shapes[name] for name in names}, len(models), flat)
 
 
 def stack_at(stack: ForecasterStack, flat: np.ndarray) -> ForecasterStack:
     """A new stack shaped like `stack` whose parameters are views of `flat`.
 
-    `flat` is typically a saved copy of `stack.flat`; `stack` and its members
-    are left alone.
+    `flat` is typically a saved copy of `stack.flat`; `stack` is left alone.
     """
     if flat.shape != stack.flat.shape:
         raise ValueError(f"stack_at: flat buffer has shape {flat.shape}, expected {stack.flat.shape}")
     shapes = {name: p.shape[1:] for name, p in stack.params.items()}
-    members = [dataclasses.replace(m, params={}) for m in stack.members]
-    return _bind(members, shapes, flat)
+    return _bind(stack.kind, shapes, stack.n_models, flat)
 
 
 class EpochCurve(Sequence):
@@ -188,23 +167,17 @@ class EpochCurve(Sequence):
         return list(self) == list(other)
 
 
-def _check_input(model: Forecaster | ForecasterStack, history: np.ndarray) -> np.ndarray:
+def _check_input(model: ForecasterStack, history: np.ndarray) -> np.ndarray:
+    if not isinstance(model, ForecasterStack):
+        raise TypeError(f"forecast: expected a ForecasterStack, got {type(model).__name__}")
     x = np.asarray(history, dtype=np.float64)
     if x.shape[-1] != model.input_len:
         raise ValueError(
             f"forecast: history length {x.shape[-1]} does not match input_len {model.input_len}"
         )
-    if isinstance(model, ForecasterStack):
-        if not (x.ndim == 2 or (x.ndim == 3 and x.shape[0] == model.n_models)):
-            raise ValueError("forecast: a stack takes (N, T) shared or (B, N, T) per-model histories")
-    elif x.ndim not in (1, 2):
-        raise ValueError("forecast: a forecaster takes (T,) or (N, T) histories")
+    if not (x.ndim == 2 or (x.ndim == 3 and x.shape[0] == model.n_models)):
+        raise ValueError("forecast: a stack takes (N, T) shared or (B, N, T) per-model histories")
     return x
-
-
-def _one(model: Forecaster) -> dict[str, np.ndarray]:
-    """A lone model's parameters as a stack of one (views, no copy)."""
-    return {name: p[None] for name, p in model.params.items()}
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -224,59 +197,44 @@ def _forward(
     return _affine(h, p["w2"], p["b2"]), h
 
 
-def forward(
-    model: Forecaster | ForecasterStack, history: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(output, hidden): the forecast and, for an mlp, its post-tanh hidden layer.
+def forward(model: ForecasterStack, history: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(output, hidden): the (B, N, H) forecast and, for an mlp, its post-tanh hidden layer.
 
-    The output is shaped as `forecast` returns it. hidden is None for a
-    linear model; for an mlp it has the output's leading axes with the hidden
-    width last: (hidden,) or (N, hidden) for a Forecaster, (B, N, hidden)
-    for a stack. A training step passes it on to `backward`.
+    hidden is None for a linear stack; for an mlp it is (B, N, hidden). A
+    training step passes it on to `backward`.
     """
     x = _check_input(model, history)
-    if isinstance(model, ForecasterStack):
-        return _forward(model.kind, model.params, x)
-    y, h = _forward(model.kind, _one(model), np.atleast_2d(x))
-    lone = (0, 0) if x.ndim == 1 else 0
-    return y[lone], None if h is None else h[lone]
+    return _forward(model.kind, model.params, x)
 
 
-def forecast(model: Forecaster | ForecasterStack, history: np.ndarray) -> np.ndarray:
-    """Predict H values from T history values.
+def forecast(model: ForecasterStack, history: np.ndarray) -> np.ndarray:
+    """Predict H values from T history values with every model of the stack.
 
-    A Forecaster takes (T,) or a (N, T) batch and returns (H,) or (N, H). A
-    stack takes (N, T) shared by every model or (B, N, T) and returns (B, N, H).
+    Takes (N, T) histories shared by every model or (B, N, T) per-model ones,
+    and returns (B, N, H).
     """
     return forward(model, history)[0]
 
 
 def backward(
-    model: Forecaster | ForecasterStack,
+    model: ForecasterStack,
     history: np.ndarray,
     output_grad: np.ndarray,
     hidden: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients of sum(output * output_grad), summed over the batch.
 
-    output_grad is (N, H), shared by every model of a stack as in a band sum.
-    hidden is the hidden layer `forward` returned for this model and history:
-    backward consumes the forward's activations rather than recomputing
-    them. An mlp requires it; a linear model has none and takes None.
-    A stack's gradients are written into its `grads` buffer and that dict is
-    returned, so the next call overwrites them; a Forecaster gets new arrays.
+    output_grad is (N, H), shared by every model of the stack as in a band
+    sum. hidden is the hidden layer `forward` returned for this stack and
+    history: backward consumes the forward's activations rather than
+    recomputing them. An mlp requires it; a linear stack has none and takes
+    None. The gradients are written into the stack's `grads` buffer and that
+    dict is returned, so the next call overwrites them.
     """
     x = _check_input(model, history)
     g = np.asarray(output_grad, dtype=np.float64)
     h = None if hidden is None else np.asarray(hidden, dtype=np.float64)
-    if isinstance(model, ForecasterStack):
-        p, out = model.params, model.grads
-    else:
-        if h is not None:
-            h = h[(None,) * (3 - x.ndim)]  # (B=1, N, hidden), as x and g become
-        if x.ndim == 1:
-            x, g = x[None, :], g[None, :]
-        p, out = _one(model), {name: np.empty((1,) + w.shape) for name, w in model.params.items()}
+    p, out = model.params, model.grads
     if g.shape != (x.shape[-2], model.output_len):
         raise ValueError("backward: output_grad shape must match the forecast shape")
     if model.kind == "linear":
@@ -297,9 +255,7 @@ def backward(
         np.sum(dz, axis=-2, out=out["b1"])
         np.matmul(g.T, h, out=out["w2"])
         out["b2"][...] = g.sum(axis=0)
-    if isinstance(model, ForecasterStack):
-        return out
-    return {name: v[0] for name, v in out.items()}
+    return out
 
 
 @dataclass(eq=False)

@@ -2,10 +2,11 @@
 
 Format 2: the payload holds `config`, `normalizer`, `thresholds`, one filter
 `bank` (null in per_window mode), `experts` (per expert, in level order, a
-list of per-band parameter dicts) and `router` (the gate's parameter dict,
-or null). The config is the only copy of a setting: load rebuilds every
-expert and the gate from it, and each stored parameter dict must match the
-names and shapes of the model it rebuilds.
+list of per-band parameter dicts, one per model of its stack) and `router`
+(the gate's parameter dict, or null). The config is the only copy of a
+setting: load rebuilds every expert's stack and the gate from it, and each
+stored parameter dict must match the names and shapes the config gives one
+model.
 
 Arrays are stored as nested lists of full-precision floats (repr round-trips
 a float64 exactly), so save, load, save again produces identical bytes. The
@@ -16,7 +17,6 @@ parameters whose shapes disagree with the config is a hard error.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -42,18 +42,18 @@ def _arr(a: np.ndarray) -> list:
     return np.asarray(a, dtype=np.float64).tolist()
 
 
-def _params(model: bb.Forecaster) -> dict:
-    return {k: _arr(v) for k, v in model.params.items()}
+def _params(stack: bb.ForecasterStack, b: int) -> dict:
+    """Model b's parameter dict, as stored."""
+    return {k: _arr(v[b]) for k, v in stack.params.items()}
 
 
-def _forecaster_from(params: dict, template: bb.Forecaster, what: str) -> bb.Forecaster:
-    """The template's model holding the stored parameters, which must match its names and shapes."""
+def _arrays(params: dict, want: dict[str, tuple[int, ...]], what: str) -> dict[str, np.ndarray]:
+    """The stored parameters as arrays, which must match the names and shapes the config needs."""
     arrays = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
     shapes = {k: v.shape for k, v in arrays.items()}
-    want = {k: v.shape for k, v in template.params.items()}
     if shapes != want:
         raise ValueError(f"{what} has parameter shapes {shapes}, config needs {want}")
-    return dataclasses.replace(template, params=arrays)
+    return arrays
 
 
 def _bank_dict(bank: FilterBank | None) -> dict | None:
@@ -79,8 +79,8 @@ def _payload(tp: TrainedPipeline) -> dict:
         "thresholds": list(tp.thresholds.as_tuple()),
         # Inference decomposes once, with the first expert's bank, for every expert.
         "bank": _bank_dict(tp.experts[0].bank),
-        "experts": [[_params(m) for m in e.backbones] for e in tp.experts],
-        "router": None if tp.router is None else _params(tp.router.gate),
+        "experts": [[_params(e.stack, b) for b in range(e.n_bands)] for e in tp.experts],
+        "router": None if tp.router is None else _params(tp.router.gate, 0),
     }
 
 
@@ -138,20 +138,19 @@ def _pipeline_from(payload: dict) -> TrainedPipeline:
     if len(payload["experts"]) != cfg.n_experts:
         raise ValueError(f"{len(payload['experts'])} experts, config says n_experts={cfg.n_experts}")
     bank = _bank_from(payload["bank"])
-    backbone = bb.make_forecaster(cfg.backbone, cfg.history_len, cfg.horizon, cfg.hidden)
-    experts = [
-        ExpertModel(
-            level=level,
-            n_bands=cfg.n_bands,
-            backbones=[
-                _forecaster_from(p, backbone, f"expert {level} band {b}") for b, p in enumerate(bands)
-            ],
-            mode=cfg.mode,
-            bank=bank,
-            gamma=cfg.gamma,
-        )
-        for level, bands in enumerate(payload["experts"])
-    ]
+    want = bb.param_shapes(cfg.backbone, cfg.history_len, cfg.horizon, cfg.hidden)
+    experts = []
+    for level, bands in enumerate(payload["experts"]):
+        if len(bands) != cfg.n_bands:
+            raise ValueError(
+                f"expert {level} stores {len(bands)} band backbones, "
+                f"config n_bands={cfg.n_bands} needs one backbone per band"
+            )
+        arrays = [_arrays(p, want, f"expert {level} band {b}") for b, p in enumerate(bands)]
+        experts.append(ExpertModel(
+            level=level, stack=bb.stack_params(cfg.backbone, arrays),
+            mode=cfg.mode, bank=bank, gamma=cfg.gamma,
+        ))
     bank_shape = (cfg.n_bands, cfg.history_len // 2 + 1)
     if bank is not None and bank.filters.shape != bank_shape:
         raise ValueError(
@@ -160,8 +159,9 @@ def _pipeline_from(payload: dict) -> TrainedPipeline:
     router = None
     if payload["router"] is not None:
         kind, width = gate_kind(cfg.gate_hidden)
-        gate = bb.make_forecaster(kind, cfg.horizon * cfg.n_experts, cfg.n_experts, width)
-        router = Router(gate=_forecaster_from(payload["router"], gate, "the gate"), k=cfg.k)
+        gate_want = bb.param_shapes(kind, cfg.horizon * cfg.n_experts, cfg.n_experts, width)
+        gate = bb.stack_params(kind, [_arrays(payload["router"], gate_want, "the gate")])
+        router = Router(gate=gate, k=cfg.k)
     th = payload["thresholds"]
     return TrainedPipeline(
         experts=experts,

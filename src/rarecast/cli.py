@@ -51,8 +51,8 @@ from .pipeline import (
 from .router import pipeline_predict_batch, train_router
 
 # The benchmark preset is PipelineConfig's defaults. No command reads this empty
-# mapping; it stays until perfbench/workloads.py and tests/test_acceptance.py
-# stop importing it, with the benchmark harness's next change.
+# mapping; perfbench/workloads.py is its only reader, and it goes with the
+# benchmark harness's next change.
 REPRODUCE_OVERRIDES: dict = {}
 
 

@@ -134,13 +134,19 @@ def load_csv(path: str | Path, column: str | int, delimiter: str = ",") -> TimeS
     return TimeSeries(np.asarray(values), name=colname)
 
 
+def split_811_lengths(n: int) -> tuple[int, int, int]:
+    """Train/val/test lengths split_811 gives an n-point series: floor(0.8n), floor(0.1n), rest."""
+    n_train = int(math.floor(0.8 * n))
+    n_val = int(math.floor(0.1 * n))
+    return n_train, n_val, n - n_train - n_val
+
+
 def split_811(series: TimeSeries) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
     """Contiguous train/val/test split with lengths floor(0.8L), floor(0.1L), rest."""
     n = len(series)
     if n < 10:
         raise ValueError(f"split_811: need at least 10 points, got {n}")
-    n_train = int(math.floor(0.8 * n))
-    n_val = int(math.floor(0.1 * n))
+    n_train, n_val, _ = split_811_lengths(n)
     v = series.values
     return (
         TimeSeries(v[:n_train], name=series.name),

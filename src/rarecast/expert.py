@@ -1,9 +1,9 @@
 """Rarity-level experts and their distillation chain.
 
-An expert holds one backbone per spectral band; its forecast is the sum of
-the per-band forecasts on the decomposed history. The band backbones share
-one stacked parameter buffer, so each training step is one forward, one
-backward and one Adam update over all bands. Experts are trained level
+An expert is a stack of per-band backbones (one bb.ForecasterStack, a
+model per spectral band); its forecast is the sum of the per-band
+forecasts on the decomposed history. Each training step is one forward,
+one backward and one Adam update over all bands. Experts are trained level
 by level, normal first, each rare expert distilling from the level below it
 through the bounded distillation term: the frozen teacher forecasts once, on
 the component rows its student trains on.
@@ -40,37 +40,46 @@ def expert_level(index: int) -> RarityLevel:
     return RarityLevel(min(int(index), N_LEVELS - 1))
 
 
+def max_experts(window_levels: np.ndarray) -> int:
+    """Largest expert count E with windows at levels 0..E-2 and at E-1 or above (the merged top)."""
+    present = set(np.unique(window_levels).tolist())
+    e = 1
+    while e < N_LEVELS and e - 1 in present and max(present) >= e:
+        e += 1
+    return e
+
+
 @dataclass(eq=False)
 class ExpertModel:
-    """One trained expert: designated level, decomposition setup, band backbones.
+    """One trained expert: designated level, band backbones, decomposition setup.
 
-    The backbones' parameters are views into `stack`, built here.
+    The band count, history length and horizon are read off the stack's
+    shape: one model per band, each mapping T history values to H.
     """
 
     level: int
-    n_bands: int
-    backbones: list[bb.Forecaster]
+    stack: bb.ForecasterStack
     mode: str = "per_window"
     bank: ewt.FilterBank | None = None
     gamma: float | None = None
-    stack: bb.ForecasterStack = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.backbones) != self.n_bands:
-            raise ValueError("ExpertModel: need one backbone per band")
         if self.mode == "global" and self.bank is None:
             raise ValueError("ExpertModel: global mode requires a filter bank")
         if self.mode == "per_window" and self.bank is not None:
             raise ValueError("ExpertModel: per_window mode builds a bank per window, it takes none")
-        self.stack = bb.stack_forecasters(self.backbones)
+
+    @property
+    def n_bands(self) -> int:
+        return self.stack.n_models
 
     @property
     def history_len(self) -> int:
-        return self.backbones[0].input_len
+        return self.stack.input_len
 
     @property
     def horizon(self) -> int:
-        return self.backbones[0].output_len
+        return self.stack.output_len
 
     @property
     def penalty_level(self) -> RarityLevel:
@@ -224,13 +233,12 @@ def train_expert(
 
     expert = ExpertModel(
         level=level,
-        n_bands=cfg.n_bands,
-        backbones=[
-            bb.make_forecaster(
+        stack=bb.stack_params(cfg.backbone, [
+            bb.init_params(
                 cfg.backbone, history_len, horizon, cfg.hidden, substream(cfg.seed, INIT, level, b)
             )
             for b in range(cfg.n_bands)
-        ],
+        ]),
         mode=cfg.mode,
         bank=bank if cfg.mode == "global" else None,
         gamma=cfg.gamma,
@@ -296,7 +304,10 @@ def build_expert_chain(
     missing = [c for c in range(cfg.n_experts) if c not in present]
     if missing:
         names = ", ".join(expert_level(c).name for c in missing)
-        raise ValueError(f"build_expert_chain: no windows for level(s) {names}")
+        raise ValueError(
+            f"build_expert_chain: no windows for level(s) {names}; these windows support "
+            f"at most {max_experts(windows.window_levels)} experts (--experts)"
+        )
 
     if components is None:
         components = decompose_histories(windows.histories, cfg.n_bands, cfg.mode, bank, cfg.gamma)

@@ -26,6 +26,7 @@ from .dataset import (
     load_csv,
     make_windows,
     split_811,
+    split_811_lengths,
     synth_generate,
 )
 from .expert import ExpertModel, build_expert_chain, decompose_histories, expert_predict_batch, train_expert
@@ -53,6 +54,17 @@ def load_series(cfg: PipelineConfig) -> TimeSeries:
     return synth_generate(cfg.seed, cfg.synth_n, cfg.spike_rate, cfg.spike_scale)
 
 
+def min_series_len(window_len: int) -> int:
+    """Shortest series whose 8:1:1 test split, and that of every longer one, holds window_len points.
+
+    The test split holds at least a tenth of the series, so the scan starts at 10 * window_len.
+    """
+    n = 10 * window_len
+    while split_811_lengths(n - 1)[2] >= window_len:
+        n -= 1
+    return n
+
+
 def prepare_data(
     cfg: PipelineConfig,
     series: TimeSeries | None = None,
@@ -66,6 +78,13 @@ def prepare_data(
     """
     series = series if series is not None else load_series(cfg)
     train_raw, val_raw, test_raw = split_811(series)
+    need = cfg.history_len + cfg.horizon
+    if len(test_raw) < need:  # the test split is never longer than the train split
+        raise ValueError(
+            f"prepare_data: the test split of a {len(series)}-point series holds {len(test_raw)} "
+            f"points, fewer than history_len + horizon = {need}; the 8:1:1 split needs a "
+            f"series of at least {min_series_len(need)} points"
+        )
     if normalizer is None:
         normalizer = Normalizer.fit(train_raw.values, cfg.normalization)
     train = TimeSeries(normalizer.apply(train_raw.values), name=series.name)

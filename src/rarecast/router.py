@@ -3,8 +3,9 @@
 The gate sees the flattened (H, E) matrix of expert forecasts and emits one
 logit per expert. Training uses the full softmax against the window's rarity
 label; at inference only the k largest weights are kept and renormalized.
-A Router holds the gate and k alone: the expert count E and the horizon H
-are read off the gate's shape (E outputs, H * E inputs).
+A Router holds the gate, a stack of one model, and k alone: the expert
+count E and the horizon H are read off the gate's shape (E outputs, H * E
+inputs).
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(eq=False)
 class Router:
-    """Gate network plus the fusion arity k; E and H are read off the gate's shape."""
+    """Gate network (a stack of one) plus the fusion arity k; E and H are read off its shape."""
 
-    gate: bb.Forecaster
+    gate: bb.ForecasterStack
     k: int
 
     def __post_init__(self) -> None:
+        if self.gate.n_models != 1:
+            raise ValueError(f"Router: the gate is a stack of one model, got {self.gate.n_models}")
         if self.gate.input_len % self.gate.output_len:
             raise ValueError(
                 f"Router: gate input count {self.gate.input_len} is not a whole multiple "
@@ -78,7 +81,8 @@ def _flatten_outputs(expert_outputs: np.ndarray, horizon: int, n_experts: int) -
 def gate_forward(router: Router, expert_outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logits and softmax weights for one (H, E) matrix or a (N, H, E) batch."""
     feats = _flatten_outputs(expert_outputs, router.horizon, router.n_experts)
-    logits = bb.forecast(router.gate, feats)
+    logits = bb.forecast(router.gate, feats.reshape(-1, feats.shape[-1]))[0]
+    logits = logits.reshape(feats.shape[:-1] + logits.shape[-1:])
     return logits, softmax(logits)
 
 
@@ -231,13 +235,12 @@ def train_router(
         sample_w = w_by_class[labels]
 
     kind, width = gate_kind(cfg.gate_hidden)
-    gate = bb.make_forecaster(
-        kind, horizon * n_experts, n_experts, width, substream(cfg.seed, ROUTER_INIT)
-    )
-    model = bb.stack_forecasters([gate])  # the gate is a stack of one
+    model = bb.stack_params(kind, [
+        bb.init_params(kind, horizon * n_experts, n_experts, width, substream(cfg.seed, ROUTER_INIT))
+    ])
     opt = bb.OptimizerState(lr=cfg.router_lr)
     shuffle_rng = substream(cfg.seed, ROUTER_SHUFFLE)
-    router = Router(gate=gate, k=cfg.k)
+    router = Router(gate=model, k=cfg.k)
 
     def curve_rows(stacks: list[bb.ForecasterStack]) -> list[dict]:
         out = []

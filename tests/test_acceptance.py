@@ -14,7 +14,6 @@ import pytest
 
 from rarecast import backbone as bb
 from rarecast import ewt
-from rarecast.cli import REPRODUCE_OVERRIDES
 from rarecast.config import PipelineConfig
 from rarecast.dataset import (
     RarityLevel,
@@ -29,7 +28,7 @@ from rarecast.evaluation import (
     sweep_beta,
     write_rows_csv,
 )
-from rarecast.expert import ExpertModel, decompose_histories
+from rarecast.expert import ExpertModel, decompose_histories, expert_predict_batch
 from rarecast.losses import PenaltyContext, kd_loss, rare_loss, rare_penalty
 from rarecast.pipeline import baseline_predict, prepare_data, train_baseline
 from rarecast.router import cross_entropy, fuse, select_topk, softmax
@@ -132,22 +131,23 @@ def test_a04_gradients_match_finite_differences():
     targets = rng.standard_normal((n, horizon))
     plev = rng.integers(0, 4, size=(n, horizon))
     comps = decompose_histories(hist, n_bands, "per_window", None)
-    backbones = [bb.make_forecaster("linear", t, horizon, rng=rng) for _ in range(n_bands)]
-    expert = ExpertModel(level=2, n_bands=n_bands, backbones=backbones)
+    bands = [bb.init_params("linear", t, horizon, rng=rng) for _ in range(n_bands)]
+    expert = ExpertModel(level=2, stack=bb.stack_params("linear", bands))
 
     def loss_value() -> float:
-        preds = sum(bb.forecast(m, comps[:, b, :]) for b, m in enumerate(backbones))
+        preds = expert_predict_batch(expert, hist, comps)
         return rare_loss(preds, targets, plev, expert.penalty_level, horizon).value
 
-    preds = sum(bb.forecast(m, comps[:, b, :]) for b, m in enumerate(backbones))
+    preds = expert_predict_batch(expert, hist, comps)
     dpred = np.asarray(rare_loss(preds, targets, plev, expert.penalty_level, horizon).d_dpred)
-    grads = [bb.backward(m, comps[:, b, :], dpred) for b, m in enumerate(backbones)]
+    # the stack's backward on (n_bands, N, T) components, as a training step runs it
+    grads = bb.backward(expert.stack, comps.transpose(1, 0, 2), dpred)
     for _ in range(1000):
         b = int(rng.integers(n_bands))
         name = "w" if rng.random() < 0.9 else "b"
-        flat = backbones[b].params[name].reshape(-1)
+        flat = expert.stack.params[name][b].reshape(-1)
         i = int(rng.integers(flat.size))
-        ana = float(grads[b][name].reshape(-1)[i])
+        ana = float(grads[name][b].reshape(-1)[i])
         orig = flat[i]
         flat[i] = orig + h
         up = loss_value()
@@ -192,7 +192,7 @@ def test_a06_router_weight_algebra():
 # -------------------------------------------------------------------- 7 to 10
 
 
-BENCHMARK = PipelineConfig(**REPRODUCE_OVERRIDES)
+BENCHMARK = PipelineConfig()
 
 
 @pytest.fixture(scope="module")

@@ -1,81 +1,97 @@
-"""Forecaster forward/backward math, the stacked kernels and the flat Adam update."""
+"""Forecaster stacks: forward/backward math, the stacked kernels and the flat Adam update."""
 
 import numpy as np
 import pytest
 
 from rarecast.backbone import (
-    Forecaster,
     OptimizerState,
     backward,
     forecast,
     forward,
-    make_forecaster,
+    init_params,
+    param_shapes,
     stack_at,
-    stack_forecasters,
+    stack_params,
     step,
 )
 
 
-def test_make_forecaster_validation():
-    with pytest.raises(ValueError):
-        make_forecaster("rnn", 4, 2)
-    with pytest.raises(ValueError):
-        make_forecaster("linear", 0, 2)
-    with pytest.raises(ValueError):
-        make_forecaster("mlp", 4, 2, hidden=0)
+def _single(kind: str, t: int, h: int, hidden: int = 32, rng=None):
+    """A stack of one freshly drawn model."""
+    return stack_params(kind, [init_params(kind, t, h, hidden, rng)])
 
 
-def test_make_forecaster_init_bounds_and_determinism():
-    a = make_forecaster("mlp", 16, 4, 8, np.random.default_rng(42))
-    b = make_forecaster("mlp", 16, 4, 8, np.random.default_rng(42))
-    for k in a.params:
-        np.testing.assert_array_equal(a.params[k], b.params[k])
-    assert np.abs(a.params["w1"]).max() <= 1.0 / np.sqrt(16)
-    np.testing.assert_array_equal(a.params["b1"], 0.0)
-    assert sum(p.size for p in a.params.values()) == 8 * 16 + 8 + 4 * 8 + 4
+def test_init_params_validation():
+    with pytest.raises(ValueError):
+        init_params("rnn", 4, 2)
+    with pytest.raises(ValueError):
+        init_params("linear", 0, 2)
+    with pytest.raises(ValueError):
+        init_params("mlp", 4, 2, hidden=0)
+
+
+def test_init_params_bounds_and_determinism():
+    a = init_params("mlp", 16, 4, 8, np.random.default_rng(42))
+    b = init_params("mlp", 16, 4, 8, np.random.default_rng(42))
+    for k in a:
+        np.testing.assert_array_equal(a[k], b[k])
+    assert np.abs(a["w1"]).max() <= 1.0 / np.sqrt(16)
+    np.testing.assert_array_equal(a["b1"], 0.0)
+    assert sum(p.size for p in a.values()) == 8 * 16 + 8 + 4 * 8 + 4
+    assert {k: v.shape for k, v in a.items()} == param_shapes("mlp", 16, 4, 8)
     # linear kind ignores the hidden argument
-    assert make_forecaster("linear", 4, 2, hidden=64).hidden == 0
+    assert param_shapes("linear", 4, 2, hidden=64) == {"w": (2, 4), "b": (2,)}
 
 
 def test_linear_forecast_oracle():
-    m = make_forecaster("linear", 3, 2)
-    m.params["w"] = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    m.params["b"] = np.array([0.5, -1.0])
-    np.testing.assert_allclose(forecast(m, np.array([1.0, 2.0, 3.0])), [1.5, 3.0])
+    s = _single("linear", 3, 2)
+    s.params["w"][0] = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]
+    s.params["b"][0] = [0.5, -1.0]
+    assert (s.n_models, s.input_len, s.output_len) == (1, 3, 2)
+    np.testing.assert_allclose(forecast(s, np.array([[1.0, 2.0, 3.0]])), [[[1.5, 3.0]]])
 
 
 def test_forecast_batch_matches_single():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 12))
     for kind in ("linear", "mlp"):
-        m = make_forecaster(kind, 12, 3, 6, rng)
-        batch = forecast(m, x)
-        assert batch.shape == (5, 3)
+        s = _single(kind, 12, 3, 6, rng)
+        batch = forecast(s, x)
+        assert batch.shape == (1, 5, 3)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], forecast(m, x[i]), atol=1e-15)
+            np.testing.assert_allclose(batch[0, i], forecast(s, x[i : i + 1])[0, 0], atol=1e-15)
 
 
 def test_forecast_length_check():
-    m = make_forecaster("linear", 8, 2)
+    s = _single("linear", 8, 2)
     with pytest.raises(ValueError, match="input_len"):
-        forecast(m, np.zeros(9))
+        forecast(s, np.zeros((1, 9)))
+
+
+def test_kernels_take_a_stack_only():
+    s = _single("linear", 4, 2)
+    x, g = np.zeros((3, 4)), np.zeros((3, 2))
+    for call in (lambda m: forward(m, x), lambda m: forecast(m, x), lambda m: backward(m, x, g)):
+        for bad in (s.params, s.flat, None):
+            with pytest.raises(TypeError, match="expected a ForecasterStack"):
+                call(bad)
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_backward_matches_finite_differences(kind):
     rng = np.random.default_rng(17)
-    m = make_forecaster(kind, 10, 4, 5, rng)
+    s = _single(kind, 10, 4, 5, rng)
     x = rng.standard_normal((7, 10))
     g = rng.standard_normal((7, 4))
-    grads = backward(m, x, g, forward(m, x)[1])
-    assert set(grads) == set(m.params)
+    grads = backward(s, x, g, forward(s, x)[1])
+    assert set(grads) == set(s.params)
 
     def objective() -> float:
-        return float((forecast(m, x) * g).sum())
+        return float((forecast(s, x)[0] * g).sum())
 
     h = 1e-6
     for name, grad in grads.items():
-        flat = m.params[name].reshape(-1)
+        flat = s.params[name][0].reshape(-1)
         for j in rng.choice(flat.size, size=min(10, flat.size), replace=False):
             orig = flat[j]
             flat[j] = orig + h
@@ -84,44 +100,42 @@ def test_backward_matches_finite_differences(kind):
             down = objective()
             flat[j] = orig
             fd = (up - down) / (2.0 * h)
-            assert grad.reshape(-1)[j] == pytest.approx(fd, abs=1e-5)
+            assert grad[0].reshape(-1)[j] == pytest.approx(fd, abs=1e-5)
 
 
 def test_backward_single_window():
     rng = np.random.default_rng(2)
-    m = make_forecaster("linear", 6, 2, rng=rng)
-    x, g = rng.standard_normal(6), rng.standard_normal(2)
-    grads = backward(m, x, g)
-    np.testing.assert_allclose(grads["w"], np.outer(g, x), atol=1e-15)
-    np.testing.assert_allclose(grads["b"], g, atol=1e-15)
+    s = _single("linear", 6, 2, rng=rng)
+    x, g = rng.standard_normal((1, 6)), rng.standard_normal((1, 2))
+    grads = backward(s, x, g)
+    np.testing.assert_allclose(grads["w"][0], np.outer(g[0], x[0]), atol=1e-15)
+    np.testing.assert_allclose(grads["b"][0], g[0], atol=1e-15)
     with pytest.raises(ValueError, match="output_grad"):
-        backward(m, x, np.zeros(3))
+        backward(s, x, np.zeros((1, 3)))
 
 
 def test_adam_first_step_size_is_lr():
-    m = make_forecaster("linear", 1, 1)
-    m.params["w"] = np.array([[10.0]])
+    s = _single("linear", 1, 1)
+    s.params["w"][...] = 10.0
     opt = OptimizerState(lr=0.05)
-    step(stack_forecasters([m]), {"w": np.array([[[7.3]]]), "b": np.array([[0.0]])}, opt)
+    step(s, {"w": np.array([[[7.3]]]), "b": np.array([[0.0]])}, opt)
     # m_hat / (sqrt(v_hat) + eps) is sign(g) on the first step
-    assert m.params["w"][0, 0] == pytest.approx(10.0 - 0.05, abs=1e-6)
+    assert s.params["w"][0, 0, 0] == pytest.approx(10.0 - 0.05, abs=1e-6)
     assert opt.step_count == 1
 
 
 def test_adam_converges_on_quadratic():
-    m = make_forecaster("linear", 1, 1)
-    m.params["w"] = np.array([[0.0]])
-    m.params["b"] = np.array([0.0])
+    s = _single("linear", 1, 1)
+    s.flat[:] = 0.0
     opt = OptimizerState(lr=0.05)
-    s = stack_forecasters([m])
     for _ in range(2000):
-        w = m.params["w"][0, 0]
+        w = s.params["w"][0, 0, 0]
         step(s, {"w": np.array([[[2.0 * (w - 3.0)]]]), "b": np.zeros((1, 1))}, opt)
-    assert m.params["w"][0, 0] == pytest.approx(3.0, abs=1e-2)
+    assert s.params["w"][0, 0, 0] == pytest.approx(3.0, abs=1e-2)
 
 
 def test_step_validation():
-    s = stack_forecasters([make_forecaster("linear", 2, 1)])
+    s = _single("linear", 2, 1)
     opt = OptimizerState()
     with pytest.raises(ValueError, match="keys"):
         step(s, {"w": np.zeros((1, 1, 2))}, opt)
@@ -130,12 +144,6 @@ def test_step_validation():
     with pytest.raises(ValueError, match="shape"):
         step(s, {"w": np.zeros((1, 2)), "b": np.zeros((1, 1))}, opt)
     assert opt.step_count == 0  # failed updates never advance the clock
-
-
-def test_forecaster_dataclass_shape():
-    m = Forecaster(kind="linear", input_len=2, output_len=1, hidden=0,
-                   params={"w": np.zeros((1, 2)), "b": np.zeros(1)})
-    assert {k: v.shape for k, v in m.params.items()} == {"w": (1, 2), "b": (1,)}
 
 
 # ------------------------------------------- stacked kernels vs per-band loop
@@ -175,10 +183,10 @@ def _ref_adam(p: dict, g: dict, state: dict, lr: float = 1e-3) -> None:
 def test_stacked_kernels_match_per_band_reference(kind, n_models, n):
     rng = np.random.default_rng(100 + n + n_models)
     t, h = 12, 5
-    models = [make_forecaster(kind, t, h, 6, rng) for _ in range(n_models)]
-    ref = [{k: v.copy() for k, v in m.params.items()} for m in models]
+    models = [init_params(kind, t, h, 6, rng) for _ in range(n_models)]
+    ref = [{k: v.copy() for k, v in m.items()} for m in models]
     states = [{"t": 0, "m": {}, "v": {}} for _ in models]
-    s = stack_forecasters(models)
+    s = stack_params(kind, models)
     opt = OptimizerState()
     for _ in range(3):
         # (N, B, T) components viewed band-major, as an expert trains on them
@@ -200,9 +208,8 @@ def test_stacked_kernels_match_per_band_reference(kind, n_models, n):
                 np.testing.assert_array_equal(grads[name][b], ref_g[name])
             _ref_adam(ref[b], ref_g, states[b])
         step(s, grads, opt)
-        for b, m in enumerate(models):
+        for b in range(n_models):
             for name in ref[b]:
-                np.testing.assert_array_equal(m.params[name], ref[b][name])
                 np.testing.assert_array_equal(s.params[name][b], ref[b][name])
     # a history shared by every model (the gate's case) equals passing it per model
     xs = rng.standard_normal((n, t))
@@ -212,70 +219,68 @@ def test_stacked_kernels_match_per_band_reference(kind, n_models, n):
 
 def test_mlp_backward_needs_the_forwards_hidden_layer():
     rng = np.random.default_rng(3)
-    m = make_forecaster("mlp", 6, 2, 4, rng)
-    s = stack_forecasters([make_forecaster("mlp", 6, 2, 4, rng) for _ in range(3)])
+    one = _single("mlp", 6, 2, 4, rng)
+    s = stack_params("mlp", [init_params("mlp", 6, 2, 4, rng) for _ in range(3)])
     x, g = rng.standard_normal((5, 6)), rng.standard_normal((5, 2))
-    _, hidden = forward(m, x)
+    _, hidden = forward(one, x)
     _, stack_hidden = forward(s, x)
-    assert hidden.shape == (5, 4) and stack_hidden.shape == (3, 5, 4)
+    assert hidden.shape == (1, 5, 4) and stack_hidden.shape == (3, 5, 4)
     for model, bad in [
-        (m, None), (m, hidden[:4]), (m, hidden[:, :3]), (m, hidden[0]), (m, stack_hidden),
-        (s, None), (s, stack_hidden[:2]), (s, hidden),
+        (one, None), (one, hidden[:, :4]), (one, hidden[:, :, :3]), (one, hidden[0]),
+        (one, stack_hidden), (s, None), (s, stack_hidden[:2]), (s, hidden),
     ]:
         with pytest.raises(ValueError, match="hidden layer"):
             backward(model, x, g, bad)
-    # a single window's hidden layer is (hidden,), like its forecast (H,)
-    out, h1 = forward(m, x[0])
-    assert out.shape == (2,) and h1.shape == (4,)
-    np.testing.assert_array_equal(backward(m, x[0], g[0], h1)["w2"], np.outer(g[0], h1))
+    # a single window's hidden layer is (1, 1, hidden), like its forecast (1, 1, H)
+    out, h1 = forward(one, x[:1])
+    assert out.shape == (1, 1, 2) and h1.shape == (1, 1, 4)
+    np.testing.assert_array_equal(backward(one, x[:1], g[:1], h1)["w2"][0], np.outer(g[0], h1[0, 0]))
     with pytest.raises(ValueError, match="hidden layer"):
-        backward(m, x[0], g[0], hidden[:1])
-    lin = make_forecaster("linear", 6, 2, rng=rng)
+        backward(one, x[:1], g[:1], hidden[:, :2])
+    lin = _single("linear", 6, 2, rng=rng)
     with pytest.raises(ValueError, match="no hidden layer"):
         backward(lin, x, g, hidden)
 
 
-def test_stack_members_alias_the_flat_buffer():
-    models = [make_forecaster("mlp", 6, 3, 4, np.random.default_rng(i)) for i in range(3)]
-    before = [{k: v.copy() for k, v in m.params.items()} for m in models]
-    s = stack_forecasters(models)
-    assert s.flat.size == sum(p.size for m in models for p in m.params.values())
-    for b, m in enumerate(models):
-        for name, p in m.params.items():
-            np.testing.assert_array_equal(p, before[b][name])
-            assert np.shares_memory(p, s.flat)
-    s.flat[:] = 0.0
-    assert all(not p.any() for m in models for p in m.params.values())
+def test_stack_params_rejects_mismatched_models():
+    models = [init_params("mlp", 6, 3, 4, np.random.default_rng(i)) for i in range(3)]
+    s = stack_params("mlp", models)
+    assert (s.n_models, s.input_len, s.output_len) == (3, 6, 3)
     with pytest.raises(ValueError, match="shapes"):
-        stack_forecasters([make_forecaster("linear", 6, 3), make_forecaster("linear", 6, 2)])
+        stack_params("linear", [init_params("linear", 6, 3), init_params("linear", 6, 2)])
     with pytest.raises(ValueError, match="shapes"):
-        stack_forecasters([make_forecaster("linear", 6, 3), make_forecaster("mlp", 6, 3, 4)])
+        stack_params("linear", [init_params("linear", 6, 3), init_params("mlp", 6, 3, 4)])
+    with pytest.raises(ValueError, match="not those of a mlp model"):
+        stack_params("mlp", [init_params("linear", 6, 3)])
+    with pytest.raises(ValueError, match="not those of a linear model"):
+        stack_params("linear", [{"w": np.zeros((3, 6)), "b": np.zeros(2)}])
     with pytest.raises(ValueError, match="at least one"):
-        stack_forecasters([])
+        stack_params("linear", [])
     with pytest.raises(ValueError, match="per-model"):
         forecast(s, np.zeros((2, 4, 6)))  # 2 history blocks for 3 models
+    # the buffer follows the kind's parameter order whatever the dicts' key order
+    b_first = stack_params("mlp", [{k: m[k] for k in ("b2", "w2", "b1", "w1")} for m in models])
+    np.testing.assert_array_equal(b_first.flat, s.flat)
+    assert list(b_first.params) == ["w1", "b1", "w2", "b2"]
 
 
 def test_stack_at_reads_a_saved_buffer_and_leaves_the_stack_alone():
-    models = [make_forecaster("mlp", 6, 3, 4, np.random.default_rng(i)) for i in range(3)]
-    s = stack_forecasters(models)
+    s = stack_params("mlp", [init_params("mlp", 6, 3, 4, np.random.default_rng(i)) for i in range(3)])
     x = np.random.default_rng(9).standard_normal((5, 6))
     saved = s.flat.copy()
     want = forecast(s, x)
     s.flat *= 2.0
     at = stack_at(s, saved)
     assert at.flat is saved and all(np.shares_memory(p, saved) for p in at.params.values())
-    assert all(np.shares_memory(p, saved) for m in at.members for p in m.params.values())
     np.testing.assert_array_equal(forecast(at, x), want)
-    assert all(np.shares_memory(p, s.flat) for m in models for p in m.params.values())
+    assert all(np.shares_memory(p, s.flat) for p in s.params.values())
     with pytest.raises(ValueError, match="stack_at"):
         stack_at(s, saved[:-1])
 
 
 @pytest.mark.parametrize("band", [0, 2, 3])
 def test_step_non_finite_in_any_band_aborts_without_update(band):
-    models = [make_forecaster("mlp", 6, 3, 4, np.random.default_rng(i)) for i in range(4)]
-    s = stack_forecasters(models)
+    s = stack_params("mlp", [init_params("mlp", 6, 3, 4, np.random.default_rng(i)) for i in range(4)])
     flat_before = s.flat.copy()
     opt = OptimizerState()
     grads = {k: np.zeros_like(v) for k, v in s.params.items()}

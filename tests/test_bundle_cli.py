@@ -141,7 +141,7 @@ def test_bundle_stores_weights_only_and_rebuilds_settings_from_config(tiny_data,
     for e in tp2.experts:
         assert (e.n_bands, e.mode, e.gamma) == (cfg.n_bands, cfg.mode, cfg.gamma)
         assert e.bank is tp2.experts[0].bank
-        assert all(m.kind == cfg.backbone for m in e.backbones)
+        assert e.stack.kind == cfg.backbone
     wins = tiny_data.test_windows[:40]
     np.testing.assert_array_equal(predict_windows(tp, wins)[0], predict_windows(tp2, wins)[0])
 
@@ -567,7 +567,7 @@ def test_cli_reproduce_explicit_flags_win_over_the_preset(tmp_path):
     # the preset still fills every field no flag names
     assert (cfg["router_epochs"], cfg["history_len"], cfg["n_experts"]) == (1, 32, 3)
     tp = load_bundle(out / "bundle.json")
-    assert tp.config.backbone == "mlp" and tp.experts[0].backbones[0].kind == "mlp"
+    assert tp.config.backbone == "mlp" and tp.experts[0].stack.kind == "mlp"
 
 
 def test_cli_train_experts_and_reproduce_share_one_set_of_defaults(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rarecast.config import PipelineConfig
 from rarecast.dataset import (
     Normalizer,
     RarityLevel,
@@ -24,9 +25,11 @@ from rarecast.dataset import (
     load_csv,
     make_windows,
     split_811,
+    split_811_lengths,
     synth_base,
     synth_generate,
 )
+from rarecast.pipeline import min_series_len, prepare_data
 
 THRESH = RarityThresholds(0.22, 0.28, 0.42)
 
@@ -214,6 +217,24 @@ def test_make_windows_errors():
         make_windows(ts, 8, 4, 1, THRESH)
     with pytest.raises(ValueError):
         make_windows(ts, 4, 2, 0, THRESH)
+
+
+def test_prepare_data_names_the_short_split_and_the_series_length_it_needs():
+    # A 300-point series used to fail in make_windows with "series of length 30
+    # is shorter than T+H=80", naming neither the split nor a workable length.
+    cfg = PipelineConfig()
+    values = np.random.default_rng(0).standard_normal(791)
+    with pytest.raises(
+        ValueError,
+        match=r"the test split of a 300-point series holds 30 points, fewer than "
+        r"history_len \+ horizon = 80; the 8:1:1 split needs a series of at least 791 points",
+    ):
+        prepare_data(cfg, series=TimeSeries(values[:300]))
+    with pytest.raises(ValueError, match="test split of a 790-point series holds 79 points"):
+        prepare_data(cfg, series=TimeSeries(values[:790]))
+    assert len(prepare_data(cfg, series=TimeSeries(values)).test_windows) == 1
+    assert min_series_len(80) == 791
+    assert all(split_811_lengths(n)[2] >= 80 for n in range(791, 2000))
 
 
 def test_window_sample_level_consistency_enforced():

@@ -15,6 +15,7 @@ from rarecast.expert import (
     decompose_histories,
     expert_predict,
     expert_predict_batch,
+    max_experts,
     train_expert,
 )
 from rarecast.ewt import Boundaries, build_filter_bank
@@ -24,10 +25,16 @@ from rarecast import backbone as bb
 
 def _params_digest(model: ExpertModel) -> str:
     h = hashlib.sha256()
-    for backbone in model.backbones:
-        for name in sorted(backbone.params):
-            h.update(backbone.params[name].tobytes())
+    for b in range(model.n_bands):
+        for name in sorted(model.stack.params):
+            h.update(model.stack.params[name][b].tobytes())
     return h.hexdigest()
+
+
+def _linear_stack(n_bands: int, history_len: int, horizon: int, rng=None) -> bb.ForecasterStack:
+    return bb.stack_params(
+        "linear", [bb.init_params("linear", history_len, horizon, rng=rng) for _ in range(n_bands)]
+    )
 
 
 # ------------------------------------------------------------ level folding
@@ -89,18 +96,17 @@ def test_config_rejects_out_of_range_training_values(name, value):
 
 
 def test_expert_model_validation():
-    lin = bb.make_forecaster("linear", 8, 2)
-    with pytest.raises(ValueError, match="one backbone per band"):
-        ExpertModel(level=0, n_bands=2, backbones=[lin])
+    lin = _linear_stack(1, 8, 2)
     with pytest.raises(ValueError, match="requires a filter bank"):
-        ExpertModel(level=0, n_bands=1, backbones=[lin], mode="global")
+        ExpertModel(level=0, stack=lin, mode="global")
     bank = build_filter_bank(Boundaries(np.array([0.0, np.pi])), 99)
     with pytest.raises(ValueError, match="per_window mode .* takes none"):
         # decompose_histories ignores a bank in this mode, so one would ride along unused
-        ExpertModel(level=0, n_bands=1, backbones=[lin], mode="per_window", bank=bank)
-    merged = ExpertModel(level=5, n_bands=1, backbones=[lin])
+        ExpertModel(level=0, stack=lin, mode="per_window", bank=bank)
+    merged = ExpertModel(level=5, stack=lin)
     assert merged.penalty_level is RarityLevel.EXTREME_RARE
-    assert (merged.history_len, merged.horizon) == (8, 2)
+    assert (merged.n_bands, merged.history_len, merged.horizon) == (1, 8, 2)
+    assert ExpertModel(level=0, stack=_linear_stack(3, 8, 2)).n_bands == 3
 
 
 # ------------------------------------------------------------ decomposition
@@ -136,8 +142,7 @@ def test_expert_predict_rejects_non_finite_history(mode, bad):
     rng = np.random.default_rng(5)
     bank = build_filter_bank(Boundaries(np.array([0.0, 1.0, np.pi])), 17) if mode == "global" else None
     expert = ExpertModel(
-        level=0, n_bands=2, mode=mode, bank=bank,
-        backbones=[bb.make_forecaster("linear", 32, 4, rng=rng) for _ in range(2)],
+        level=0, mode=mode, bank=bank, stack=_linear_stack(2, 32, 4, rng),
     )
     hist = rng.standard_normal((5, 32))
     hist[3, 7] = bad
@@ -152,7 +157,7 @@ def test_expert_predict_rejects_non_finite_history(mode, bad):
 def test_baseline_predict_rejects_non_finite_history(tiny_data):
     # The 1-band baseline skips the band search, so a NaN passed straight through.
     rng = np.random.default_rng(6)
-    base = ExpertModel(level=0, n_bands=1, backbones=[bb.make_forecaster("linear", 32, 8, rng=rng)])
+    base = ExpertModel(level=0, stack=_linear_stack(1, 32, 8, rng))
     wins = tiny_data.test_windows[:4]
     hist = wins.histories.copy()
     hist[1, 0] = np.nan
@@ -164,11 +169,12 @@ def test_baseline_predict_rejects_non_finite_history(tiny_data):
 
 def test_expert_forecast_is_sum_of_band_forecasts():
     rng = np.random.default_rng(1)
-    backbones = [bb.make_forecaster("linear", 16, 4, rng=rng) for _ in range(3)]
-    expert = ExpertModel(level=1, n_bands=3, backbones=backbones)
+    bands = [bb.init_params("linear", 16, 4, rng=rng) for _ in range(3)]
+    expert = ExpertModel(level=1, stack=bb.stack_params("linear", bands))
     hist = rng.standard_normal((4, 16))
     comps = decompose_histories(hist, 3, "per_window", None)
-    expected = sum(bb.forecast(backbones[b], comps[:, b, :]) for b in range(3))
+    # each band forecast on its own, by a stack of that band's model alone
+    expected = sum(bb.forecast(bb.stack_params("linear", [bands[b]]), comps[:, b, :])[0] for b in range(3))
     np.testing.assert_allclose(expert_predict_batch(expert, hist, comps), expected, atol=1e-15)
     single = expert_predict(expert, hist[0])
     np.testing.assert_allclose(single, expert_predict_batch(expert, hist)[0], atol=1e-12)
@@ -267,6 +273,27 @@ def test_build_expert_chain_missing_level_raises(tiny_data):
         build_expert_chain(quiet[:100], _small_cfg())
 
 
+def test_build_expert_chain_names_the_largest_supported_expert_count():
+    # A series clipped at its 93.6th percentile ties t_very == t_extreme, so no
+    # point is labelled VERY_RARE; the error used to name only the missing level.
+    cfg = PipelineConfig()
+    raw = load_series(cfg)
+    clipped = np.minimum(raw.values, np.percentile(raw.values, 93.6))
+    data = prepare_data(cfg, series=TimeSeries(clipped, name=raw.name))
+    assert data.thresholds.t_very == data.thresholds.t_extreme
+    with pytest.raises(ValueError, match=r"VERY_RARE; these windows support at most 2 experts \(--experts\)"):
+        build_expert_chain(data.train_windows, cfg)
+    assert max_experts(data.train_windows.window_levels) == 2
+
+
+@pytest.mark.parametrize(
+    "levels, most",
+    [([0], 1), ([1, 2], 1), ([0, 1], 2), ([0, 3], 2), ([0, 1, 3], 3), ([0, 1, 2], 3), ([0, 1, 2, 3], 4)],
+)
+def test_max_experts_needs_each_exact_level_below_the_top(levels, most):
+    assert max_experts(np.array(levels)) == most
+
+
 def test_chain_is_deterministic(tiny_data):
     wins = tiny_data.train_windows
     a = build_expert_chain(wins, _small_cfg(epochs=1))
@@ -283,8 +310,7 @@ def test_chain_trains_on_unnormalized_large_scale_series(tiny_cfg):
     data = prepare_data(cfg, series=TimeSeries(raw.values * 100.0, name=raw.name))
     tp, _ = train_pipeline(data, cfg, train_router_too=False)
     for expert in tp.experts:
-        for backbone in expert.backbones:
-            assert all(np.all(np.isfinite(p)) for p in backbone.params.values())
+        assert np.isfinite(expert.stack.flat).all()
 
 
 # ------------------------------------------------------------ specialization

@@ -30,19 +30,19 @@ from rarecast.router import (
 )
 
 
-def _gate(horizon: int, n_experts: int, seed: int = 0) -> bb.Forecaster:
-    return bb.make_forecaster(
-        "linear", horizon * n_experts, n_experts, rng=np.random.default_rng(seed)
+def _linear(input_len: int, output_len: int, rng=None, n_models: int = 1) -> bb.ForecasterStack:
+    return bb.stack_params(
+        "linear", [bb.init_params("linear", input_len, output_len, rng=rng) for _ in range(n_models)]
     )
+
+
+def _gate(horizon: int, n_experts: int, seed: int = 0) -> bb.ForecasterStack:
+    return _linear(horizon * n_experts, n_experts, np.random.default_rng(seed))
 
 
 def _experts(n_experts: int, history_len: int, horizon: int, seed: int = 0):
     rng = np.random.default_rng(seed)
-    return [
-        ExpertModel(level=c, n_bands=1,
-                    backbones=[bb.make_forecaster("linear", history_len, horizon, rng=rng)])
-        for c in range(n_experts)
-    ]
+    return [ExpertModel(level=c, stack=_linear(history_len, horizon, rng)) for c in range(n_experts)]
 
 
 # ------------------------------------------------------------------- algebra
@@ -56,7 +56,9 @@ def test_router_validation():
     with pytest.raises(ValueError, match="k must be"):
         Router(gate=_gate(4, 3), k=4)
     with pytest.raises(ValueError, match="not a whole multiple"):
-        Router(gate=bb.make_forecaster("linear", 13, 3), k=1)
+        Router(gate=_linear(13, 3), k=1)
+    with pytest.raises(ValueError, match="stack of one model, got 2"):
+        Router(gate=_linear(12, 3, n_models=2), k=1)
 
 
 def test_softmax_oracle_and_shift_invariance():
@@ -71,8 +73,7 @@ def test_softmax_oracle_and_shift_invariance():
 
 def test_zero_gate_is_uniform():
     router = Router(gate=_gate(4, 3), k=2)
-    router.gate.params["w"] = np.zeros_like(router.gate.params["w"])
-    router.gate.params["b"] = np.zeros_like(router.gate.params["b"])
+    router.gate.flat[:] = 0.0
     logits, alpha = gate_forward(router, np.random.default_rng(0).standard_normal((7, 4, 3)))
     np.testing.assert_array_equal(logits, 0.0)
     np.testing.assert_allclose(alpha, 1.0 / 3.0, atol=1e-15)
@@ -167,15 +168,13 @@ def test_gate_permutation_invariance():
     fused = fuse(out, select_topk(alpha, router.k))
 
     perm = np.array([2, 0, 1])
-    w = router.gate.params["w"]
+    w = router.gate.params["w"][0]
     w_p = np.empty_like(w)
     for i in range(n_experts):
         for h in range(horizon):
             for j in range(n_experts):
                 w_p[i, h * n_experts + j] = w[perm[i], h * n_experts + perm[j]]
-    gate_p = bb.make_forecaster("linear", horizon * n_experts, n_experts)
-    gate_p.params["w"] = w_p
-    gate_p.params["b"] = router.gate.params["b"][perm]
+    gate_p = bb.stack_params("linear", [{"w": w_p, "b": router.gate.params["b"][0][perm]}])
     router_p = Router(gate=gate_p, k=2)
 
     _, alpha_p = gate_forward(router_p, out[:, perm])
@@ -241,7 +240,7 @@ def test_training_curves_are_computed_only_when_read(tiny_data, tiny_cfg, monkey
     router_rows = list(logs.router_curve)
     assert len(router_rows) == cfg.router_epochs + 1 and calls["ce"] == cfg.router_epochs + 1
     feats = stack_expert_outputs(tp.experts, wins.histories).reshape(len(wins), -1)
-    logits = bb.forecast(tp.router.gate, feats)
+    logits = bb.forecast(tp.router.gate, feats)[0]
     assert router_rows[-1]["ce"] == cross_entropy(logits, labels)
     assert router_rows[-1]["accuracy"] == float((logits.argmax(axis=1) == labels).mean())
 
@@ -306,11 +305,10 @@ def test_trained_router_beats_chance(tiny_pipeline):
 
 def test_train_router_leaves_experts_frozen(tiny_data):
     experts = _experts(3, 32, 8)
-    before = [{k: v.copy() for k, v in e.backbones[0].params.items()} for e in experts]
+    before = [e.stack.flat.copy() for e in experts]
     train_router(experts, tiny_data.train_windows[:200], _router_cfg(router_epochs=1))
     for e, snap in zip(experts, before):
-        for k, v in snap.items():
-            np.testing.assert_array_equal(e.backbones[0].params[k], v)
+        np.testing.assert_array_equal(e.stack.flat, snap)
 
 
 # ----------------------------------------------------------------- inference
@@ -324,13 +322,12 @@ def test_pipeline_predict_uniform_and_argmax():
     outputs = stack_expert_outputs(experts, hist)
 
     router = Router(gate=_gate(horizon, n_experts), k=n_experts)
-    router.gate.params["w"] = np.zeros_like(router.gate.params["w"])
-    router.gate.params["b"] = np.zeros_like(router.gate.params["b"])
+    router.gate.flat[:] = 0.0
     preds, alphas, sparse = pipeline_predict_batch(experts, router, hist)
     np.testing.assert_allclose(alphas, 1.0 / 3.0, atol=1e-15)
     np.testing.assert_allclose(preds, outputs.mean(axis=2), atol=1e-12)
 
-    router.gate.params["b"] = np.array([0.0, 2.0, 0.0])
+    router.gate.params["b"][0] = [0.0, 2.0, 0.0]
     preds1, _, sparse1 = pipeline_predict_batch(experts, router, hist, k=1)
     np.testing.assert_array_equal(sparse1[:, 1], 1.0)
     np.testing.assert_array_equal(preds1, outputs[:, :, 1])
