@@ -13,7 +13,8 @@ and one Adam update on the flat buffer. `forward` returns the output and the
 MLP's post-tanh hidden layer, and `backward` consumes that hidden layer
 instead of computing it again, as reverse mode keeps forward intermediates
 for the backward sweep. `forecast` is the forward's output alone, for
-inference.
+inference. `fit` is the one training loop: every expert, the baseline and
+the gate train through it, each supplying only its inputs and loss gradient.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def stack_at(stack: ForecasterStack, flat: np.ndarray) -> ForecasterStack:
 class EpochCurve(Sequence):
     """Per-epoch rows of a training run, computed from parameter snapshots when first read.
 
-    The trainer calls `snapshot()` before its first update and after each
+    `fit` calls `snapshot()` before its first update and after each
     epoch; each call keeps a copy of the stack's flat buffer, which costs far
     less than evaluating a row. The first read passes one `stack_at` stack
     per snapshot, in epoch order, to `rows` and caches the list it returns,
@@ -272,23 +273,14 @@ class OptimizerState:
     work: np.ndarray | None = field(default=None, repr=False)  # (2, P) scratch
 
 
-def step(model: ForecasterStack, grads: dict[str, np.ndarray], opt: OptimizerState) -> ForecasterStack:
-    """One in-place Adam update of the whole stack. Non-finite gradients abort training.
+def step(model: ForecasterStack, opt: OptimizerState) -> ForecasterStack:
+    """One in-place Adam update of the whole stack from the gradients `backward` wrote.
 
-    grads are normally the dict `backward` returned; other arrays are copied
-    into the stack's gradient buffer first and must match its (B, ...) shapes.
+    Non-finite gradients abort training before any state changes.
     """
-    if grads.keys() != model.params.keys():
-        raise ValueError(f"step: gradient keys {sorted(grads)} do not match parameters")
-    for name, g in grads.items():
-        buf = model.grads[name]
-        if g is not buf:
-            if np.shape(g) != buf.shape:
-                raise ValueError(f"step: gradient {name!r} has shape {np.shape(g)}, expected {buf.shape}")
-            buf[...] = g
     g = model.grad_flat
     if not np.isfinite(g).all():
-        bad = next(name for name in grads if not np.isfinite(model.grads[name]).all())
+        bad = next(name for name, buf in model.grads.items() if not np.isfinite(buf).all())
         raise ValueError(f"step: non-finite gradient for {bad!r}, training aborted")
     if opt.m is None:
         opt.m, opt.v = np.zeros_like(g), np.zeros_like(g)
@@ -318,3 +310,31 @@ def step(model: ForecasterStack, grads: dict[str, np.ndarray], opt: OptimizerSta
     upd /= tmp
     model.flat -= upd
     return model
+
+
+def fit(
+    model: ForecasterStack, n: int, epochs: int, batch_size: int, lr: float, rng: np.random.Generator,
+    inputs: Callable[[np.ndarray], np.ndarray],
+    output_grad: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    curve_rows: Callable[[list[ForecasterStack]], list[dict]],
+) -> EpochCurve:
+    """Train `model` in place by minibatch Adam on n samples; return its `EpochCurve`.
+
+    Each epoch walks one `rng.permutation(n)` in batch_size slices idx:
+    `x = inputs(idx)`, `forward`, `backward` with `output_grad(idx, out)`,
+    the loss gradient wrt the (B, N, H) output, then `step`. The curve is
+    snapshotted before the first update and after each epoch.
+    """
+    opt = OptimizerState(lr=lr)
+    curve = EpochCurve(model, curve_rows)
+    curve.snapshot()
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            x = inputs(idx)
+            out, hidden = forward(model, x)
+            backward(model, x, output_grad(idx, out), hidden)
+            step(model, opt)
+        curve.snapshot()
+    return curve

@@ -150,9 +150,13 @@ def cmd_label(args: argparse.Namespace) -> int:
         out / "thresholds.csv",
     )
     rows = []
+    summary = []
     index = 0
     for split_name, split in (("train", data.train), ("val", data.val), ("test", data.test)):
         levels = label_points(split.values, data.thresholds)
+        counts = np.bincount(levels, minlength=len(LEVEL_KEYS))
+        fractions = (f"{LEVEL_KEYS[lev]}={c} ({c / len(levels):.4f})" for lev, c in zip(RarityLevel, counts))
+        summary.append(f"{split_name}: {' '.join(fractions)}")
         for v, lev in zip(split.values, levels):
             rows.append(
                 {
@@ -169,6 +173,7 @@ def cmd_label(args: argparse.Namespace) -> int:
         f"thresholds: moderate>{data.thresholds.t_moderate:.6g} "
         f"very>{data.thresholds.t_very:.6g} extreme>{data.thresholds.t_extreme:.6g}"
     )
+    print("\n".join(summary))
     return 0
 
 

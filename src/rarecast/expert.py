@@ -2,8 +2,8 @@
 
 An expert is a stack of per-band backbones (one bb.ForecasterStack, a
 model per spectral band); its forecast is the sum of the per-band
-forecasts on the decomposed history. Each training step is one forward,
-one backward and one Adam update over all bands. Experts are trained level
+forecasts on the decomposed history. It trains through `bb.fit`, supplying
+only its minibatch gather and its loss gradient. Experts are trained level
 by level, normal first, each rare expert distilling from the level below it
 through the bounded distillation term: the frozen teacher forecasts once, on
 the component rows its student trains on.
@@ -19,7 +19,7 @@ import numpy as np
 from . import backbone as bb
 from . import ewt
 from .config import PipelineConfig
-from .dataset import N_LEVELS, RarityLevel, Windows
+from .dataset import N_LEVELS, RarityLevel, RarityThresholds, Windows
 from .losses import combined_loss, kd_loss, rare_loss
 from .rng import INIT, SHUFFLE, substream
 
@@ -47,6 +47,32 @@ def max_experts(window_levels: np.ndarray) -> int:
     while e < N_LEVELS and e - 1 in present and max(present) >= e:
         e += 1
     return e
+
+
+def check_level_coverage(
+    window_levels: np.ndarray, n_experts: int, thresholds: RarityThresholds | None = None
+) -> None:
+    """Raise ValueError unless each of n_experts (merged) levels labels some window.
+
+    The message names the empty levels and the largest expert count the
+    windows support. Given the thresholds it names them too, and any that
+    are equal: a tie leaves the level between the tied cut points empty.
+    """
+    present = set(np.unique(collapse_level(window_levels, n_experts)).tolist())
+    missing = [c for c in range(n_experts) if c not in present]
+    if not missing:
+        return
+    msg = (
+        f"no windows for level(s) {', '.join(expert_level(c).name for c in missing)}; these "
+        f"windows support at most {max_experts(window_levels)} experts (--experts)"
+    )
+    if thresholds is not None:
+        names, t = ("t_moderate", "t_very", "t_extreme"), thresholds.as_tuple()
+        msg += "; thresholds " + " ".join(f"{name}={v:.6g}" for name, v in zip(names, t))
+        ties = [f"{names[i]} == {names[i + 1]}" for i in range(2) if t[i] == t[i + 1]]
+        if ties:
+            msg += f", tied: {', '.join(ties)}"
+    raise ValueError(msg)
 
 
 @dataclass(eq=False)
@@ -182,11 +208,11 @@ def train_expert(
     level: int,
     teacher: ExpertModel | None,
     cfg: PipelineConfig,
+    components: np.ndarray,
     bank: ewt.FilterBank | None = None,
-    components: np.ndarray | None = None,
     rows: np.ndarray | None = None,
 ) -> tuple[ExpertModel, bb.EpochCurve]:
-    """Train one expert on its level's windows.
+    """Train one expert on its level's windows through `bb.fit`.
 
     components are the windows' band components, row for row, or, when rows
     is given, those of a larger window set in which window i is row rows[i];
@@ -205,10 +231,8 @@ def train_expert(
     horizon = targ.shape[1]
     plev = collapse_level(windows.point_levels, cfg.n_experts)
 
-    if rows is not None and (components is None or len(rows) != n):
-        raise ValueError("train_expert: rows needs components and one row per window")
-    if components is None:
-        components = decompose_histories(hist, cfg.n_bands, cfg.mode, bank, cfg.gamma)
+    if rows is not None and len(rows) != n:
+        raise ValueError("train_expert: rows needs one row per window")
     # (n_bands, N, T): a view of band-major components, one copy of C-ordered
     # ones. Every gather below takes rows band by band from it into a new
     # contiguous block, and np.take would copy a non-contiguous source whole.
@@ -243,9 +267,12 @@ def train_expert(
         bank=bank if cfg.mode == "global" else None,
         gamma=cfg.gamma,
     )
-    model = expert.stack
-    opt = bb.OptimizerState(lr=cfg.lr)
-    shuffle_rng = substream(cfg.seed, SHUFFLE, level)
+
+    def output_grad(idx: np.ndarray, bands: np.ndarray) -> np.ndarray:
+        teacher_b = teacher_preds[idx] if distill else None
+        return combined_loss(
+            _band_sum(bands), targ[idx], teacher_b, plev[idx], penalty_level, cfg.beta, horizon
+        ).d_dpred
 
     def curve_rows(stacks: list[bb.ForecasterStack]) -> list[dict]:
         comps = band_rows(rows)
@@ -257,22 +284,10 @@ def train_expert(
             out.append({"epoch": epoch, "rare": r, "kd": k, "total": tot})
         return out
 
-    curve = bb.EpochCurve(model, curve_rows)
-    curve.snapshot()
-    for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        comp_order = order if rows is None else rows[order]
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            x = np.take(by_band, comp_order[start : start + cfg.batch_size], axis=1)
-            bands, hidden = bb.forward(model, x)
-            teacher_b = teacher_preds[idx] if distill else None
-            loss = combined_loss(
-                _band_sum(bands), targ[idx], teacher_b, plev[idx], penalty_level, cfg.beta, horizon
-            )
-            grads = bb.backward(model, x, np.asarray(loss.d_dpred), hidden)
-            bb.step(model, grads, opt)
-        curve.snapshot()
+    curve = bb.fit(
+        expert.stack, n, cfg.epochs, cfg.batch_size, cfg.lr, substream(cfg.seed, SHUFFLE, level),
+        lambda idx: np.take(by_band, idx if rows is None else rows[idx], axis=1), output_grad, curve_rows,
+    )
     return expert, curve
 
 
@@ -286,31 +301,23 @@ class ChainResult:
 def build_expert_chain(
     windows: Windows,
     cfg: PipelineConfig,
-    bank: ewt.FilterBank | None = None,
-    components: np.ndarray | None = None,
+    bank: ewt.FilterBank | None,
+    components: np.ndarray,
 ) -> ChainResult:
     """Train the full expert ladder, normal through the rarest level.
 
-    Windows are assigned to experts by their (possibly merged) window level;
-    every level must be represented. Each expert's teacher is the expert one
-    level below, already trained and frozen.
+    components are the windows' band components, row for row. Windows are
+    assigned to experts by their (possibly merged) window level; every level
+    must be represented. Each expert's teacher is the expert one level below,
+    already trained and frozen.
     """
     if not windows:
         raise ValueError("build_expert_chain: no windows")
     if cfg.mode == "global" and bank is None:
         raise ValueError("build_expert_chain: global mode requires a fitted bank")
+    check_level_coverage(windows.window_levels, cfg.n_experts)
     wlev = collapse_level(windows.window_levels, cfg.n_experts)
-    present = set(int(v) for v in np.unique(wlev))
-    missing = [c for c in range(cfg.n_experts) if c not in present]
-    if missing:
-        names = ", ".join(expert_level(c).name for c in missing)
-        raise ValueError(
-            f"build_expert_chain: no windows for level(s) {names}; these windows support "
-            f"at most {max_experts(windows.window_levels)} experts (--experts)"
-        )
 
-    if components is None:
-        components = decompose_histories(windows.histories, cfg.n_bands, cfg.mode, bank, cfg.gamma)
     result = ChainResult(experts=[])
     teacher: ExpertModel | None = None
     for c in range(cfg.n_experts):
@@ -323,9 +330,7 @@ def build_expert_chain(
             "training %s expert on %d windows (scope=%s)",
             expert_level(c).name, len(subset), cfg.level_scope,
         )
-        expert, curve = train_expert(
-            subset, c, teacher, cfg, bank=bank, components=components, rows=sel
-        )
+        expert, curve = train_expert(subset, c, teacher, cfg, components, bank, rows=sel)
         result.experts.append(expert)
         result.curves[c] = curve
         result.counts[c] = len(subset)

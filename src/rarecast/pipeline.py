@@ -29,7 +29,14 @@ from .dataset import (
     split_811_lengths,
     synth_generate,
 )
-from .expert import ExpertModel, build_expert_chain, decompose_histories, expert_predict_batch, train_expert
+from .expert import (
+    ExpertModel,
+    build_expert_chain,
+    check_level_coverage,
+    decompose_histories,
+    expert_predict_batch,
+    train_expert,
+)
 from .router import Router, pipeline_predict_batch, train_router
 
 
@@ -132,7 +139,11 @@ def fit_global_bank(train: TimeSeries, cfg: PipelineConfig) -> ewt.FilterBank:
 def train_pipeline(
     data: PreparedData, cfg: PipelineConfig, train_router_too: bool = True
 ) -> tuple[TrainedPipeline, TrainLogs]:
-    """Train the expert chain and (by default) the router on the training windows."""
+    """Train the expert chain and (by default) the router on the training windows.
+
+    Windows that leave an expert's level empty fail before any decomposition.
+    """
+    check_level_coverage(data.train_windows.window_levels, cfg.n_experts, data.thresholds)
     bank = fit_global_bank(data.train, cfg) if cfg.mode == "global" else None
     hist = data.train_windows.histories
     components = decompose_histories(hist, cfg.n_bands, cfg.mode, bank, cfg.gamma)

@@ -1,8 +1,8 @@
 """Softmax gate over stacked expert forecasts, with top-k sparse fusion.
 
 The gate sees the flattened (H, E) matrix of expert forecasts and emits one
-logit per expert. Training uses the full softmax against the window's rarity
-label; at inference only the k largest weights are kept and renormalized.
+logit per expert. The gate trains through `bb.fit` on the full softmax against
+the window's rarity label; inference keeps the k largest weights, renormalized.
 A Router holds the gate, a stack of one model, and k alone: the expert
 count E and the horizon H are read off the gate's shape (E outputs, H * E
 inputs).
@@ -205,10 +205,10 @@ def train_router(
 ) -> tuple[Router, bb.EpochCurve]:
     """Fit the gate to route windows to the expert of their rarity level.
 
-    Experts stay frozen; training is full-softmax cross-entropy on the window
-    labels (top-k applies at inference only). Returns the router and the
-    per-epoch loss/accuracy curve, computed when first read; row 0 precedes
-    any update.
+    Experts stay frozen; the gate trains through `bb.fit` on full-softmax
+    cross-entropy against the window labels (top-k applies at inference
+    only). Returns the router and the per-epoch loss/accuracy curve,
+    computed when first read; row 0 precedes any update.
     """
     if not windows:
         raise ValueError("train_router: no windows")
@@ -238,9 +238,17 @@ def train_router(
     model = bb.stack_params(kind, [
         bb.init_params(kind, horizon * n_experts, n_experts, width, substream(cfg.seed, ROUTER_INIT))
     ])
-    opt = bb.OptimizerState(lr=cfg.router_lr)
-    shuffle_rng = substream(cfg.seed, ROUTER_SHUFFLE)
     router = Router(gate=model, k=cfg.k)
+    onehot = np.eye(n_experts)[labels]
+
+    def output_grad(idx: np.ndarray, logits: np.ndarray) -> np.ndarray:
+        _, dlogits, total = _exp_shifted(logits[0])
+        # w * (softmax - onehot) / B, in place and in that order.
+        dlogits /= total[:, None]
+        dlogits -= onehot[idx]
+        dlogits *= sample_w[idx, None]
+        dlogits /= len(idx)
+        return dlogits
 
     def curve_rows(stacks: list[bb.ForecasterStack]) -> list[dict]:
         out = []
@@ -250,23 +258,10 @@ def train_router(
             out.append({"epoch": epoch, "ce": cross_entropy(logits, labels), "accuracy": acc})
         return out
 
-    curve = bb.EpochCurve(model, curve_rows)
-    curve.snapshot()
-    onehot = np.eye(n_experts)[labels]
-    for epoch in range(1, cfg.router_epochs + 1):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            feats_b = feats[idx]
-            logits, hidden = bb.forward(model, feats_b)
-            _, dlogits, total = _exp_shifted(logits[0])
-            # w * (softmax - onehot) / B, in place and in that order.
-            dlogits /= total[:, None]
-            dlogits -= onehot[idx]
-            dlogits *= sample_w[idx, None]
-            dlogits /= len(idx)
-            bb.step(model, bb.backward(model, feats_b, dlogits, hidden), opt)
-        curve.snapshot()
+    curve = bb.fit(
+        model, n, cfg.router_epochs, cfg.batch_size, cfg.router_lr, substream(cfg.seed, ROUTER_SHUFFLE),
+        lambda idx: feats[idx], output_grad, curve_rows,
+    )
     return router, curve
 
 
@@ -274,7 +269,6 @@ def pipeline_predict_batch(
     experts: list[ExpertModel],
     router: Router,
     histories: np.ndarray,
-    components: np.ndarray | None = None,
     k: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fused forecasts for stacked histories.
@@ -284,7 +278,7 @@ def pipeline_predict_batch(
     history holding NaN or an infinity raises ValueError.
     """
     k = router.k if k is None else int(k)
-    outputs = stack_expert_outputs(experts, histories, components)
+    outputs = stack_expert_outputs(experts, histories)
     _, alphas = gate_forward(router, outputs)
     sparse = select_topk_batch(alphas, k)
     preds = fuse(outputs, sparse)

@@ -6,6 +6,7 @@ import pytest
 from rarecast.backbone import (
     OptimizerState,
     backward,
+    fit,
     forecast,
     forward,
     init_params,
@@ -118,7 +119,8 @@ def test_adam_first_step_size_is_lr():
     s = _single("linear", 1, 1)
     s.params["w"][...] = 10.0
     opt = OptimizerState(lr=0.05)
-    step(s, {"w": np.array([[[7.3]]]), "b": np.array([[0.0]])}, opt)
+    s.grads["w"][...] = 7.3
+    step(s, opt)
     # m_hat / (sqrt(v_hat) + eps) is sign(g) on the first step
     assert s.params["w"][0, 0, 0] == pytest.approx(10.0 - 0.05, abs=1e-6)
     assert opt.step_count == 1
@@ -129,21 +131,23 @@ def test_adam_converges_on_quadratic():
     s.flat[:] = 0.0
     opt = OptimizerState(lr=0.05)
     for _ in range(2000):
-        w = s.params["w"][0, 0, 0]
-        step(s, {"w": np.array([[[2.0 * (w - 3.0)]]]), "b": np.zeros((1, 1))}, opt)
+        s.grads["w"][...] = 2.0 * (s.params["w"][0, 0, 0] - 3.0)
+        step(s, opt)
     assert s.params["w"][0, 0, 0] == pytest.approx(3.0, abs=1e-2)
 
 
 def test_step_validation():
     s = _single("linear", 2, 1)
     opt = OptimizerState()
-    with pytest.raises(ValueError, match="keys"):
-        step(s, {"w": np.zeros((1, 1, 2))}, opt)
+    s.grads["w"][...] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        step(s, {"w": np.full((1, 1, 2), np.nan), "b": np.zeros((1, 1))}, opt)
-    with pytest.raises(ValueError, match="shape"):
-        step(s, {"w": np.zeros((1, 2)), "b": np.zeros((1, 1))}, opt)
+        step(s, opt)
     assert opt.step_count == 0  # failed updates never advance the clock
+    s.grads["w"][...] = 0.0
+    step(s, opt)
+    with pytest.raises(ValueError, match="differently sized"):
+        step(_single("linear", 3, 1), opt)
+    assert opt.step_count == 1
 
 
 # ------------------------------------------- stacked kernels vs per-band loop
@@ -207,7 +211,7 @@ def test_stacked_kernels_match_per_band_reference(kind, n_models, n):
             for name in ref_g:
                 np.testing.assert_array_equal(grads[name][b], ref_g[name])
             _ref_adam(ref[b], ref_g, states[b])
-        step(s, grads, opt)
+        step(s, opt)
         for b in range(n_models):
             for name in ref[b]:
                 np.testing.assert_array_equal(s.params[name][b], ref[b][name])
@@ -283,15 +287,52 @@ def test_step_non_finite_in_any_band_aborts_without_update(band):
     s = stack_params("mlp", [init_params("mlp", 6, 3, 4, np.random.default_rng(i)) for i in range(4)])
     flat_before = s.flat.copy()
     opt = OptimizerState()
-    grads = {k: np.zeros_like(v) for k, v in s.params.items()}
-    grads["w2"][band, 1, 2] = np.inf
-    grads["b1"][band, 0] = np.nan
-    # the first offending name in the gradient dict's order is reported
+    s.grads["w2"][band, 1, 2] = np.inf
+    s.grads["b1"][band, 0] = np.nan
+    # the first offending parameter in buffer order is reported
     with pytest.raises(ValueError, match="non-finite gradient for 'b1'"):
-        step(s, grads, opt)
+        step(s, opt)
+    s.grads["b1"][...] = 0.0
     with pytest.raises(ValueError, match="non-finite gradient for 'w2'"):
-        step(s, {"w2": grads["w2"], "w1": grads["w1"], "b1": np.zeros((4, 4)), "b2": grads["b2"]}, opt)
-    with pytest.raises(ValueError, match="keys"):
-        step(s, {k: v for k, v in grads.items() if k != "b2"}, opt)
+        step(s, opt)
     assert opt.step_count == 0 and opt.m is None
     np.testing.assert_array_equal(s.flat, flat_before)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_fit_matches_a_hand_rolled_loop(kind):
+    # bb.fit against the per-model reference: the same permutation per epoch,
+    # minibatches in its order (the last one short), a band-summed loss
+    # gradient, _ref_adam, and a snapshot before training and after each epoch.
+    rng = np.random.default_rng(23)
+    n_models, n, t, h, epochs, batch, lr = 3, 50, 8, 4, 3, 16, 0.01
+    models = [init_params(kind, t, h, 6, rng) for _ in range(n_models)]
+    comps = rng.standard_normal((n, n_models, t))
+    by_band = np.ascontiguousarray(comps.transpose(1, 0, 2))
+    target = rng.standard_normal((n, h))
+
+    ref = [{k: v.copy() for k, v in m.items()} for m in models]
+    states = [{"t": 0, "m": {}, "v": {}} for _ in models]
+    ref_rng = np.random.default_rng(11)
+    want = [stack_params(kind, ref).flat]
+    for _ in range(epochs):
+        order = ref_rng.permutation(n)
+        for start in range(0, n, batch):
+            x = comps[order[start : start + batch]]
+            preds = np.stack([_ref_forecast(ref[b], kind, x[:, b]) for b in range(n_models)])
+            g = preds.sum(axis=0) - target[order[start : start + batch]]
+            for b in range(n_models):
+                _ref_adam(ref[b], _ref_backward(ref[b], kind, x[:, b], g), states[b], lr)
+        want.append(stack_params(kind, ref).flat)
+
+    s = stack_params(kind, models)
+    curve = fit(
+        s, n, epochs, batch, lr, np.random.default_rng(11),
+        lambda idx: np.take(by_band, idx, axis=1),
+        lambda idx, out: out.sum(axis=0) - target[idx],
+        lambda stacks: [{"epoch": e, "flat": st.flat} for e, st in enumerate(stacks)],
+    )
+    assert len(curve) == epochs + 1
+    for row, flat in zip(curve, want):
+        np.testing.assert_array_equal(row["flat"], flat)
+    np.testing.assert_array_equal(s.flat, want[-1])

@@ -500,6 +500,23 @@ def test_cli_label_on_csv(tmp_path):
     assert thresholds[0] == "t_moderate,t_very,t_extreme"
 
 
+def test_cli_label_prints_level_counts_and_fractions_per_split(tmp_path, capsys):
+    out = tmp_path / "labels"
+    assert cli.main(["label", "--out", str(out), *TINY_FLAGS]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("thresholds: ")
+    labels = [row.split(",") for row in (out / "labels.csv").read_text().splitlines()[1:]]
+    entry = re.compile(r"(\w+)=(\d+) \((\d\.\d{4})\)")
+    for split, line in zip(("train", "val", "test"), lines[1:], strict=True):
+        assert line.startswith(f"{split}: ")
+        found = entry.findall(line)
+        assert [key for key, _, _ in found] == list(LEVEL_KEYS.values())
+        # the counts are those of labels.csv, and the fractions sum to 1 up to their rounding
+        split_levels = [row[3] for row in labels if row[1] == split]
+        assert [int(c) for _, c, _ in found] == [split_levels.count(key) for key in LEVEL_KEYS.values()]
+        assert sum(float(f) for _, _, f in found) == pytest.approx(1.0, abs=2.5e-4)
+
+
 def test_cli_ewt_dump(tmp_path):
     out = tmp_path / "ewt"
     assert cli.main(["ewt-dump", "--out", str(out), *TINY_FLAGS]) == 0

@@ -1,6 +1,7 @@
 """Expert chain: level assignment, distillation wiring, specialization."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from rarecast.expert import (
 from rarecast.ewt import Boundaries, build_filter_bank
 from rarecast.pipeline import baseline_predict, load_series, prepare_data, train_pipeline
 from rarecast import backbone as bb
+from rarecast import ewt, pipeline
 
 
 def _params_digest(model: ExpertModel) -> str:
@@ -192,9 +194,15 @@ def _small_cfg(**kw) -> PipelineConfig:
     return PipelineConfig(**base)
 
 
+def _comps(wins: Windows, cfg: PipelineConfig) -> np.ndarray:
+    """The windows' band components, decomposed as train_pipeline does in per-window mode."""
+    return decompose_histories(wins.histories, cfg.n_bands, cfg.mode, None, cfg.gamma)
+
+
 def test_train_expert_curve_and_descent(tiny_data):
     wins = tiny_data.train_windows[:300]
-    expert, curve = train_expert(wins, 0, None, _small_cfg(epochs=4))
+    cfg = _small_cfg(epochs=4)
+    expert, curve = train_expert(wins, 0, None, cfg, _comps(wins, cfg))
     assert len(curve) == 5  # row 0 precedes any update
     assert set(curve[0]) == {"epoch", "rare", "kd", "total"}
     assert min(row["total"] for row in curve[1:]) <= curve[0]["total"]
@@ -202,10 +210,12 @@ def test_train_expert_curve_and_descent(tiny_data):
 
 
 def test_train_expert_errors(tiny_data):
+    cfg = _small_cfg()
     with pytest.raises(ValueError, match="no samples"):
-        train_expert(tiny_data.train_windows[:0], 0, None, _small_cfg())
+        train_expert(tiny_data.train_windows[:0], 0, None, cfg, np.empty((0, cfg.n_bands, 32)))
+    wins = tiny_data.train_windows[:50]
     with pytest.raises(ValueError, match="requires a teacher"):
-        train_expert(tiny_data.train_windows[:50], 1, None, _small_cfg())
+        train_expert(wins, 1, None, cfg, _comps(wins, cfg))
 
 
 def test_train_expert_reads_band_major_components_in_place(tiny_data):
@@ -234,10 +244,11 @@ def test_train_expert_reads_band_major_components_in_place(tiny_data):
 
 
 def test_teacher_stays_frozen(tiny_data):
-    wins = tiny_data.train_windows
-    teacher, _ = train_expert(wins[:200], 0, None, _small_cfg())
+    wins = tiny_data.train_windows[:200]
+    comps = _comps(wins, _small_cfg())
+    teacher, _ = train_expert(wins, 0, None, _small_cfg(), comps)
     digest = _params_digest(teacher)
-    _, curve = train_expert(wins[:200], 1, teacher, _small_cfg())
+    _, curve = train_expert(wins, 1, teacher, _small_cfg(), comps)
     assert _params_digest(teacher) == digest
     assert curve[0]["kd"] > 0.0  # the student actually sees the teacher
 
@@ -245,11 +256,12 @@ def test_teacher_stays_frozen(tiny_data):
 def test_plain_penalty_rare_expert_still_distills(tiny_data):
     """The WT+KD ablation cell: a rare expert on the quadratic loss keeps its KD term."""
     wins = tiny_data.train_windows
-    teacher, _ = train_expert(wins[:200], 0, None, _small_cfg())
+    teacher, _ = train_expert(wins[:200], 0, None, _small_cfg(), _comps(wins[:200], _small_cfg()))
+    comps = _comps(wins[200:400], _small_cfg())
     digests = []
     for beta in (0.5, 0.0):
         cfg = _small_cfg(beta=beta, use_rare_penalty=False)
-        student, curve = train_expert(wins[200:400], 1, teacher, cfg)
+        student, curve = train_expert(wins[200:400], 1, teacher, cfg, comps)
         digests.append(_params_digest(student))
     assert curve[0]["kd"] == 0.0  # beta 0 never consults the teacher
     assert digests[0] != digests[1], "distillation was dropped from the gradient"
@@ -258,19 +270,20 @@ def test_plain_penalty_rare_expert_still_distills(tiny_data):
 def test_build_expert_chain_counts_exact_vs_cumulative(tiny_data):
     wins = tiny_data.train_windows
     folded = collapse_level(wins.window_levels, 3)
-    exact = build_expert_chain(wins, _small_cfg(epochs=1, level_scope="exact"))
+    comps = _comps(wins, _small_cfg())
+    exact = build_expert_chain(wins, _small_cfg(epochs=1, level_scope="exact"), None, comps)
     assert len(exact.experts) == 3
     assert [exact.counts[c] for c in range(3)] == [int((folded == c).sum()) for c in range(3)]
-    cum = build_expert_chain(wins, _small_cfg(epochs=1, level_scope="cumulative"))
+    cum = build_expert_chain(wins, _small_cfg(epochs=1, level_scope="cumulative"), None, comps)
     assert [cum.counts[c] for c in range(3)] == [int((folded <= c).sum()) for c in range(3)]
     assert [e.level for e in exact.experts] == [0, 1, 2]
 
 
 def test_build_expert_chain_missing_level_raises(tiny_data):
     wins = tiny_data.train_windows
-    quiet = wins[wins.window_levels == RarityLevel.NORMAL]
+    quiet = wins[wins.window_levels == RarityLevel.NORMAL][:100]
     with pytest.raises(ValueError, match="no windows for level"):
-        build_expert_chain(quiet[:100], _small_cfg())
+        build_expert_chain(quiet, _small_cfg(), None, _comps(quiet, _small_cfg()))
 
 
 def test_build_expert_chain_names_the_largest_supported_expert_count():
@@ -281,9 +294,31 @@ def test_build_expert_chain_names_the_largest_supported_expert_count():
     clipped = np.minimum(raw.values, np.percentile(raw.values, 93.6))
     data = prepare_data(cfg, series=TimeSeries(clipped, name=raw.name))
     assert data.thresholds.t_very == data.thresholds.t_extreme
+    comps = _comps(data.train_windows, cfg)
     with pytest.raises(ValueError, match=r"VERY_RARE; these windows support at most 2 experts \(--experts\)"):
-        build_expert_chain(data.train_windows, cfg)
+        build_expert_chain(data.train_windows, cfg, None, comps)
     assert max_experts(data.train_windows.window_levels) == 2
+
+
+@pytest.mark.parametrize("mode", ["per_window", "global"])
+def test_train_pipeline_names_a_threshold_tie_before_decomposing(monkeypatch, mode):
+    # The same clipped series used to run the whole decomposition (and, in
+    # global mode, the bank fit) before the chain failed without naming the tie.
+    cfg = PipelineConfig(mode=mode)
+    raw = load_series(cfg)
+    clipped = np.minimum(raw.values, np.percentile(raw.values, 93.6))
+    data = prepare_data(cfg, series=TimeSeries(clipped, name=raw.name))
+    ran = []
+    for mod, name in ((ewt, "decompose_windows"), (ewt, "decompose_with_bank"), (pipeline, "fit_global_bank")):
+        monkeypatch.setattr(mod, name, lambda *a, name=name, **k: ran.append(name))
+    t_very = re.escape(f"{data.thresholds.t_very:.6g}")
+    with pytest.raises(
+        ValueError,
+        match=rf"VERY_RARE; .* at most 2 experts .* t_very={t_very} t_extreme={t_very}, "
+        r"tied: t_very == t_extreme$",
+    ):
+        pipeline.train_pipeline(data, cfg)
+    assert ran == []
 
 
 @pytest.mark.parametrize(
@@ -296,8 +331,9 @@ def test_max_experts_needs_each_exact_level_below_the_top(levels, most):
 
 def test_chain_is_deterministic(tiny_data):
     wins = tiny_data.train_windows
-    a = build_expert_chain(wins, _small_cfg(epochs=1))
-    b = build_expert_chain(wins, _small_cfg(epochs=1))
+    comps = _comps(wins, _small_cfg())
+    a = build_expert_chain(wins, _small_cfg(epochs=1), None, comps)
+    b = build_expert_chain(wins, _small_cfg(epochs=1), None, comps)
     assert [_params_digest(e) for e in a.experts] == [_params_digest(e) for e in b.experts]
 
 
@@ -311,6 +347,30 @@ def test_chain_trains_on_unnormalized_large_scale_series(tiny_cfg):
     tp, _ = train_pipeline(data, cfg, train_router_too=False)
     for expert in tp.experts:
         assert np.isfinite(expert.stack.flat).all()
+
+
+def test_one_backward_and_one_step_per_minibatch(monkeypatch, tiny_data, tiny_cfg):
+    # Every expert, the gate and the baseline train through bb.fit, which the
+    # benchmark's backbone call counts read at the module boundary.
+    calls = {"backward": 0, "step": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(bb, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(bb, name, counted)
+    _, logs = train_pipeline(tiny_data, tiny_cfg)
+    pipeline.train_baseline(tiny_data, tiny_cfg)
+
+    def batches(n: int) -> int:
+        return -(-n // tiny_cfg.batch_size)
+
+    n = len(tiny_data.train_windows)
+    want = (
+        sum(tiny_cfg.epochs * batches(c) for c in logs.expert_counts.values())
+        + tiny_cfg.router_epochs * batches(n)
+        + tiny_cfg.epochs * batches(n)
+    )
+    assert calls == {"backward": want, "step": want}
 
 
 # ------------------------------------------------------------ specialization
