@@ -29,7 +29,7 @@ from .dataset import Normalizer, RarityThresholds
 from .ewt import Boundaries, FilterBank
 from .expert import ExpertModel
 from .pipeline import TrainedPipeline
-from .router import Router, gate_kind
+from .router import Router
 
 FORMAT_VERSION = 2
 
@@ -158,9 +158,8 @@ def _pipeline_from(payload: dict) -> TrainedPipeline:
         )
     router = None
     if payload["router"] is not None:
-        kind, width = gate_kind(cfg.gate_hidden)
-        gate_want = bb.param_shapes(kind, cfg.horizon * cfg.n_experts, cfg.n_experts, width)
-        gate = bb.stack_params(kind, [_arrays(payload["router"], gate_want, "the gate")])
+        gate_want = bb.param_shapes("linear", cfg.horizon * cfg.n_experts, cfg.n_experts)
+        gate = bb.stack_params("linear", [_arrays(payload["router"], gate_want, "the gate")])
         router = Router(gate=gate, k=cfg.k)
     th = payload["thresholds"]
     return TrainedPipeline(

@@ -37,6 +37,7 @@ from .evaluation import (
     sweep_k,
     write_rows_csv,
 )
+from .expert import max_experts
 from .losses import loss_landscape_rows
 from .pipeline import (
     TrainedPipeline,
@@ -174,6 +175,10 @@ def cmd_label(args: argparse.Namespace) -> int:
         f"very>{data.thresholds.t_very:.6g} extreme>{data.thresholds.t_extreme:.6g}"
     )
     print("\n".join(summary))
+    print(
+        f"train windows support at most {max_experts(data.train_windows.window_levels)} "
+        "experts (--experts)"
+    )
     return 0
 
 

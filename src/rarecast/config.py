@@ -10,18 +10,20 @@ from .backbone import KINDS
 from .dataset import N_LEVELS
 
 SOURCES = ("synth", "csv")
-LEVEL_SCOPES = ("exact", "cumulative")
 DECOMPOSITION_MODES = ("per_window", "global")
 
 
 # The defaults are the benchmark preset, which `rarecast reproduce`, the
 # release gate and every benchmark workload run. Three experts (top rarity
-# levels merged), linear backbones and a linear gate, inverse-frequency class
-# weights on. Short expert schedule: longer training lets the rare experts
-# drift on quiet windows and erodes the full configuration's overall-MSE
-# margin. Router schedule: the smallest of {5, 10, 20, 40, 80} epochs whose
-# median validation-split overall and extreme MSE (seeds 5-9) are within 1%
-# of the 80-epoch medians, for this preset and its global-mode MLP variant.
+# levels merged) and linear backbones. No field varies the rest: each expert
+# trains on the windows of its own level, the gate is linear, weighted by
+# inverse class frequency and trained at `lr`, and the rarity thresholds are
+# the training values' P90/P95/P99. Short expert schedule: longer training
+# lets the rare experts drift on quiet windows and erodes the full
+# configuration's overall-MSE margin. Router schedule: the smallest of
+# {5, 10, 20, 40, 80} epochs whose median validation-split overall and
+# extreme MSE (seeds 5-9) are within 1% of the 80-epoch medians, for this
+# preset and its global-mode MLP variant.
 @dataclass(frozen=True)
 class PipelineConfig:
     # windowing
@@ -32,7 +34,7 @@ class PipelineConfig:
     n_bands: int = 4
     mode: str = "per_window"
     gamma: float | None = None
-    # experts
+    # experts (lr and batch_size train the gate too)
     n_experts: int = 3
     beta: float = 0.5
     backbone: str = "linear"
@@ -40,16 +42,11 @@ class PipelineConfig:
     epochs: int = 10
     lr: float = 1e-3
     batch_size: int = 128
-    level_scope: str = "exact"
     use_rare_penalty: bool = True
     # router
     k: int = 2
-    gate_hidden: int = 0
     router_epochs: int = 5
-    router_lr: float = 1e-3
-    class_weights: bool = True
-    # labeling and scaling
-    percentiles: tuple[float, float, float] = (90.0, 95.0, 99.0)
+    # scaling
     normalization: str = "zscore"
     # data source
     source: str = "synth"
@@ -79,24 +76,18 @@ class PipelineConfig:
             raise ValueError("config: batch_size must be >= 1")
         if self.epochs < 0 or self.router_epochs < 0:
             raise ValueError("config: epochs and router_epochs must be >= 0")
-        for name in ("lr", "router_lr"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"config: {name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"config: lr must be finite and > 0, got {self.lr}")
         if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"config: gamma must be None or finite and >= 0, got {self.gamma}")
         if self.hidden < 1:
             raise ValueError("config: hidden must be >= 1")
-        if self.gate_hidden < 0:
-            raise ValueError("config: gate_hidden must be >= 0 (0 means a linear gate)")
         if not 1 <= self.n_experts <= N_LEVELS:
             raise ValueError(f"config: n_experts must be in [1, {N_LEVELS}]")
         if not 1 <= self.k <= self.n_experts:
             raise ValueError(f"config: k must be in [1, n_experts={self.n_experts}]")
         if self.mode not in DECOMPOSITION_MODES:
             raise ValueError(f"config: mode must be one of {DECOMPOSITION_MODES}")
-        if self.level_scope not in LEVEL_SCOPES:
-            raise ValueError(f"config: level_scope must be one of {LEVEL_SCOPES}")
         if self.backbone not in KINDS:
             raise ValueError(f"config: backbone must be one of {KINDS}")
         if self.normalization not in ("zscore", "identity"):
@@ -105,9 +96,6 @@ class PipelineConfig:
             raise ValueError(f"config: source must be one of {SOURCES}")
         if self.source == "csv" and (self.data_path is None or self.data_column is None):
             raise ValueError("config: csv source needs data_path and data_column")
-        p = self.percentiles
-        if len(p) != 3 or not (0.0 < p[0] <= p[1] <= p[2] < 100.0):
-            raise ValueError(f"config: percentiles must be 3 ordered values in (0, 100), got {p}")
 
     # The training functions take the config itself. These two identity
     # methods remain only because the benchmark harness still calls them.
@@ -118,18 +106,32 @@ class PipelineConfig:
         return self
 
     def to_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        d["percentiles"] = list(self.percentiles)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "PipelineConfig":
+        """The config a snapshot or bundle stores; fields earlier builds wrote are checked, then dropped.
+
+        A retired field that holds the one value this build implements loads
+        as if absent; any other value would select a path that is gone.
+        """
         d = dict(d)
+        retired = {
+            "level_scope": "exact",
+            "class_weights": True,
+            "gate_hidden": 0,
+            "router_lr": d.get("lr", cls.lr),
+            "percentiles": [90.0, 95.0, 99.0],
+        }
+        for name, implemented in retired.items():
+            value = d.pop(name, implemented)
+            if value != implemented:
+                raise ValueError(
+                    f"config: {name}={value!r} is no longer supported (this build implements {implemented!r})"
+                )
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"config: unknown fields {sorted(unknown)}")
-        if "percentiles" in d:
-            d["percentiles"] = tuple(d["percentiles"])
         return cls(**d)
 
     def with_overrides(self, **kwargs: Any) -> "PipelineConfig":

@@ -180,25 +180,22 @@ def compute_thresholds(
     return RarityThresholds(float(cuts[0]), float(cuts[1]), float(cuts[2]))
 
 
-def label_point(value: float, thresholds: RarityThresholds) -> RarityLevel:
-    """Rarity of a single value. Boundaries go down: label(t_extreme) is VERY_RARE."""
-    if value > thresholds.t_extreme:
-        return RarityLevel.EXTREME_RARE
-    if value > thresholds.t_very:
-        return RarityLevel.VERY_RARE
-    if value > thresholds.t_moderate:
-        return RarityLevel.MODERATE
-    return RarityLevel.NORMAL
-
-
 def label_points(values: np.ndarray, thresholds: RarityThresholds) -> np.ndarray:
-    """Vectorized label_point; returns an int64 array of RarityLevel values."""
+    """Rarity of each value, the number of cut points it exceeds, as int64 RarityLevel values.
+
+    Boundaries go down: the label of t_extreme is VERY_RARE.
+    """
     v = np.asarray(values, dtype=np.float64)
     out = np.zeros(v.shape, dtype=np.int64)
     out += (v > thresholds.t_moderate).astype(np.int64)
     out += (v > thresholds.t_very).astype(np.int64)
     out += (v > thresholds.t_extreme).astype(np.int64)
     return out
+
+
+def label_point(value: float, thresholds: RarityThresholds) -> RarityLevel:
+    """Rarity of a single value, by label_points."""
+    return RarityLevel(int(label_points(value, thresholds)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -321,15 +321,9 @@ def build_expert_chain(
     result = ChainResult(experts=[])
     teacher: ExpertModel | None = None
     for c in range(cfg.n_experts):
-        if cfg.level_scope == "cumulative":
-            sel = np.flatnonzero(wlev <= c)
-        else:
-            sel = np.flatnonzero(wlev == c)
+        sel = np.flatnonzero(wlev == c)
         subset = windows[sel]
-        log.info(
-            "training %s expert on %d windows (scope=%s)",
-            expert_level(c).name, len(subset), cfg.level_scope,
-        )
+        log.info("training %s expert on %d windows", expert_level(c).name, len(subset))
         expert, curve = train_expert(subset, c, teacher, cfg, components, bank, rows=sel)
         result.experts.append(expert)
         result.curves[c] = curve

@@ -98,7 +98,7 @@ def prepare_data(
     val = TimeSeries(normalizer.apply(val_raw.values), name=series.name)
     test = TimeSeries(normalizer.apply(test_raw.values), name=series.name)
     if thresholds is None:
-        thresholds = compute_thresholds(train.values, cfg.percentiles)
+        thresholds = compute_thresholds(train.values)
     t, h, s = cfg.history_len, cfg.horizon, cfg.stride
     return PreparedData(
         name=series.name,

@@ -1,8 +1,10 @@
 """Softmax gate over stacked expert forecasts, with top-k sparse fusion.
 
-The gate sees the flattened (H, E) matrix of expert forecasts and emits one
-logit per expert. The gate trains through `bb.fit` on the full softmax against
-the window's rarity label; inference keeps the k largest weights, renormalized.
+The gate is a linear model: it sees the flattened (H, E) matrix of expert
+forecasts and emits one logit per expert. It trains through `bb.fit` on the
+full softmax against the window's rarity label, each window weighted by the
+inverse frequency of its label; inference keeps the k largest weights,
+renormalized.
 A Router holds the gate, a stack of one model, and k alone: the expert
 count E and the horizon H are read off the gate's shape (E outputs, H * E
 inputs).
@@ -55,11 +57,6 @@ class Router:
     @property
     def horizon(self) -> int:
         return self.gate.input_len // self.gate.output_len
-
-
-def gate_kind(gate_hidden: int) -> tuple[str, int]:
-    """The gate's backbone kind and hidden width: gate_hidden 0 means a linear gate."""
-    return ("mlp", gate_hidden) if gate_hidden > 0 else ("linear", 1)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -205,10 +202,12 @@ def train_router(
 ) -> tuple[Router, bb.EpochCurve]:
     """Fit the gate to route windows to the expert of their rarity level.
 
-    Experts stay frozen; the gate trains through `bb.fit` on full-softmax
-    cross-entropy against the window labels (top-k applies at inference
-    only). Returns the router and the per-epoch loss/accuracy curve,
-    computed when first read; row 0 precedes any update.
+    Experts stay frozen; the gate trains through `bb.fit` at cfg.lr on
+    full-softmax cross-entropy against the window labels, each window
+    weighted by n / (labels present * its label's count), so every label
+    present carries equal total weight (top-k applies at inference only).
+    Returns the router and the per-epoch loss/accuracy curve, computed when
+    first read; row 0 precedes any update.
     """
     if not windows:
         raise ValueError("train_router: no windows")
@@ -226,17 +225,14 @@ def train_router(
     feats = _flatten_outputs(outputs, horizon, n_experts)
     n = feats.shape[0]
 
-    sample_w = np.ones(n)
-    if cfg.class_weights:
-        counts = np.bincount(labels, minlength=n_experts).astype(np.float64)
-        nonzero = counts > 0
-        w_by_class = np.zeros(n_experts)
-        w_by_class[nonzero] = n / (nonzero.sum() * counts[nonzero])
-        sample_w = w_by_class[labels]
+    counts = np.bincount(labels, minlength=n_experts).astype(np.float64)
+    nonzero = counts > 0
+    w_by_class = np.zeros(n_experts)
+    w_by_class[nonzero] = n / (nonzero.sum() * counts[nonzero])
+    sample_w = w_by_class[labels]
 
-    kind, width = gate_kind(cfg.gate_hidden)
-    model = bb.stack_params(kind, [
-        bb.init_params(kind, horizon * n_experts, n_experts, width, substream(cfg.seed, ROUTER_INIT))
+    model = bb.stack_params("linear", [
+        bb.init_params("linear", horizon * n_experts, n_experts, rng=substream(cfg.seed, ROUTER_INIT))
     ])
     router = Router(gate=model, k=cfg.k)
     onehot = np.eye(n_experts)[labels]
@@ -259,7 +255,7 @@ def train_router(
         return out
 
     curve = bb.fit(
-        model, n, cfg.router_epochs, cfg.batch_size, cfg.router_lr, substream(cfg.seed, ROUTER_SHUFFLE),
+        model, n, cfg.router_epochs, cfg.batch_size, cfg.lr, substream(cfg.seed, ROUTER_SHUFFLE),
         lambda idx: feats[idx], output_grad, curve_rows,
     )
     return router, curve

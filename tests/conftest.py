@@ -19,7 +19,6 @@ TINY = dict(
     n_experts=3,
     epochs=3,
     router_epochs=10,
-    gate_hidden=0,
     backbone="linear",
     batch_size=128,
     synth_n=6000,

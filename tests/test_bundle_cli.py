@@ -65,6 +65,18 @@ def test_bundle_text_is_the_sorted_compact_dump_of_the_document(tiny_pipeline, t
 
 FIXTURES = Path(__file__).parent / "data"
 
+# Config fields that earlier builds stored, each with the one value this build
+# implements (loaded as if absent) and a value that would select a removed path.
+# The accepted router_lr is the config's own lr, 1e-3 in every config below.
+RETIRED = [
+    ("level_scope", "exact", "cumulative"),
+    ("class_weights", True, False),
+    ("gate_hidden", 0, 4),
+    ("router_lr", 1e-3, 1e-2),
+    ("percentiles", [90.0, 95.0, 99.0], [80.0, 95.0, 99.0]),
+]
+RETIRED_NAMES = [name for name, _, _ in RETIRED]
+
 
 def test_recorded_format_2_bundle_loads_resaves_and_forecasts_bitwise(tmp_path):
     """A format-2 bundle recorded by an earlier build still reads the same.
@@ -72,17 +84,43 @@ def test_recorded_format_2_bundle_loads_resaves_and_forecasts_bitwise(tmp_path):
     bundle_v2.json is save_bundle of train_pipeline at PipelineConfig(synth_n=4000,
     history_len=16, horizon=4, n_bands=2, epochs=1); bundle_v2_forecasts.json holds
     8 test-split windows (rows 0, 54, ..., 380, evenly spaced) and their
-    predict_windows forecasts from that build.
+    predict_windows forecasts from that build. That build's config also stored
+    the retired fields, at the values this build implements; a re-save drops
+    exactly those and keeps every other byte of the payload.
     """
     src = FIXTURES / "bundle_v2.json"
     recorded = json.loads((FIXTURES / "bundle_v2_forecasts.json").read_text())
     tp = load_bundle(src)
-    again = tmp_path / "again.json"
-    save_bundle(tp, again)
-    assert again.read_bytes() == src.read_bytes()
     hist = np.array(recorded["histories"])
     preds, _, _ = pipeline_predict_batch(tp.experts, tp.router, hist)
     np.testing.assert_array_equal(preds, np.array(recorded["forecasts"]))
+
+    again, twice = tmp_path / "again.json", tmp_path / "twice.json"
+    save_bundle(tp, again)
+    want = json.loads(src.read_text())["payload"]
+    resaved = json.loads(again.read_text())["payload"]
+    assert set(want["config"]) - set(resaved["config"]) == set(RETIRED_NAMES)
+    for name in RETIRED_NAMES:
+        del want["config"][name]
+    assert _canonical(resaved) == _canonical(want)
+    save_bundle(load_bundle(again), twice)
+    assert twice.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("name, accepted, rejected", RETIRED, ids=RETIRED_NAMES)
+def test_bundle_retired_config_field_loads_only_at_the_implemented_value(
+    tiny_pipeline, tmp_path, name, accepted, rejected
+):
+    tp, _ = tiny_pipeline
+    payload = _saved_payload(tp, tmp_path)
+    path = tmp_path / "old.json"
+    payload["config"][name] = accepted
+    _write_payload(path, payload)
+    assert load_bundle(path).config == tp.config
+    payload["config"][name] = rejected
+    _write_payload(path, payload)
+    with pytest.raises(BundleError, match=re.escape(f"config: {name}={rejected!r} is no longer supported")):
+        load_bundle(path)
 
 
 def test_bundle_without_router(tiny_pipeline, tmp_path):
@@ -507,7 +545,8 @@ def test_cli_label_prints_level_counts_and_fractions_per_split(tmp_path, capsys)
     assert lines[0].startswith("thresholds: ")
     labels = [row.split(",") for row in (out / "labels.csv").read_text().splitlines()[1:]]
     entry = re.compile(r"(\w+)=(\d+) \((\d\.\d{4})\)")
-    for split, line in zip(("train", "val", "test"), lines[1:], strict=True):
+    assert lines[4:] == ["train windows support at most 4 experts (--experts)"]
+    for split, line in zip(("train", "val", "test"), lines[1:4], strict=True):
         assert line.startswith(f"{split}: ")
         found = entry.findall(line)
         assert [key for key, _, _ in found] == list(LEVEL_KEYS.values())
@@ -515,6 +554,38 @@ def test_cli_label_prints_level_counts_and_fractions_per_split(tmp_path, capsys)
         split_levels = [row[3] for row in labels if row[1] == split]
         assert [int(c) for _, c, _ in found] == [split_levels.count(key) for key in LEVEL_KEYS.values()]
         assert sum(float(f) for _, _, f in found) == pytest.approx(1.0, abs=2.5e-4)
+
+
+def test_cli_label_names_the_largest_expert_count_the_training_windows_support(tmp_path, capsys):
+    # The preset series clipped at its 93.6th percentile ties t_very == t_extreme,
+    # so no point is VERY_RARE and the training windows support only 2 experts.
+    raw = load_series(PipelineConfig())
+    clipped = np.minimum(raw.values, np.percentile(raw.values, 93.6))
+    csv_path = tmp_path / "clipped.csv"
+    csv_path.write_text("value\n" + "\n".join(repr(float(v)) for v in clipped) + "\n")
+    out = tmp_path / "labels"
+    assert cli.main(["label", "--data", str(csv_path), "--column", "value", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "train windows support at most 2 experts (--experts)"
+
+
+@pytest.mark.parametrize("name, accepted, rejected", RETIRED, ids=RETIRED_NAMES)
+def test_cli_config_snapshot_with_a_retired_field(name, accepted, rejected, tmp_path, capsys):
+    snapshot = tmp_path / "config.json"
+    snapshot.write_text(json.dumps({**PipelineConfig().to_dict(), name: accepted}))
+    out = tmp_path / "accepted"
+    assert cli.main(["loss-landscape", "--config", str(snapshot), "--steps", "3", "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text()) == PipelineConfig().to_dict()
+    snapshot.write_text(json.dumps({**PipelineConfig().to_dict(), name: rejected}))
+    out = tmp_path / "rejected"
+    assert cli.main(["loss-landscape", "--config", str(snapshot), "--steps", "3", "--out", str(out)]) == 1
+    assert f"error: config: {name}={rejected!r} is no longer supported" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_retired_router_lr_is_checked_against_the_configs_own_lr():
+    assert PipelineConfig.from_dict({"lr": 0.01, "router_lr": 0.01}) == PipelineConfig(lr=0.01)
+    with pytest.raises(ValueError, match=re.escape("config: router_lr=0.001 is no longer supported")):
+        PipelineConfig.from_dict({"lr": 0.01, "router_lr": 1e-3})
 
 
 def test_cli_ewt_dump(tmp_path):

@@ -66,8 +66,6 @@ def test_expert_train_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(mode="wavelet")
     with pytest.raises(ValueError):
-        PipelineConfig(level_scope="all")
-    with pytest.raises(ValueError):
         PipelineConfig(n_experts=5)
 
 
@@ -82,10 +80,7 @@ def test_expert_train_config_validation():
         ("lr", -1.0),
         ("lr", 0.0),
         ("lr", float("inf")),
-        ("router_lr", float("nan")),
-        ("router_lr", -1.0),
         ("hidden", 0),
-        ("gate_hidden", -3),
         ("gamma", -1.0),
         ("gamma", float("nan")),
         ("gamma", float("inf")),
@@ -267,16 +262,14 @@ def test_plain_penalty_rare_expert_still_distills(tiny_data):
     assert digests[0] != digests[1], "distillation was dropped from the gradient"
 
 
-def test_build_expert_chain_counts_exact_vs_cumulative(tiny_data):
+def test_build_expert_chain_trains_each_expert_on_its_exact_level(tiny_data):
     wins = tiny_data.train_windows
     folded = collapse_level(wins.window_levels, 3)
     comps = _comps(wins, _small_cfg())
-    exact = build_expert_chain(wins, _small_cfg(epochs=1, level_scope="exact"), None, comps)
-    assert len(exact.experts) == 3
-    assert [exact.counts[c] for c in range(3)] == [int((folded == c).sum()) for c in range(3)]
-    cum = build_expert_chain(wins, _small_cfg(epochs=1, level_scope="cumulative"), None, comps)
-    assert [cum.counts[c] for c in range(3)] == [int((folded <= c).sum()) for c in range(3)]
-    assert [e.level for e in exact.experts] == [0, 1, 2]
+    chain = build_expert_chain(wins, _small_cfg(epochs=1), None, comps)
+    assert len(chain.experts) == 3
+    assert [chain.counts[c] for c in range(3)] == [int((folded == c).sum()) for c in range(3)]
+    assert [e.level for e in chain.experts] == [0, 1, 2]
 
 
 def test_build_expert_chain_missing_level_raises(tiny_data):

@@ -188,7 +188,7 @@ def test_gate_permutation_invariance():
 
 
 def _router_cfg(**kw) -> PipelineConfig:
-    base = dict(k=2, router_epochs=2, router_lr=1e-3, batch_size=64, gate_hidden=0, seed=0)
+    base = dict(k=2, router_epochs=2, batch_size=64, seed=0)
     base.update(kw)
     return PipelineConfig(**base)
 
@@ -219,8 +219,7 @@ def test_train_router_curve_and_determinism(tiny_data):
     assert curve == again
 
 
-@pytest.mark.parametrize("gate_hidden", [0, 4])
-def test_training_curves_are_computed_only_when_read(tiny_data, tiny_cfg, monkeypatch, gate_hidden):
+def test_training_curves_are_computed_only_when_read(tiny_data, tiny_cfg, monkeypatch):
     calls = {"losses": 0, "ce": 0}
 
     def counted(key, fn):
@@ -231,7 +230,7 @@ def test_training_curves_are_computed_only_when_read(tiny_data, tiny_cfg, monkey
 
     monkeypatch.setattr(expert_mod, "_losses_on", counted("losses", expert_mod._losses_on))
     monkeypatch.setattr(router_mod, "cross_entropy", counted("ce", router_mod.cross_entropy))
-    cfg = tiny_cfg.with_overrides(gate_hidden=gate_hidden, router_epochs=3)
+    cfg = tiny_cfg.with_overrides(router_epochs=3)
     tp, logs = train_pipeline(tiny_data, cfg)
     assert calls == {"losses": 0, "ce": 0}
 
