@@ -14,7 +14,6 @@ import json
 import logging
 import re
 import sys
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +25,9 @@ from .dataset import RarityLevel, RarityThresholds, label_points, load_csv, wind
 from .evaluation import (
     BETA_SWEEP,
     LEVEL_KEYS,
+    TABLE_PRESETS,
     ablate_config,
     ablation_table,
-    components_label,
     evaluate,
     format_table,
     report_rows,
@@ -110,11 +109,6 @@ def write_config_snapshot(cfg: PipelineConfig, out: Path) -> None:
     out.joinpath("config.json").write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=1))
 
 
-def _write_curves(curves: dict[int, Sequence[dict]], out: Path) -> None:
-    for level, curve in curves.items():
-        write_rows_csv(curve, out / f"curve_expert{level}.csv")
-
-
 def _routing_rows(alphas: np.ndarray, sparse: np.ndarray) -> list[dict]:
     rows = []
     for i in range(alphas.shape[0]):
@@ -186,11 +180,12 @@ def cmd_train_experts(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     out = _outdir(args)
     data = prepare_data(cfg)
-    tp, logs = train_pipeline(data, cfg, train_router_too=False)
+    tp, chain = train_pipeline(data, cfg, train_router_too=False)
     save_bundle(tp, out / "bundle.json")
-    _write_curves(logs.expert_curves, out)
+    for level, curve in chain.curves.items():
+        write_rows_csv(curve, out / f"curve_expert{level}.csv")
     write_config_snapshot(cfg, out)
-    counts = ", ".join(f"level{c}={n}" for c, n in sorted(logs.expert_counts.items()))
+    counts = ", ".join(f"level{c}={n}" for c, n in sorted(chain.counts.items()))
     print(f"trained {len(tp.experts)} experts ({counts}); bundle at {out / 'bundle.json'}")
     return 0
 
@@ -361,13 +356,12 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    presets = TABLE_PRESETS
     if args.components is not None:
         enabled = frozenset(args.components.upper().split("+")) - {"", "NONE"}
-        cell = ablate_config(cfg, enabled)  # unknown components fail before any work
-        report, _ = run_once(prepare_data(cfg), cell)
-        rows = [{"components": components_label(enabled), **row} for row in report_rows(report)]
-    else:
-        rows = ablation_table(prepare_data(cfg), cfg)
+        ablate_config(cfg, enabled)  # unknown components fail before any work
+        presets = (enabled,)
+    rows = ablation_table(prepare_data(cfg), cfg, presets)
     out = _outdir(args)
     write_rows_csv(rows, out / "ablation.csv")
     write_config_snapshot(cfg, out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 
@@ -155,10 +155,8 @@ def split_811(series: TimeSeries) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
     )
 
 
-def compute_thresholds(
-    train_values: np.ndarray, percentiles: tuple[float, float, float] = (90.0, 95.0, 99.0)
-) -> RarityThresholds:
-    """Fit rarity cut points as percentiles of the training values.
+def compute_thresholds(train_values: np.ndarray) -> RarityThresholds:
+    """Fit rarity cut points as the P90, P95 and P99 of the training values.
 
     Percentiles use linear interpolation between order statistics
     (position 1 + (p/100)(n-1) on the sorted sample).
@@ -168,15 +166,12 @@ def compute_thresholds(
         raise ValueError("compute_thresholds: empty input")
     if not np.all(np.isfinite(arr)):
         raise ValueError("compute_thresholds: input must be finite")
-    p = tuple(float(q) for q in percentiles)
-    if not (0.0 < p[0] <= p[1] <= p[2] < 100.0):
-        raise ValueError(f"compute_thresholds: percentiles must be ordered in (0, 100), got {p}")
     if arr.size < 100:
         warnings.warn(
             f"compute_thresholds: only {arr.size} samples, tail percentiles are unstable",
             stacklevel=2,
         )
-    cuts = np.percentile(arr, p, method="linear")
+    cuts = np.percentile(arr, (90.0, 95.0, 99.0), method="linear")
     return RarityThresholds(float(cuts[0]), float(cuts[1]), float(cuts[2]))
 
 
@@ -202,24 +197,25 @@ def label_point(value: float, thresholds: RarityThresholds) -> RarityLevel:
 class Windows:
     """N forecasting windows: histories (N, T), targets (N, H), target labels.
 
-    Row i of every array belongs to window i. window_levels holds each
-    window's rarity, the max over its point levels. All arrays are read-only.
+    Row i of every array belongs to window i. window_levels is derived here:
+    each window's rarity, the max over its point levels. All arrays are
+    read-only.
     """
 
     histories: np.ndarray
     targets: np.ndarray
     point_levels: np.ndarray
-    window_levels: np.ndarray
+    window_levels: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         hist, targ = _readonly(self.histories), _readonly(self.targets)
-        plev, wlev = _readonly(self.point_levels, np.int64), _readonly(self.window_levels, np.int64)
+        plev = _readonly(self.point_levels, np.int64)
         if hist.ndim != 2 or targ.ndim != 2 or plev.shape != targ.shape:
             raise ValueError("Windows: histories/targets must be 2-d, labels match targets")
-        if wlev.shape != (targ.shape[0],) or hist.shape[0] != targ.shape[0]:
+        if hist.shape[0] != targ.shape[0]:
             raise ValueError("Windows: every array needs one row per window")
-        if not np.array_equal(plev.max(axis=1, initial=0), wlev):
-            raise ValueError("Windows: window_levels must equal max point level")
+        wlev = plev.max(axis=1, initial=0)
+        wlev.flags.writeable = False
         object.__setattr__(self, "histories", hist)
         object.__setattr__(self, "targets", targ)
         object.__setattr__(self, "point_levels", plev)
@@ -232,9 +228,7 @@ class Windows:
         """Rows selected by a slice, an index array, or a boolean mask."""
         if isinstance(key, (int, np.integer)):
             raise TypeError("Windows: select rows with a slice, index array or mask, not an int")
-        return Windows(
-            self.histories[key], self.targets[key], self.point_levels[key], self.window_levels[key]
-        )
+        return Windows(self.histories[key], self.targets[key], self.point_levels[key])
 
 
 def window_view(values: np.ndarray, length: int, stride: int = 1) -> np.ndarray:
@@ -252,7 +246,7 @@ def make_windows(
     """Slide a (history, target) window over the series.
 
     Yields floor((L - T - H) / stride) + 1 windows; target labels come from
-    the supplied thresholds and the window label is their maximum.
+    the supplied thresholds, and Windows derives each window's level from them.
     """
     if history_len < 1 or horizon < 1 or stride < 1:
         raise ValueError("make_windows: history_len, horizon, stride must be positive")
@@ -263,8 +257,7 @@ def make_windows(
         )
     w = window_view(series.values, history_len + horizon, stride)
     targets = w[:, history_len:]
-    levels = label_points(targets, thresholds)
-    return Windows(w[:, :history_len], targets, levels, levels.max(axis=1))
+    return Windows(w[:, :history_len], targets, label_points(targets, thresholds))
 
 
 @dataclass(frozen=True)

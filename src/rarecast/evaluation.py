@@ -127,7 +127,7 @@ def format_table(rows: Sequence[dict]) -> str:
 def run_once(data: PreparedData, cfg: PipelineConfig) -> tuple[MetricsReport, TrainedPipeline]:
     """Train on the prepared data and evaluate on its test windows.
 
-    The training logs are dropped as soon as training returns: their lazy
+    The chain result is dropped as soon as training returns: its lazy
     curves hold the training arrays, which nothing here reads.
     """
     tp = train_pipeline(data, cfg)[0]
@@ -204,17 +204,10 @@ def components_label(enabled: frozenset[str]) -> str:
 def ablation_table(
     data: PreparedData, cfg: PipelineConfig, presets: Sequence[frozenset[str]] = TABLE_PRESETS
 ) -> list[dict]:
-    """One row per preset with overall and extreme-level MSE/MAE."""
+    """The four report rows of each preset's run, each led by the preset's components label."""
     rows = []
     for preset in presets:
         report, _ = run_once(data, ablate_config(cfg, preset))
-        extreme = report.get(RarityLevel.EXTREME_RARE)
-        rows.append(
-            {
-                "components": components_label(frozenset(preset)),
-                "mse": report.overall.mse,
-                "mae": report.overall.mae,
-                "extreme_mse": extreme.mse if extreme else "",
-            }
-        )
+        label = components_label(frozenset(preset))
+        rows.extend({"components": label, **row} for row in report_rows(report))
     return rows

@@ -212,35 +212,38 @@ def train_expert(
     bank: ewt.FilterBank | None = None,
     rows: np.ndarray | None = None,
 ) -> tuple[ExpertModel, bb.EpochCurve]:
-    """Train one expert on its level's windows through `bb.fit`.
+    """Train one expert on the windows at `rows` (default: every row) through `bb.fit`.
 
-    components are the windows' band components, row for row, or, when rows
-    is given, those of a larger window set in which window i is row rows[i];
-    minibatches are gathered from it, so a chain shares one component array.
-    Gathers run band by band: band-major components, as decompose_histories
-    returns them, are read in place, and C-ordered ones are copied once.
-    The teacher (the expert one level down) stays frozen; when beta > 0 its
-    forecasts on the same component rows feed the distillation term. Returns
-    the trained expert and the per-epoch loss curve, computed when first
-    read; row 0 is the loss before any update.
+    components are the windows' band components, row for row, so a chain
+    passes its one training set and one component array to every expert and
+    only rows changes. Gathers run band by band: band-major components, as
+    decompose_histories returns them, are read in place, and C-ordered ones
+    are copied once. The teacher (the expert one level down) stays frozen;
+    when beta > 0 its forecasts on the same rows feed the distillation term.
+    Returns the trained expert and the per-epoch loss curve, computed when
+    first read; row 0 is the loss before any update.
     """
-    if not windows:
+    comps = np.asarray(components, dtype=np.float64)
+    if comps.shape[0] != len(windows):
+        raise ValueError(
+            f"train_expert: components hold {comps.shape[0]} rows but the windows hold "
+            f"{len(windows)}; pass the components of these windows"
+        )
+    rows = np.arange(len(windows)) if rows is None else np.asarray(rows)
+    if rows.size == 0:
         raise ValueError(f"train_expert: no samples for level {level}")
-    hist, targ = windows.histories, windows.targets
-    n, history_len = hist.shape
-    horizon = targ.shape[1]
+    targ = windows.targets
+    history_len, horizon = windows.histories.shape[1], targ.shape[1]
     plev = collapse_level(windows.point_levels, cfg.n_experts)
 
-    if rows is not None and len(rows) != n:
-        raise ValueError("train_expert: rows needs one row per window")
     # (n_bands, N, T): a view of band-major components, one copy of C-ordered
     # ones. Every gather below takes rows band by band from it into a new
     # contiguous block, and np.take would copy a non-contiguous source whole.
-    by_band = np.ascontiguousarray(np.asarray(components, dtype=np.float64).transpose(1, 0, 2))
+    by_band = np.ascontiguousarray(comps.transpose(1, 0, 2))
 
-    def band_rows(r: np.ndarray | None) -> np.ndarray:
-        """Components (n, n_bands, T) of component rows r (all when None), band-major."""
-        return (by_band if r is None else np.take(by_band, r, axis=1)).transpose(1, 0, 2)
+    def band_rows(r: np.ndarray) -> np.ndarray:
+        """Components (len(r), n_bands, T) of rows r, band-major."""
+        return np.take(by_band, r, axis=1).transpose(1, 0, 2)
 
     penalty_level = expert_level(level) if cfg.use_rare_penalty else RarityLevel.NORMAL
     distill = level > 0 and cfg.beta > 0.0
@@ -249,7 +252,7 @@ def train_expert(
             raise ValueError(
                 f"train_expert: level {level} with beta={cfg.beta} requires a teacher"
             )
-        # The teacher forecasts on a temporary gather of this level's rows,
+        # The teacher forecasts on a temporary gather of the trained rows,
         # dropped before the first epoch.
         teacher_preds = _forward(teacher.stack, band_rows(rows))
     else:
@@ -270,29 +273,33 @@ def train_expert(
 
     def output_grad(idx: np.ndarray, bands: np.ndarray) -> np.ndarray:
         teacher_b = teacher_preds[idx] if distill else None
+        r = rows[idx]
         return combined_loss(
-            _band_sum(bands), targ[idx], teacher_b, plev[idx], penalty_level, cfg.beta, horizon
+            _band_sum(bands), targ[r], teacher_b, plev[r], penalty_level, cfg.beta, horizon
         ).d_dpred
 
     def curve_rows(stacks: list[bb.ForecasterStack]) -> list[dict]:
-        comps = band_rows(rows)
+        comps_r, targ_r, plev_r = band_rows(rows), targ[rows], plev[rows]
         out = []
         for epoch, stack in enumerate(stacks):
             r, k, tot = _losses_on(
-                stack, comps, targ, plev, teacher_preds, penalty_level, cfg.beta, horizon
+                stack, comps_r, targ_r, plev_r, teacher_preds, penalty_level, cfg.beta, horizon
             )
             out.append({"epoch": epoch, "rare": r, "kd": k, "total": tot})
         return out
 
     curve = bb.fit(
-        expert.stack, n, cfg.epochs, cfg.batch_size, cfg.lr, substream(cfg.seed, SHUFFLE, level),
-        lambda idx: np.take(by_band, idx if rows is None else rows[idx], axis=1), output_grad, curve_rows,
+        expert.stack, rows.size, cfg.epochs, cfg.batch_size, cfg.lr,
+        substream(cfg.seed, SHUFFLE, level), lambda idx: np.take(by_band, rows[idx], axis=1),
+        output_grad, curve_rows,
     )
     return expert, curve
 
 
 @dataclass(eq=False)
 class ChainResult:
+    """A trained chain: its experts and, per level, the lazy loss curve and window count."""
+
     experts: list[ExpertModel]
     curves: dict[int, bb.EpochCurve] = field(default_factory=dict)
     counts: dict[int, int] = field(default_factory=dict)
@@ -308,8 +315,10 @@ def build_expert_chain(
 
     components are the windows' band components, row for row. Windows are
     assigned to experts by their (possibly merged) window level; every level
-    must be represented. Each expert's teacher is the expert one level below,
-    already trained and frozen.
+    must be represented. Every expert trains on these same windows and
+    components, on the rows of its level; no per-level copy is made. Each
+    expert's teacher is the expert one level below, already trained and
+    frozen.
     """
     if not windows:
         raise ValueError("build_expert_chain: no windows")
@@ -322,11 +331,10 @@ def build_expert_chain(
     teacher: ExpertModel | None = None
     for c in range(cfg.n_experts):
         sel = np.flatnonzero(wlev == c)
-        subset = windows[sel]
-        log.info("training %s expert on %d windows", expert_level(c).name, len(subset))
-        expert, curve = train_expert(subset, c, teacher, cfg, components, bank, rows=sel)
+        log.info("training %s expert on %d windows", expert_level(c).name, sel.size)
+        expert, curve = train_expert(windows, c, teacher, cfg, components, bank, rows=sel)
         result.experts.append(expert)
         result.curves[c] = curve
-        result.counts[c] = len(subset)
+        result.counts[c] = sel.size
         teacher = expert
     return result

@@ -10,8 +10,7 @@ themselves.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .dataset import (
     synth_generate,
 )
 from .expert import (
+    ChainResult,
     ExpertModel,
     build_expert_chain,
     check_level_coverage,
@@ -123,13 +123,6 @@ class TrainedPipeline:
     config: PipelineConfig
 
 
-@dataclass(eq=False)
-class TrainLogs:
-    expert_curves: dict[int, Sequence[dict]] = field(default_factory=dict)
-    expert_counts: dict[int, int] = field(default_factory=dict)
-    router_curve: Sequence[dict] = field(default_factory=list)
-
-
 def fit_global_bank(train: TimeSeries, cfg: PipelineConfig) -> ewt.FilterBank:
     """Boundaries from the whole training series, bank sized for one window."""
     boundaries = ewt.detect_boundaries(train.values, cfg.n_bands)
@@ -138,10 +131,13 @@ def fit_global_bank(train: TimeSeries, cfg: PipelineConfig) -> ewt.FilterBank:
 
 def train_pipeline(
     data: PreparedData, cfg: PipelineConfig, train_router_too: bool = True
-) -> tuple[TrainedPipeline, TrainLogs]:
+) -> tuple[TrainedPipeline, ChainResult]:
     """Train the expert chain and (by default) the router on the training windows.
 
-    Windows that leave an expert's level empty fail before any decomposition.
+    Returns the pipeline and the chain's result, whose lazy per-expert curves
+    and window counts are the training record; the router's curve is not
+    kept. Windows that leave an expert's level empty fail before any
+    decomposition.
     """
     check_level_coverage(data.train_windows.window_levels, cfg.n_experts, data.thresholds)
     bank = fit_global_bank(data.train, cfg) if cfg.mode == "global" else None
@@ -149,12 +145,9 @@ def train_pipeline(
     components = decompose_histories(hist, cfg.n_bands, cfg.mode, bank, cfg.gamma)
 
     chain = build_expert_chain(data.train_windows, cfg, bank, components)
-    logs = TrainLogs(expert_curves=chain.curves, expert_counts=chain.counts)
     router = None
     if train_router_too:
-        router, logs.router_curve = train_router(
-            chain.experts, data.train_windows, cfg, components
-        )
+        router, _ = train_router(chain.experts, data.train_windows, cfg, components)
     tp = TrainedPipeline(
         experts=chain.experts,
         router=router,
@@ -162,7 +155,7 @@ def train_pipeline(
         thresholds=data.thresholds,
         config=cfg,
     )
-    return tp, logs
+    return tp, chain
 
 
 def predict_windows(

@@ -186,10 +186,18 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 def stack_expert_outputs(
     experts: list[ExpertModel], histories: np.ndarray, components: np.ndarray | None = None
 ) -> np.ndarray:
-    """Expert forecast tensor (N, H, E) on shared histories."""
+    """Expert forecast tensor (N, H, E) on shared histories.
+
+    components, when given, are the histories' band components, row for row.
+    """
     if components is None:
         first = experts[0]
         components = decompose_histories(histories, first.n_bands, first.mode, first.bank, first.gamma)
+    elif len(components) != len(histories):
+        raise ValueError(
+            f"stack_expert_outputs: components hold {len(components)} rows but the histories "
+            f"hold {len(histories)}; pass the components of these histories"
+        )
     cols = [expert_predict_batch(e, histories, components) for e in experts]
     return np.stack(cols, axis=-1)
 

@@ -40,5 +40,4 @@ def tiny_data():
 
 @pytest.fixture(scope="session")
 def tiny_pipeline(tiny_data):
-    tp, logs = train_pipeline(tiny_data, PipelineConfig(**TINY))
-    return tp, logs
+    return train_pipeline(tiny_data, PipelineConfig(**TINY))

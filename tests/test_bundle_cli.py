@@ -629,6 +629,19 @@ def test_cli_ablate_single_cell(tmp_path):
     assert all(line.startswith("WT+RP,") for line in lines[1:])
 
 
+def test_cli_ablate_writes_one_row_shape_with_and_without_components(tmp_path):
+    # The full table used to write components,mse,mae,extreme_mse and a single
+    # cell components,level,mse,mae,count.
+    cell, table = tmp_path / "cell", tmp_path / "table"
+    assert cli.main(["ablate", "--components", "WT+RP", "--out", str(cell), *TINY_FLAGS]) == 0
+    assert cli.main(["ablate", "--out", str(table), *TINY_FLAGS]) == 0
+    cell_lines = (cell / "ablation.csv").read_text().splitlines()
+    table_lines = (table / "ablation.csv").read_text().splitlines()
+    assert cell_lines[0] == table_lines[0] == "components,level,mse,mae,count"
+    assert len(table_lines) == 1 + 4 * 5
+    assert [line for line in table_lines if line.startswith("WT+RP,")] == cell_lines[1:]
+
+
 # small sizes for reproduce, whose defaults are the full benchmark preset
 QUICK_FLAGS = ["--history-len", "32", "--horizon", "8", "--stride", "2", "--bands", "2",
                "--epochs", "1", "--router-epochs", "1", "--synth-n", "6000"]

@@ -153,8 +153,6 @@ def test_compute_thresholds_validation():
         compute_thresholds(np.array([]))
     with pytest.raises(ValueError):
         compute_thresholds(np.array([1.0, np.nan] * 60))
-    with pytest.raises(ValueError):
-        compute_thresholds(np.arange(200.0), percentiles=(99.0, 95.0, 90.0))
     with pytest.warns(UserWarning, match="unstable"):
         compute_thresholds(np.arange(50.0))
 
@@ -237,14 +235,18 @@ def test_prepare_data_names_the_short_split_and_the_series_length_it_needs():
     assert all(split_811_lengths(n)[2] >= 80 for n in range(791, 2000))
 
 
-def test_window_sample_level_consistency_enforced():
-    with pytest.raises(ValueError, match="max point level"):
-        Windows(
-            histories=np.zeros((1, 4)),
-            targets=np.zeros((1, 2)),
-            point_levels=np.array([[0, 1]]),
-            window_levels=np.array([RarityLevel.NORMAL]),
-        )
+def test_window_levels_are_the_read_only_row_max_of_point_levels():
+    # Windows derives window_levels from point_levels; a caller cannot pass a
+    # second, disagreeing copy of them.
+    point_levels = np.array([[0, 1], [3, 0], [0, 0], [2, 2]])
+    wins = Windows(np.zeros((4, 4)), np.zeros((4, 2)), point_levels)
+    np.testing.assert_array_equal(wins.window_levels, [1, 3, 0, 2])
+    assert wins.window_levels.dtype == np.int64 and not wins.window_levels.flags.writeable
+    with pytest.raises(ValueError):
+        wins.window_levels[0] = 0
+    with pytest.raises(TypeError, match="window_levels"):
+        Windows(np.zeros((1, 4)), np.zeros((1, 2)), np.array([[0, 1]]), window_levels=np.array([0]))
+    np.testing.assert_array_equal(wins[np.array([3, 1])].window_levels, [2, 3])
 
 
 def test_windows_shapes():
@@ -256,9 +258,9 @@ def test_windows_shapes():
     assert wins.histories.dtype == wins.targets.dtype == np.float64
     assert wins.point_levels.dtype == wins.window_levels.dtype == np.int64
     with pytest.raises(ValueError, match="one row per window"):
-        Windows(wins.histories, wins.targets[1:], wins.point_levels[1:], wins.window_levels[1:])
+        Windows(wins.histories, wins.targets[1:], wins.point_levels[1:])
     with pytest.raises(ValueError, match="2-d"):
-        Windows(wins.histories[0], wins.targets, wins.point_levels, wins.window_levels)
+        Windows(wins.histories[0], wins.targets, wins.point_levels)
 
 
 def test_windows_are_read_only_and_c_contiguous():
@@ -269,7 +271,7 @@ def test_windows_are_read_only_and_c_contiguous():
         with pytest.raises(ValueError):
             arr[0] = 1
     src = np.zeros((2, 4))
-    own = Windows(src, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
+    own = Windows(src, np.zeros((2, 2)), np.zeros((2, 2)))
     src[0, 0] = 5.0  # the record holds a copy, not the caller's array
     assert own.histories[0, 0] == 0.0
 

@@ -159,7 +159,7 @@ def test_baseline_predict_rejects_non_finite_history(tiny_data):
     hist = wins.histories.copy()
     hist[1, 0] = np.nan
     hist[2, -1] = -np.inf
-    bad = Windows(hist, wins.targets, wins.point_levels, wins.window_levels)
+    bad = Windows(hist, wins.targets, wins.point_levels)
     with pytest.raises(ValueError, match="2 of 4 histories hold NaN or infinite values, the first is window 1"):
         baseline_predict(base, bad)
 
@@ -222,13 +222,12 @@ def test_train_expert_reads_band_major_components_in_place(tiny_data):
     comps = decompose_histories(wins.histories, cfg.n_bands, cfg.mode, None)
     teacher, _ = train_expert(wins, 0, None, cfg, components=comps)
     rows = np.arange(0, len(wins), 8)
-    subset = wins[rows]
     tracemalloc.start()
     try:
         train_expert(wins, 0, None, cfg, components=comps)
         normal_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        _, curve = train_expert(subset, 1, teacher, cfg, components=comps, rows=rows)
+        _, curve = train_expert(wins, 1, teacher, cfg, components=comps, rows=rows)
         list(curve)  # the curve gathers its rows when read
         rare_peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -270,6 +269,32 @@ def test_build_expert_chain_trains_each_expert_on_its_exact_level(tiny_data):
     assert len(chain.experts) == 3
     assert [chain.counts[c] for c in range(3)] == [int((folded == c).sum()) for c in range(3)]
     assert [e.level for e in chain.experts] == [0, 1, 2]
+
+
+def test_build_expert_chain_builds_no_windows(tiny_data, monkeypatch):
+    # Every expert trains on the one training set, row-indexed by its level;
+    # the chain used to copy each level's rows into a new Windows.
+    wins = tiny_data.train_windows
+    comps = _comps(wins, _small_cfg())
+    built = []
+    post_init = Windows.__post_init__
+    monkeypatch.setattr(Windows, "__post_init__", lambda self: built.append(post_init(self)))
+    chain = build_expert_chain(wins, _small_cfg(epochs=1), None, comps)
+    assert len(chain.experts) == 3 and built == []
+
+
+def test_components_of_other_windows_raise_naming_both_row_counts(tiny_data):
+    # The test windows with the training components used to train on the wrong
+    # rows without a word; the reverse raised a bare IndexError.
+    cfg = _small_cfg(epochs=1)
+    train, test = tiny_data.train_windows, tiny_data.test_windows
+    for wins, comps in ((test, _comps(train, cfg)), (train, _comps(test, cfg))):
+        with pytest.raises(
+            ValueError, match=rf"components hold {len(comps)} rows but the windows hold {len(wins)}"
+        ):
+            build_expert_chain(wins, cfg, None, comps)
+        with pytest.raises(ValueError, match=rf"{len(comps)} rows but the windows hold {len(wins)}"):
+            train_expert(wins, 0, None, cfg, comps)
 
 
 def test_build_expert_chain_missing_level_raises(tiny_data):
@@ -351,7 +376,7 @@ def test_one_backward_and_one_step_per_minibatch(monkeypatch, tiny_data, tiny_cf
             calls[name] += 1
             return fn(*args)
         monkeypatch.setattr(bb, name, counted)
-    _, logs = train_pipeline(tiny_data, tiny_cfg)
+    _, chain = train_pipeline(tiny_data, tiny_cfg)
     pipeline.train_baseline(tiny_data, tiny_cfg)
 
     def batches(n: int) -> int:
@@ -359,7 +384,7 @@ def test_one_backward_and_one_step_per_minibatch(monkeypatch, tiny_data, tiny_cf
 
     n = len(tiny_data.train_windows)
     want = (
-        sum(tiny_cfg.epochs * batches(c) for c in logs.expert_counts.values())
+        sum(tiny_cfg.epochs * batches(c) for c in chain.counts.values())
         + tiny_cfg.router_epochs * batches(n)
         + tiny_cfg.epochs * batches(n)
     )

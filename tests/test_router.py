@@ -231,19 +231,20 @@ def test_training_curves_are_computed_only_when_read(tiny_data, tiny_cfg, monkey
     monkeypatch.setattr(expert_mod, "_losses_on", counted("losses", expert_mod._losses_on))
     monkeypatch.setattr(router_mod, "cross_entropy", counted("ce", router_mod.cross_entropy))
     cfg = tiny_cfg.with_overrides(router_epochs=3)
-    tp, logs = train_pipeline(tiny_data, cfg)
+    wins = tiny_data.train_windows
+    tp, chain = train_pipeline(tiny_data, cfg, train_router_too=False)
+    router, router_curve = train_router(tp.experts, wins, cfg)
     assert calls == {"losses": 0, "ce": 0}
 
-    wins = tiny_data.train_windows
     labels = collapse_level(wins.window_levels, cfg.n_experts)
-    router_rows = list(logs.router_curve)
+    router_rows = list(router_curve)
     assert len(router_rows) == cfg.router_epochs + 1 and calls["ce"] == cfg.router_epochs + 1
     feats = stack_expert_outputs(tp.experts, wins.histories).reshape(len(wins), -1)
-    logits = bb.forecast(tp.router.gate, feats)[0]
+    logits = bb.forecast(router.gate, feats)[0]
     assert router_rows[-1]["ce"] == cross_entropy(logits, labels)
     assert router_rows[-1]["accuracy"] == float((logits.argmax(axis=1) == labels).mean())
 
-    expert_rows = {c: list(curve) for c, curve in logs.expert_curves.items()}
+    expert_rows = {c: list(curve) for c, curve in chain.curves.items()}
     assert all(len(rows) == cfg.epochs + 1 for rows in expert_rows.values())
     assert calls["losses"] == cfg.n_experts * (cfg.epochs + 1)
     normal = wins[labels == 0]  # level 0 has no teacher, so its total is the rare loss
@@ -254,8 +255,8 @@ def test_training_curves_are_computed_only_when_read(tiny_data, tiny_cfg, monkey
     assert expert_rows[0][-1]["rare"] == expert_rows[0][-1]["total"] == direct
 
     before = dict(calls)
-    assert list(logs.router_curve) == router_rows
-    assert all(list(logs.expert_curves[c]) == rows for c, rows in expert_rows.items())
+    assert list(router_curve) == router_rows
+    assert all(list(chain.curves[c]) == rows for c, rows in expert_rows.items())
     assert calls == before  # a second read does not recompute
 
 
@@ -295,11 +296,24 @@ def test_c_ordered_components_give_the_band_major_bits(tiny_data, tiny_cfg, back
     assert curves_a == curves_b
 
 
-def test_trained_router_beats_chance(tiny_pipeline):
-    _, logs = tiny_pipeline
-    curve = logs.router_curve
+def test_trained_router_beats_chance(tiny_pipeline, tiny_data):
+    tp, _ = tiny_pipeline
+    router, curve = train_router(tp.experts, tiny_data.train_windows, tp.config)
+    np.testing.assert_array_equal(router.gate.flat, tp.router.gate.flat)  # the pipeline's own gate
     assert curve[-1]["accuracy"] > 1.0 / 3.0
     assert min(row["ce"] for row in curve[1:]) <= curve[0]["ce"]
+
+
+def test_components_of_other_histories_raise_naming_both_row_counts(tiny_pipeline, tiny_data):
+    # Training components with the test windows used to raise a bare IndexError.
+    tp, _ = tiny_pipeline
+    train, test = tiny_data.train_windows, tiny_data.test_windows
+    comps = expert_mod.decompose_histories(train.histories, tp.config.n_bands, tp.config.mode, None)
+    match = rf"components hold {len(train)} rows but the histories hold {len(test)}"
+    with pytest.raises(ValueError, match=match):
+        train_router(tp.experts, test, tp.config, comps)
+    with pytest.raises(ValueError, match=match):
+        stack_expert_outputs(tp.experts, test.histories, comps)
 
 
 def test_train_router_leaves_experts_frozen(tiny_data):
