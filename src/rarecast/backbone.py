@@ -25,6 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 KINDS = ("linear", "mlp")
+# Every expert, the baseline and the gate train with Adam at LR in
+# minibatches of BATCH_SIZE; an MLP backbone has HIDDEN tanh units.
+HIDDEN = 32
+LR = 1e-3
+BATCH_SIZE = 128
 
 
 @dataclass(eq=False)
@@ -56,7 +61,7 @@ class ForecasterStack:
         return next(reversed(self.params.values())).shape[-1]  # b or b2: (B, H)
 
 
-def param_shapes(kind: str, input_len: int, output_len: int, hidden: int = 32) -> dict[str, tuple[int, ...]]:
+def param_shapes(kind: str, input_len: int, output_len: int, hidden: int = HIDDEN) -> dict[str, tuple[int, ...]]:
     """One model's parameter names and shapes, in draw and buffer order; a linear model has no hidden."""
     if kind not in KINDS:
         raise ValueError(f"param_shapes: kind must be one of {KINDS}, got {kind!r}")
@@ -70,7 +75,7 @@ def param_shapes(kind: str, input_len: int, output_len: int, hidden: int = 32) -
 
 
 def init_params(
-    kind: str, input_len: int, output_len: int, hidden: int = 32, rng: np.random.Generator | None = None
+    kind: str, input_len: int, output_len: int, hidden: int = HIDDEN, rng: np.random.Generator | None = None
 ) -> dict[str, np.ndarray]:
     """Fresh parameters for one model: weights uniform in +-1/sqrt(fan_in), zero biases."""
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -263,7 +268,7 @@ def backward(
 class OptimizerState:
     """Adam moments and hyperparameters for one stack, shaped like its flat buffer."""
 
-    lr: float = 1e-3
+    lr: float = LR
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8

@@ -138,7 +138,11 @@ def _pipeline_from(payload: dict) -> TrainedPipeline:
     if len(payload["experts"]) != cfg.n_experts:
         raise ValueError(f"{len(payload['experts'])} experts, config says n_experts={cfg.n_experts}")
     bank = _bank_from(payload["bank"])
-    want = bb.param_shapes(cfg.backbone, cfg.history_len, cfg.horizon, cfg.hidden)
+    if cfg.mode == "global" and bank is None:
+        raise ValueError("global mode requires a filter bank, the payload stores none")
+    if cfg.mode == "per_window" and bank is not None:
+        raise ValueError("per_window mode builds a bank per window, the payload stores one")
+    want = bb.param_shapes(cfg.backbone, cfg.history_len, cfg.horizon)
     experts = []
     for level, bands in enumerate(payload["experts"]):
         if len(bands) != cfg.n_bands:
@@ -148,8 +152,7 @@ def _pipeline_from(payload: dict) -> TrainedPipeline:
             )
         arrays = [_arrays(p, want, f"expert {level} band {b}") for b, p in enumerate(bands)]
         experts.append(ExpertModel(
-            level=level, stack=bb.stack_params(cfg.backbone, arrays),
-            mode=cfg.mode, bank=bank, gamma=cfg.gamma,
+            level=level, stack=bb.stack_params(cfg.backbone, arrays), bank=bank, gamma=cfg.gamma,
         ))
     bank_shape = (cfg.n_bands, cfg.history_len // 2 + 1)
     if bank is not None and bank.filters.shape != bank_shape:

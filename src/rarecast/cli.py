@@ -94,8 +94,6 @@ def resolve_config(
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if overrides.get("data_path") and cfg.source != "csv":
-        overrides["source"] = "csv"
     return cfg.with_overrides(**overrides)
 
 
@@ -121,7 +119,7 @@ def _routing_rows(alphas: np.ndarray, sparse: np.ndarray) -> list[dict]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args).with_overrides(source="synth")
+    cfg = resolve_config(args).with_overrides(data_path=None)
     out = _outdir(args)
     series = load_series(cfg)
     write_rows_csv([{"value": float(v)} for v in series.values], out / "series.csv")
@@ -263,10 +261,10 @@ def check_assertion(report, expr: str) -> tuple[bool, str]:
     return ok, f"{expr}: {level_key}.{metric}={value:.6g} {'ok' if ok else 'FAILED'}"
 
 
-# Besides the series (its source, seed and length), evaluate may change only
+# Besides the series (its file or seed and length), evaluate may change only
 # the window stride and the fusion arity; every other field is the model's.
-_EVALUATE_FREE = {"source", "data_path", "data_column", "delimiter", "synth_n", "spike_rate",
-                  "spike_scale", "seed", "stride", "k"}
+_EVALUATE_FREE = {"data_path", "data_column", "delimiter", "synth_n", "spike_rate", "spike_scale",
+                  "seed", "stride", "k"}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -310,13 +308,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _raw_thresholds(tp: TrainedPipeline) -> RarityThresholds:
-    inv = tp.normalizer.invert
-    t = tp.thresholds
-    return RarityThresholds(
-        float(inv(np.asarray([t.t_moderate]))[0]),
-        float(inv(np.asarray([t.t_very]))[0]),
-        float(inv(np.asarray([t.t_extreme]))[0]),
-    )
+    return RarityThresholds(*tp.normalizer.invert(np.asarray(tp.thresholds.as_tuple())).tolist())
 
 
 def _parse_list(text: str, kind: type, what: str) -> list:

@@ -6,21 +6,21 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
-from .backbone import KINDS
+from .backbone import BATCH_SIZE, HIDDEN, KINDS, LR
 from .dataset import N_LEVELS
 
-SOURCES = ("synth", "csv")
 DECOMPOSITION_MODES = ("per_window", "global")
 
 
 # The defaults are the benchmark preset, which `rarecast reproduce`, the
 # release gate and every benchmark workload run. Three experts (top rarity
 # levels merged) and linear backbones. No field varies the rest: each expert
-# trains on the windows of its own level, the gate is linear, weighted by
-# inverse class frequency and trained at `lr`, and the rarity thresholds are
-# the training values' P90/P95/P99. Short expert schedule: longer training
-# lets the rare experts drift on quiet windows and erodes the full
-# configuration's overall-MSE margin. Router schedule: the smallest of
+# trains on the windows of its own level, every model trains at backbone.LR
+# in minibatches of backbone.BATCH_SIZE, an MLP has backbone.HIDDEN units,
+# the gate is linear and weighted by inverse class frequency, and the rarity
+# thresholds are the training values' P90/P95/P99. Short expert schedule:
+# longer training lets the rare experts drift on quiet windows and erodes
+# the full configuration's overall-MSE margin. Router schedule: the smallest of
 # {5, 10, 20, 40, 80} epochs whose median validation-split overall and
 # extreme MSE (seeds 5-9) are within 1% of the 80-epoch medians, for this
 # preset and its global-mode MLP variant.
@@ -34,22 +34,18 @@ class PipelineConfig:
     n_bands: int = 4
     mode: str = "per_window"
     gamma: float | None = None
-    # experts (lr and batch_size train the gate too)
+    # experts
     n_experts: int = 3
     beta: float = 0.5
     backbone: str = "linear"
-    hidden: int = 32
     epochs: int = 10
-    lr: float = 1e-3
-    batch_size: int = 128
     use_rare_penalty: bool = True
     # router
     k: int = 2
     router_epochs: int = 5
     # scaling
     normalization: str = "zscore"
-    # data source
-    source: str = "synth"
+    # data source: the CSV at data_path, else the synthetic series
     data_path: str | None = None
     data_column: str | int | None = None
     delimiter: str = ","
@@ -72,16 +68,10 @@ class PipelineConfig:
             raise ValueError("config: stride must be >= 1")
         if self.beta < 0.0:
             raise ValueError("config: beta must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("config: batch_size must be >= 1")
         if self.epochs < 0 or self.router_epochs < 0:
             raise ValueError("config: epochs and router_epochs must be >= 0")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError(f"config: lr must be finite and > 0, got {self.lr}")
         if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"config: gamma must be None or finite and >= 0, got {self.gamma}")
-        if self.hidden < 1:
-            raise ValueError("config: hidden must be >= 1")
         if not 1 <= self.n_experts <= N_LEVELS:
             raise ValueError(f"config: n_experts must be in [1, {N_LEVELS}]")
         if not 1 <= self.k <= self.n_experts:
@@ -92,10 +82,8 @@ class PipelineConfig:
             raise ValueError(f"config: backbone must be one of {KINDS}")
         if self.normalization not in ("zscore", "identity"):
             raise ValueError("config: normalization must be 'zscore' or 'identity'")
-        if self.source not in SOURCES:
-            raise ValueError(f"config: source must be one of {SOURCES}")
-        if self.source == "csv" and (self.data_path is None or self.data_column is None):
-            raise ValueError("config: csv source needs data_path and data_column")
+        if self.data_path is not None and self.data_column is None:
+            raise ValueError("config: data_path needs data_column")
 
     # The training functions take the config itself. These two identity
     # methods remain only because the benchmark harness still calls them.
@@ -120,8 +108,12 @@ class PipelineConfig:
             "level_scope": "exact",
             "class_weights": True,
             "gate_hidden": 0,
-            "router_lr": d.get("lr", cls.lr),
+            "router_lr": LR,
             "percentiles": [90.0, 95.0, 99.0],
+            "hidden": HIDDEN,
+            "lr": LR,
+            "batch_size": BATCH_SIZE,
+            "source": "synth" if d.get("data_path") is None else "csv",
         }
         for name, implemented in retired.items():
             value = d.pop(name, implemented)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import ewt
-from .config import PipelineConfig
+from .config import DECOMPOSITION_MODES, PipelineConfig
 from .dataset import N_LEVELS, RarityLevel, RarityThresholds, Windows
 from .losses import combined_loss, kd_loss, rare_loss
 from .rng import INIT, SHUFFLE, substream
@@ -85,15 +85,13 @@ class ExpertModel:
 
     level: int
     stack: bb.ForecasterStack
-    mode: str = "per_window"
     bank: ewt.FilterBank | None = None
     gamma: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.mode == "global" and self.bank is None:
-            raise ValueError("ExpertModel: global mode requires a filter bank")
-        if self.mode == "per_window" and self.bank is not None:
-            raise ValueError("ExpertModel: per_window mode builds a bank per window, it takes none")
+    @property
+    def mode(self) -> str:
+        """The decomposition mode: "global" decomposes with the fitted bank, "per_window" without one."""
+        return "per_window" if self.bank is None else "global"
 
     @property
     def n_bands(self) -> int:
@@ -135,6 +133,8 @@ def decompose_histories(
             f"decompose_histories: {bad.size} of {x.shape[0]} histories hold NaN or "
             f"infinite values, the first is window {bad[0]}"
         )
+    if mode not in DECOMPOSITION_MODES:
+        raise ValueError(f"decompose_histories: mode must be one of {DECOMPOSITION_MODES}, got {mode!r}")
     if mode == "global":
         if bank is None:
             raise ValueError("decompose_histories: global mode requires a bank")
@@ -232,6 +232,11 @@ def train_expert(
     rows = np.arange(len(windows)) if rows is None else np.asarray(rows)
     if rows.size == 0:
         raise ValueError(f"train_expert: no samples for level {level}")
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or not (0 <= rows.min() and rows.max() < len(windows)):
+        raise ValueError(
+            f"train_expert: rows must be a 1-d array of integer row indices in [0, {len(windows)}), "
+            f"got {rows.dtype} of shape {rows.shape}"
+        )
     targ = windows.targets
     history_len, horizon = windows.histories.shape[1], targ.shape[1]
     plev = collapse_level(windows.point_levels, cfg.n_experts)
@@ -262,11 +267,10 @@ def train_expert(
         level=level,
         stack=bb.stack_params(cfg.backbone, [
             bb.init_params(
-                cfg.backbone, history_len, horizon, cfg.hidden, substream(cfg.seed, INIT, level, b)
+                cfg.backbone, history_len, horizon, rng=substream(cfg.seed, INIT, level, b)
             )
             for b in range(cfg.n_bands)
         ]),
-        mode=cfg.mode,
         bank=bank if cfg.mode == "global" else None,
         gamma=cfg.gamma,
     )
@@ -289,7 +293,7 @@ def train_expert(
         return out
 
     curve = bb.fit(
-        expert.stack, rows.size, cfg.epochs, cfg.batch_size, cfg.lr,
+        expert.stack, rows.size, cfg.epochs, bb.BATCH_SIZE, bb.LR,
         substream(cfg.seed, SHUFFLE, level), lambda idx: np.take(by_band, rows[idx], axis=1),
         output_grad, curve_rows,
     )

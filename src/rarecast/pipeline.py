@@ -44,7 +44,6 @@ from .router import Router, pipeline_predict_batch, train_router
 class PreparedData:
     """Normalized splits, train and test windows, and the fitted labeling artifacts."""
 
-    name: str
     normalizer: Normalizer
     thresholds: RarityThresholds
     train: TimeSeries
@@ -55,8 +54,8 @@ class PreparedData:
 
 
 def load_series(cfg: PipelineConfig) -> TimeSeries:
-    """Raw series from the configured source."""
-    if cfg.source == "csv":
+    """Raw series: the CSV at cfg.data_path if one is set, else the synthetic series."""
+    if cfg.data_path is not None:
         return load_csv(cfg.data_path, cfg.data_column, cfg.delimiter)
     return synth_generate(cfg.seed, cfg.synth_n, cfg.spike_rate, cfg.spike_scale)
 
@@ -101,7 +100,6 @@ def prepare_data(
         thresholds = compute_thresholds(train.values)
     t, h, s = cfg.history_len, cfg.horizon, cfg.stride
     return PreparedData(
-        name=series.name,
         normalizer=normalizer,
         thresholds=thresholds,
         train=train,

@@ -210,7 +210,7 @@ def train_router(
 ) -> tuple[Router, bb.EpochCurve]:
     """Fit the gate to route windows to the expert of their rarity level.
 
-    Experts stay frozen; the gate trains through `bb.fit` at cfg.lr on
+    Experts stay frozen; the gate trains through `bb.fit` (Adam at bb.LR) on
     full-softmax cross-entropy against the window labels, each window
     weighted by n / (labels present * its label's count), so every label
     present carries equal total weight (top-k applies at inference only).
@@ -263,7 +263,7 @@ def train_router(
         return out
 
     curve = bb.fit(
-        model, n, cfg.router_epochs, cfg.batch_size, cfg.lr, substream(cfg.seed, ROUTER_SHUFFLE),
+        model, n, cfg.router_epochs, bb.BATCH_SIZE, bb.LR, substream(cfg.seed, ROUTER_SHUFFLE),
         lambda idx: feats[idx], output_grad, curve_rows,
     )
     return router, curve

@@ -20,7 +20,6 @@ TINY = dict(
     epochs=3,
     router_epochs=10,
     backbone="linear",
-    batch_size=128,
     synth_n=6000,
     spike_rate=0.02,
     spike_scale=5.0,

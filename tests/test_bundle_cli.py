@@ -67,13 +67,17 @@ FIXTURES = Path(__file__).parent / "data"
 
 # Config fields that earlier builds stored, each with the one value this build
 # implements (loaded as if absent) and a value that would select a removed path.
-# The accepted router_lr is the config's own lr, 1e-3 in every config below.
+# The accepted source is the one data_path implies, "synth" in every config below.
 RETIRED = [
     ("level_scope", "exact", "cumulative"),
     ("class_weights", True, False),
     ("gate_hidden", 0, 4),
     ("router_lr", 1e-3, 1e-2),
     ("percentiles", [90.0, 95.0, 99.0], [80.0, 95.0, 99.0]),
+    ("hidden", 32, 64),
+    ("lr", 1e-3, 1e-2),
+    ("batch_size", 128, 64),
+    ("source", "synth", "csv"),
 ]
 RETIRED_NAMES = [name for name, _, _ in RETIRED]
 
@@ -414,6 +418,13 @@ def test_cli_synth_train_evaluate_predict_chain(tmp_path, capsys):
     assert "--column is required" in capsys.readouterr().err
 
 
+def test_cli_synth_ignores_a_data_path(tmp_path):
+    out = tmp_path / "synth"
+    flags = ["--synth-n", "6000", "--seed", "3", "--data", str(tmp_path / "missing.csv"), "--column", "v"]
+    assert cli.main(["synth", *flags, "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["data_path"] is None
+
+
 def test_cli_predict_reads_delimiter_from_bundle(tmp_path, capsys):
     synth_dir = tmp_path / "synth"
     assert cli.main(["synth", "--out", str(synth_dir), "--synth-n", "6000", "--seed", "3"]) == 0
@@ -450,7 +461,7 @@ def test_cli_predict_snapshot_describes_the_run(tiny_pipeline, tmp_path, capsys)
         assert cli.main(["predict", *flags, *(["--k", str(k)] if k else []), "--out", str(out)]) == 0
         snapshots[k] = json.loads((out / "config.json").read_text())
     assert (snapshots[None]["k"], snapshots[1]["k"]) == (2, 1)
-    run = {"source": "csv", "data_path": str(series), "data_column": "level", "delimiter": ";"}
+    run = {"data_path": str(series), "data_column": "level", "delimiter": ";"}
     assert {name: snapshots[1][name] for name in run} == run
     assert {**snapshots[1], "k": 2} == snapshots[None]
 
@@ -481,6 +492,26 @@ def test_cli_evaluate_applies_override_flags_to_bundle_config(tiny_pipeline, tmp
 
     # a longer series gives a longer test split
     assert total_count(moved) > total_count(plain)
+
+
+def test_cli_evaluate_raw_reports_errors_in_series_units(tiny_pipeline, tmp_path):
+    # --raw scores the inverted forecasts against the inverted targets and
+    # thresholds: squared errors scale by std**2, absolute errors by std, and
+    # every point keeps its level.
+    tp = tiny_pipeline[0]
+    bundle = tmp_path / "bundle.json"
+    save_bundle(tp, bundle)
+    rows = {}
+    for name, flags in (("normalized", []), ("raw", ["--raw"])):
+        out = tmp_path / name
+        assert cli.main(["evaluate", "--bundle", str(bundle), *flags, "--out", str(out)]) == 0
+        rows[name] = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+    std = tp.normalizer.std
+    assert std != 1.0
+    for (level, mse, mae, count), raw in zip(rows["normalized"], rows["raw"], strict=True):
+        assert (raw[0], raw[3]) == (level, count) and int(count) > 0
+        assert float(raw[1]) == pytest.approx(std**2 * float(mse), rel=1e-12)
+        assert float(raw[2]) == pytest.approx(std * float(mae), rel=1e-12)
 
 
 def test_cli_evaluate_forecasts_with_the_snapshot_k(tiny_pipeline, tmp_path):
@@ -533,7 +564,7 @@ def test_cli_label_on_csv(tmp_path):
     # the same level names as metrics.csv and --assert
     assert {row.split(",")[3] for row in labels[1:]} == set(LEVEL_KEYS.values())
     cfg = json.loads((out / "config.json").read_text())
-    assert cfg["source"] == "csv"
+    assert (cfg["data_path"], cfg["data_column"]) == (str(csv_path), "value")
     thresholds = (out / "thresholds.csv").read_text().splitlines()
     assert thresholds[0] == "t_moderate,t_very,t_extreme"
 
@@ -582,10 +613,20 @@ def test_cli_config_snapshot_with_a_retired_field(name, accepted, rejected, tmp_
     assert not out.exists()
 
 
-def test_retired_router_lr_is_checked_against_the_configs_own_lr():
-    assert PipelineConfig.from_dict({"lr": 0.01, "router_lr": 0.01}) == PipelineConfig(lr=0.01)
-    with pytest.raises(ValueError, match=re.escape("config: router_lr=0.001 is no longer supported")):
-        PipelineConfig.from_dict({"lr": 0.01, "router_lr": 1e-3})
+def test_retired_router_lr_loads_only_at_the_one_learning_rate():
+    # router_lr used to load whenever it matched the stored lr; every model now trains at 1e-3.
+    assert PipelineConfig.from_dict({"lr": 1e-3, "router_lr": 1e-3}) == PipelineConfig()
+    with pytest.raises(ValueError, match=re.escape("config: router_lr=0.01 is no longer supported")):
+        PipelineConfig.from_dict({"lr": 0.01, "router_lr": 0.01})
+
+
+def test_retired_source_loads_only_at_the_value_data_path_implies():
+    csv = {"data_path": "series.csv", "data_column": "value"}
+    assert PipelineConfig.from_dict({**csv, "source": "csv"}) == PipelineConfig(**csv)
+    with pytest.raises(ValueError, match=re.escape("config: source='synth' is no longer supported (this build implements 'csv')")):
+        PipelineConfig.from_dict({**csv, "source": "synth"})
+    with pytest.raises(ValueError, match="config: data_path needs data_column"):
+        PipelineConfig(data_path="series.csv")
 
 
 def test_cli_ewt_dump(tmp_path):
@@ -685,14 +726,14 @@ def test_cli_train_experts_and_reproduce_share_one_set_of_defaults(tmp_path):
     "flags",
     [["--backbone", "mlp"], ["--experts", "2"], ["--normalization", "identity"],
      ["--epochs", "99"], ["--history-len", "64"], ["--horizon", "16"], ["--bands", "4"],
-     ["--mode", "global"], ["--config", "lr=0.01"]],
+     ["--mode", "global"], ["--config", "gamma=0.5"]],
 )
 def test_cli_evaluate_rejects_values_that_contradict_the_bundle(flags, tiny_pipeline, tmp_path, capsys):
     bundle = tmp_path / "bundle.json"
     save_bundle(tiny_pipeline[0], bundle)
     if flags[0] == "--config":
         snapshot = tmp_path / "config.json"
-        snapshot.write_text(json.dumps(tiny_pipeline[0].config.with_overrides(lr=0.01).to_dict()))
+        snapshot.write_text(json.dumps(tiny_pipeline[0].config.with_overrides(gamma=0.5).to_dict()))
         flags = ["--config", str(snapshot)]
     out = tmp_path / "eval"
     assert cli.main(["evaluate", "--bundle", str(bundle), *flags, "--out", str(out)]) == 1

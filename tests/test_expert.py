@@ -87,19 +87,20 @@ def test_expert_train_config_validation():
     ],
 )
 def test_config_rejects_out_of_range_training_values(name, value):
-    # Each of these used to train silently or fail deep inside numpy.
+    # Each of these used to train silently or fail deep inside numpy. A stored
+    # batch_size, lr or hidden is a retired field that loads only at its one value.
     with pytest.raises(ValueError, match=rf"^config: .*\b{name}\b"):
-        PipelineConfig(**{name: value})
+        PipelineConfig.from_dict({name: value})
 
 
 def test_expert_model_validation():
     lin = _linear_stack(1, 8, 2)
-    with pytest.raises(ValueError, match="requires a filter bank"):
+    # the bank decides the mode, so a mode without its bank cannot be built
+    with pytest.raises(TypeError, match="mode"):
         ExpertModel(level=0, stack=lin, mode="global")
     bank = build_filter_bank(Boundaries(np.array([0.0, np.pi])), 99)
-    with pytest.raises(ValueError, match="per_window mode .* takes none"):
-        # decompose_histories ignores a bank in this mode, so one would ride along unused
-        ExpertModel(level=0, stack=lin, mode="per_window", bank=bank)
+    assert ExpertModel(level=0, stack=lin, bank=bank).mode == "global"
+    assert ExpertModel(level=0, stack=lin).mode == "per_window"
     merged = ExpertModel(level=5, stack=lin)
     assert merged.penalty_level is RarityLevel.EXTREME_RARE
     assert (merged.n_bands, merged.history_len, merged.horizon) == (1, 8, 2)
@@ -120,6 +121,9 @@ def test_decompose_histories_modes():
     np.testing.assert_allclose(glob.sum(axis=1), hist, atol=1e-9)
     with pytest.raises(ValueError, match="requires a bank"):
         decompose_histories(hist, 2, "global", None)
+    # an unknown mode used to run the per-window decomposition
+    with pytest.raises(ValueError, match=re.escape("mode must be one of ('per_window', 'global'), got 'wavelet'")):
+        decompose_histories(hist, 2, "wavelet", None)
 
 
 @pytest.mark.parametrize("shape", [(32,), (1, 5, 32)])
@@ -138,9 +142,7 @@ def test_expert_predict_rejects_non_finite_history(mode, bad):
     # mode under a "fewer than n spectral maxima" warning that named the wrong cause.
     rng = np.random.default_rng(5)
     bank = build_filter_bank(Boundaries(np.array([0.0, 1.0, np.pi])), 17) if mode == "global" else None
-    expert = ExpertModel(
-        level=0, mode=mode, bank=bank, stack=_linear_stack(2, 32, 4, rng),
-    )
+    expert = ExpertModel(level=0, bank=bank, stack=_linear_stack(2, 32, 4, rng))
     hist = rng.standard_normal((5, 32))
     hist[3, 7] = bad
     with pytest.raises(ValueError, match="1 of 5 histories hold NaN or infinite values, the first is window 3"):
@@ -183,8 +185,7 @@ def test_expert_forecast_is_sum_of_band_forecasts():
 
 
 def _small_cfg(**kw) -> PipelineConfig:
-    base = dict(n_bands=2, beta=0.5, epochs=2, lr=1e-3, batch_size=64,
-                backbone="linear", mode="per_window", n_experts=3)
+    base = dict(n_bands=2, beta=0.5, epochs=2, backbone="linear", mode="per_window", n_experts=3)
     base.update(kw)
     return PipelineConfig(**base)
 
@@ -211,6 +212,24 @@ def test_train_expert_errors(tiny_data):
     wins = tiny_data.train_windows[:50]
     with pytest.raises(ValueError, match="requires a teacher"):
         train_expert(wins, 1, None, cfg, _comps(wins, cfg))
+
+
+@pytest.mark.parametrize(
+    "make_rows",
+    [
+        lambda n: np.array([-1, -2]),  # numpy would wrap these to the last two rows
+        lambda n: np.array([0.0, 1.0]),
+        lambda n: np.arange(n) % 2 == 0,  # a mask, not indices
+        lambda n: np.array([n]),
+        lambda n: np.arange(4).reshape(2, 2),
+    ],
+    ids=["negative", "float", "mask", "past_end", "2d"],
+)
+def test_train_expert_rejects_rows_that_are_not_row_indices(tiny_data, make_rows):
+    wins = tiny_data.train_windows[:50]
+    cfg = _small_cfg(epochs=1)
+    with pytest.raises(ValueError, match=r"train_expert: rows must be a 1-d array of integer row indices in \[0, 50\)"):
+        train_expert(wins, 0, None, cfg, _comps(wins, cfg), rows=make_rows(len(wins)))
 
 
 def test_train_expert_reads_band_major_components_in_place(tiny_data):
@@ -380,7 +399,7 @@ def test_one_backward_and_one_step_per_minibatch(monkeypatch, tiny_data, tiny_cf
     pipeline.train_baseline(tiny_data, tiny_cfg)
 
     def batches(n: int) -> int:
-        return -(-n // tiny_cfg.batch_size)
+        return -(-n // bb.BATCH_SIZE)
 
     n = len(tiny_data.train_windows)
     want = (

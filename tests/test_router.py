@@ -188,7 +188,7 @@ def test_gate_permutation_invariance():
 
 
 def _router_cfg(**kw) -> PipelineConfig:
-    base = dict(k=2, router_epochs=2, batch_size=64, seed=0)
+    base = dict(k=2, router_epochs=2, seed=0)
     base.update(kw)
     return PipelineConfig(**base)
 
