@@ -17,10 +17,12 @@ OUT/seedN/series and runs `rarecast predict` on it with the first run's
 bundle.json twice: the default last-window forecast (one window) into
 OUT/seedN/predict_last and `--all-windows` (every window in one batch) into
 OUT/seedN/predict_all, printing the line of the series.csv and of each
-forecast.csv. Last it runs `rarecast ewt-dump` on the first run's
-config.json into OUT/seedN/ewt and prints the line of its filters.csv. With
---expect FILE, every printed line must appear in FILE; any mismatch or
-missing line exits 1.
+forecast.csv. Then it runs `rarecast ewt-dump` on the first run's
+config.json into OUT/seedN/ewt and prints the line of its filters.csv. Last
+it runs `rarecast sweep-k` and `rarecast ablate` on that config.json into
+OUT/seedN/sweep_k and OUT/seedN/ablate and prints the lines of their
+sweep_k.csv and ablation.csv. With --expect FILE, every printed line must
+appear in FILE; any mismatch or missing line exits 1.
 
 The subcommands' own messages go to stderr, so stdout without --expect is
 an expectations file as it stands:
@@ -69,6 +71,8 @@ FILES = (
     "predict_last/forecast.csv",
     "predict_all/forecast.csv",
     "ewt/filters.csv",
+    "sweep_k/sweep_k.csv",
+    "ablate/ablation.csv",
 )
 # The predict series is drawn from its own seed, apart from every training seed.
 PREDICT_SEED = 1000
@@ -105,6 +109,8 @@ def digest_lines(seed: int, root: Path) -> list[str]:
     _run(seed, predict + ["--out", str(out / "predict_last")])
     _run(seed, predict + ["--all-windows", "--out", str(out / "predict_all")])
     _run(seed, ["ewt-dump", "--config", str(out / "config.json"), "--out", str(out / "ewt")])
+    _run(seed, ["sweep-k", "--config", str(out / "config.json"), "--out", str(out / "sweep_k")])
+    _run(seed, ["ablate", "--config", str(out / "config.json"), "--out", str(out / "ablate")])
     return [
         f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  seed{seed}/{name}"
         for name in FILES
