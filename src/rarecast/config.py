@@ -66,8 +66,8 @@ class PipelineConfig:
             )
         if self.stride < 1:
             raise ValueError("config: stride must be >= 1")
-        if self.beta < 0.0:
-            raise ValueError("config: beta must be >= 0")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"config: beta must be finite and >= 0, got {self.beta}")
         if self.epochs < 0 or self.router_epochs < 0:
             raise ValueError("config: epochs and router_epochs must be >= 0")
         if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0.0):

@@ -340,8 +340,8 @@ def synth_generate(
         raise ValueError(f"synth_generate: n must be >= 1000, got {n}")
     if not 0.0 < spike_rate < 0.05:
         raise ValueError(f"synth_generate: spike_rate must be in (0, 0.05), got {spike_rate}")
-    if spike_scale < 0.0:
-        raise ValueError(f"synth_generate: spike_scale must be >= 0, got {spike_scale}")
+    if not (math.isfinite(spike_scale) and spike_scale >= 0.0):
+        raise ValueError(f"synth_generate: spike_scale must be finite and >= 0, got {spike_scale}")
     base = synth_base(seed, n)
     rng = substream(seed, DATA, _SYNTH_SPIKE_STREAM)
     onsets = (rng.random(n) < spike_rate).astype(np.float64)

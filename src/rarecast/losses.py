@@ -176,8 +176,8 @@ def combined_loss(
     Given teacher predictions, the term applies whatever the penalty level:
     a rare expert trained with the plain quadratic loss still distills.
     """
-    if beta < 0.0:
-        raise ValueError(f"combined_loss: beta must be >= 0, got {beta}")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"combined_loss: beta must be finite and >= 0, got {beta}")
     rare = rare_loss(pred, truth, point_levels, expert_level, horizon)
     if beta == 0.0 or (teacher_pred is None and expert_level == RarityLevel.NORMAL):
         return rare
@@ -197,6 +197,10 @@ def loss_landscape_rows(
     horizon: int, lo: float = -5.0, hi: float = 5.0, steps: int = 201
 ) -> list[tuple[float, str, float]]:
     """(delta, level, penalty) grid rows for the matching-point branch of each level."""
+    if steps < 1:
+        raise ValueError(f"loss_landscape_rows: steps must be >= 1, got {steps}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"loss_landscape_rows: lo and hi must be finite, got lo={lo}, hi={hi}")
     rows = []
     grid = np.linspace(lo, hi, steps)
     for level in RarityLevel:

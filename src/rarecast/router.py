@@ -148,7 +148,7 @@ def fuse(expert_outputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if out.ndim not in (2, 3) or w.shape != out.shape[:-2] + out.shape[-1:]:
         raise ValueError("fuse: expected (H, E) outputs and (E,) weights, or (N, H, E) and (N, E)")
     sums = w.sum(axis=-1)
-    if (abs(sums - 1.0) > 1e-6).any():
+    if not (abs(sums - 1.0) <= 1e-6).all():
         raise ValueError(f"fuse: weights must sum to 1, got {sums!r}")
     return out @ w if out.ndim == 2 else np.einsum("nhe,ne->nh", out, w)
 

@@ -380,8 +380,9 @@ def test_synth_generate_validation():
         synth_generate(0, 2000, spike_rate=0.0)
     with pytest.raises(ValueError):
         synth_generate(0, 2000, spike_rate=0.05)
-    with pytest.raises(ValueError):
-        synth_generate(0, 2000, spike_scale=-1.0)
+    for scale in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="spike_scale"):
+            synth_generate(0, 2000, spike_scale=scale)
 
 
 @settings(max_examples=20)

@@ -84,6 +84,9 @@ def test_expert_train_config_validation():
         ("gamma", -1.0),
         ("gamma", float("nan")),
         ("gamma", float("inf")),
+        ("beta", -1.0),
+        ("beta", float("nan")),
+        ("beta", float("inf")),
     ],
 )
 def test_config_rejects_out_of_range_training_values(name, value):

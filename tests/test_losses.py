@@ -282,6 +282,10 @@ def test_combined_loss_requires_teacher():
         combined_loss(pred, truth, None, levels, RarityLevel.MODERATE, beta=0.5, horizon=3)
     with pytest.raises(ValueError, match="beta"):
         combined_loss(pred, truth, None, levels, RarityLevel.MODERATE, beta=-0.5, horizon=3)
+    # a non-finite weight fails as itself, not as a missing teacher or a NaN loss
+    for beta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            combined_loss(pred, truth, np.zeros(3), levels, RarityLevel.MODERATE, beta=beta, horizon=3)
     # beta 0 is the plain rarity loss, no teacher needed
     out = combined_loss(pred, truth, None, levels, RarityLevel.MODERATE, beta=0.0, horizon=3)
     assert out.value == pytest.approx(1.0)
@@ -297,3 +301,13 @@ def test_loss_landscape_rows_grid():
     assert len(at_zero) == 4 and all(v == 0.0 for _, _, v in at_zero)
     names = {name for _, name, _ in rows}
     assert names == {"normal", "moderate", "very", "extreme"}
+
+
+@pytest.mark.parametrize(
+    "lo, hi, steps",
+    [(-1.0, 1.0, 0), (-1.0, 1.0, -3), (float("nan"), 1.0, 5), (-1.0, float("inf"), 5)],
+)
+def test_loss_landscape_rows_rejects_a_bad_grid(lo, hi, steps):
+    # These used to write NaN rows, no rows, or fail with a bare numpy message.
+    with pytest.raises(ValueError, match="^loss_landscape_rows: "):
+        loss_landscape_rows(horizon=16, lo=lo, hi=hi, steps=steps)

@@ -136,6 +136,10 @@ def test_fuse_oracles_and_bounds():
     assert np.all(fused >= big.min(axis=1) - 1e-12)
     with pytest.raises(ValueError, match="sum to 1"):
         fuse(big, np.array([0.5, 0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="sum to 1"):  # NaN compares false to every bound
+        fuse(big, np.full(4, np.nan))
+    with pytest.raises(ValueError, match="sum to 1"):
+        fuse(np.ones((2, 6, 4)), np.array([[0.25] * 4, [np.nan] * 4]))
     with pytest.raises(ValueError, match="expected"):
         fuse(big[0], np.full(4, 0.25))
     # the batched form fuses each window with its own weight row
