@@ -318,46 +318,34 @@ def _parse_list(text: str, kind: type, what: str) -> list:
         raise ValueError(f"{what} must be comma-separated {kind.__name__}s, got {text!r}") from None
 
 
-def cmd_sweep_beta(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """sweep-beta, sweep-k and ablate: the rows of every cell, and the failed cells apart."""
     cfg = resolve_config(args)
-    betas = _parse_list(args.betas, float, "sweep-beta: --betas") if args.betas else list(BETA_SWEEP)
+    if args.command == "sweep-beta":
+        grid = _parse_list(args.betas, float, "sweep-beta: --betas") if args.betas else BETA_SWEEP
+        stem, run = "sweep_beta", sweep_beta
+    elif args.command == "sweep-k":
+        grid = _parse_list(args.ks, int, "sweep-k: --ks") if args.ks else None
+        stem, run = "sweep_k", sweep_k
+    else:
+        grid = TABLE_PRESETS
+        if args.components is not None:
+            enabled = frozenset(args.components.upper().split("+")) - {"", "NONE"}
+            ablate_config(cfg, enabled)  # unknown components fail before any work
+            grid = (enabled,)
+        stem, run = "ablation", ablation_table
+    result = run(prepare_data(cfg), cfg, grid)
     out = _outdir(args)
-    data = prepare_data(cfg)
-    result = sweep_beta(data, cfg, betas)
-    write_rows_csv(result.rows, out / "sweep_beta.csv")
+    write_config_snapshot(cfg, out)
     if result.errors:
-        write_rows_csv(result.errors, out / "sweep_beta_errors.csv")
+        write_rows_csv(result.errors, out / f"{stem}_errors.csv")
         for err in result.errors:
-            print(f"beta={err['beta']}: {err['error']}", file=sys.stderr)
-    write_config_snapshot(cfg, out)
-    print(f"swept {len(betas)} beta values; rows at {out / 'sweep_beta.csv'}")
-    return 0
-
-
-def cmd_sweep_k(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    ks = _parse_list(args.ks, int, "sweep-k: --ks") if args.ks else None
-    out = _outdir(args)
-    data = prepare_data(cfg)
-    result = sweep_k(data, cfg, ks)
-    write_rows_csv(result.rows, out / "sweep_k.csv")
-    write_config_snapshot(cfg, out)
-    print(f"swept k; rows at {out / 'sweep_k.csv'}")
-    return 0
-
-
-def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    presets = TABLE_PRESETS
-    if args.components is not None:
-        enabled = frozenset(args.components.upper().split("+")) - {"", "NONE"}
-        ablate_config(cfg, enabled)  # unknown components fail before any work
-        presets = (enabled,)
-    rows = ablation_table(prepare_data(cfg), cfg, presets)
-    out = _outdir(args)
-    write_rows_csv(rows, out / "ablation.csv")
-    write_config_snapshot(cfg, out)
-    print(format_table(rows))
+            cell = " ".join(f"{name}={value}" for name, value in err.items() if name != "error")
+            print(f"{cell}: {err['error']}", file=sys.stderr)
+    if not result.rows:
+        raise RuntimeError(f"{args.command}: every cell failed; see {out / f'{stem}_errors.csv'}")
+    write_rows_csv(result.rows, out / f"{stem}.csv")
+    print(format_table(result.rows))
     return 0
 
 
@@ -450,9 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("synth", cmd_synth, "generate the synthetic benchmark series", True),
         ("label", cmd_label, "fit thresholds and label every point", True),
         ("train-experts", cmd_train_experts, "train the expert chain", True),
-        ("sweep-beta", cmd_sweep_beta, "train once per distillation weight", True),
-        ("sweep-k", cmd_sweep_k, "train once, evaluate every fusion arity", True),
-        ("ablate", cmd_ablate, "toggle WT/RP/KD components", True),
+        ("sweep-beta", cmd_sweep, "train once per distillation weight", True),
+        ("sweep-k", cmd_sweep, "train once, evaluate every fusion arity", True),
+        ("ablate", cmd_sweep, "toggle WT/RP/KD components", True),
         ("reproduce", cmd_reproduce, "end-to-end seeded run with baseline comparison", True),
         ("loss-landscape", cmd_loss_landscape, "export penalty values over an error grid", False),
         ("ewt-dump", cmd_ewt_dump, "export detected boundaries and filter gains", True),

@@ -9,7 +9,7 @@ never as zero.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -124,16 +124,20 @@ def format_table(rows: Sequence[dict]) -> str:
     return "\n".join(lines)
 
 
+def score(tp: TrainedPipeline, data: PreparedData, k: int | None = None) -> MetricsReport:
+    """Metrics of the fused forecasts on the test windows, at k if given, else the router's."""
+    preds, _, _ = predict_windows(tp, data.test_windows, k=k)
+    return evaluate(preds, data.test_windows.targets, data.thresholds)
+
+
 def run_once(data: PreparedData, cfg: PipelineConfig) -> tuple[MetricsReport, TrainedPipeline]:
-    """Train on the prepared data and evaluate on its test windows.
+    """Train on the prepared data and score on its test windows.
 
     The chain result is dropped as soon as training returns: its lazy
     curves hold the training arrays, which nothing here reads.
     """
     tp = train_pipeline(data, cfg)[0]
-    preds, _, _ = predict_windows(tp, data.test_windows)
-    report = evaluate(preds, data.test_windows.targets, data.thresholds)
-    return report, tp
+    return score(tp, data), tp
 
 
 @dataclass(eq=False)
@@ -142,42 +146,42 @@ class SweepResult:
     errors: list[dict] = field(default_factory=list)
 
 
+def sweep(data: PreparedData, cells: Sequence[tuple[dict, PipelineConfig]]) -> SweepResult:
+    """Train and score each (columns, config) cell; its report rows lead with its columns.
+
+    A cell whose config differs from the last trained one only in k scores
+    that pipeline at its own k, since k acts only at inference. A cell that
+    raises is recorded as its columns plus the error, and the sweep goes on.
+    """
+    result = SweepResult()
+    tp, tp_cfg = None, None
+    for columns, cfg in cells:
+        try:
+            if tp_cfg is None or asdict(tp_cfg) | {"k": cfg.k} != asdict(cfg):
+                tp = tp_cfg = None  # a failed training is never reused
+                tp = train_pipeline(data, cfg)[0]
+                tp_cfg = cfg
+            report = score(tp, data, k=cfg.k)
+        except Exception as exc:  # noqa: BLE001, keep sweeping past a bad cell
+            result.errors.append({**columns, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        result.rows.extend({**columns, **row} for row in report_rows(report))
+    return result
+
+
 def sweep_beta(
     data: PreparedData, cfg: PipelineConfig, betas: Iterable[float] = BETA_SWEEP
 ) -> SweepResult:
-    """Full train-and-evaluate per beta, same seed throughout.
-
-    A failed cell is recorded (beta, error message) and the sweep continues.
-    """
-    result = SweepResult()
-    for beta in betas:
-        run_cfg = cfg.with_overrides(beta=float(beta))
-        try:
-            report, _ = run_once(data, run_cfg)
-        except Exception as exc:  # noqa: BLE001, keep sweeping past a bad cell
-            result.errors.append({"beta": float(beta), "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        for row in report_rows(report):
-            result.rows.append({"beta": float(beta), **row})
-    return result
+    """One full train-and-score per beta, same seed throughout."""
+    return sweep(data, [({"beta": float(b)}, cfg.with_overrides(beta=float(b))) for b in betas])
 
 
 def sweep_k(
     data: PreparedData, cfg: PipelineConfig, ks: Iterable[int] | None = None
 ) -> SweepResult:
-    """Train once, then vary the fusion arity k at inference time only."""
-    ks = list(ks) if ks is not None else list(range(1, cfg.n_experts + 1))
-    for k in ks:
-        if not 1 <= int(k) <= cfg.n_experts:
-            raise ValueError(f"sweep_k: k={k} outside [1, {cfg.n_experts}]")
-    tp = train_pipeline(data, cfg)[0]
-    result = SweepResult()
-    for k in ks:
-        preds, _, _ = predict_windows(tp, data.test_windows, k=int(k))
-        report = evaluate(preds, data.test_windows.targets, data.thresholds)
-        for row in report_rows(report):
-            result.rows.append({"k": int(k), **row})
-    return result
+    """Every fusion arity k (default 1..n_experts) scored on one training."""
+    ks = range(1, cfg.n_experts + 1) if ks is None else ks
+    return sweep(data, [({"k": int(k)}, cfg.with_overrides(k=int(k))) for k in ks])
 
 
 def ablate_config(cfg: PipelineConfig, enabled: Iterable[str]) -> PipelineConfig:
@@ -203,11 +207,8 @@ def components_label(enabled: frozenset[str]) -> str:
 
 def ablation_table(
     data: PreparedData, cfg: PipelineConfig, presets: Sequence[frozenset[str]] = TABLE_PRESETS
-) -> list[dict]:
-    """The four report rows of each preset's run, each led by the preset's components label."""
-    rows = []
-    for preset in presets:
-        report, _ = run_once(data, ablate_config(cfg, preset))
-        label = components_label(frozenset(preset))
-        rows.extend({"components": label, **row} for row in report_rows(report))
-    return rows
+) -> SweepResult:
+    """One run per preset; its four report rows lead with the preset's components label."""
+    return sweep(
+        data, [({"components": components_label(frozenset(p))}, ablate_config(cfg, p)) for p in presets]
+    )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rarecast import cli
+from rarecast import cli, evaluation
 from rarecast.bundle import FORMAT_VERSION, BundleError, _canonical, load_bundle, save_bundle
 from rarecast.config import PipelineConfig
 from rarecast.dataset import load_csv
@@ -645,20 +645,63 @@ def test_cli_loss_landscape(tmp_path):
     assert len(lines) == 1 + 4 * 11
 
 
-def test_cli_sweep_k(tmp_path):
+def test_cli_sweep_k(tmp_path, capsys):
     out = tmp_path / "sk"
     assert cli.main(["sweep-k", "--ks", "1,2", "--out", str(out), *TINY_FLAGS]) == 0
     lines = (out / "sweep_k.csv").read_text().splitlines()
     assert lines[0] == "k,level,mse,mae,count"
     assert len(lines) == 1 + 8
+    assert capsys.readouterr().out.splitlines()[0].split() == lines[0].split(",")
 
 
-def test_cli_sweep_beta(tmp_path):
+def test_cli_sweep_beta(tmp_path, capsys):
     out = tmp_path / "sb"
     assert cli.main(["sweep-beta", "--betas", "0,0.5", "--out", str(out), *TINY_FLAGS]) == 0
     lines = (out / "sweep_beta.csv").read_text().splitlines()
     assert lines[0] == "beta,level,mse,mae,count"
     assert len(lines) == 1 + 8
+    assert capsys.readouterr().out.splitlines()[0].split() == lines[0].split(",")
+    assert not (out / "sweep_beta_errors.csv").exists()
+
+
+def test_cli_sweep_writes_failed_cells_apart_and_goes_on(tmp_path, monkeypatch, capsys):
+    real = evaluation.train_pipeline
+
+    def fails_without_wt(data, cfg):
+        if cfg.n_bands == 1:
+            raise RuntimeError("boom")
+        return real(data, cfg)
+
+    monkeypatch.setattr(evaluation, "train_pipeline", fails_without_wt)
+    out = tmp_path / "ab"
+    assert cli.main(["ablate", "--out", str(out), *TINY_FLAGS]) == 0
+    captured = capsys.readouterr()
+    assert "components=none: RuntimeError: boom" in captured.err
+    errors = (out / "ablation_errors.csv").read_text().splitlines()
+    assert errors == ["components,error", "none,RuntimeError: boom"]
+    assert len((out / "ablation.csv").read_text().splitlines()) == 1 + 4 * 4
+
+
+@pytest.mark.parametrize(
+    "argv, stem",
+    [(["sweep-beta", "--betas", "0,0.5"], "sweep_beta"), (["sweep-k", "--ks", "1,2"], "sweep_k"),
+     (["ablate", "--components", "WT"], "ablation")],
+)
+def test_cli_sweep_with_every_cell_failed_exits_1_and_keeps_the_errors(
+    argv, stem, tmp_path, monkeypatch, capsys
+):
+    # An all-failed sweep used to exit with "write_rows_csv: no rows" and lose the cause.
+    def boom(data, cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(evaluation, "train_pipeline", boom)
+    out = tmp_path / "sweep"
+    assert cli.main([*argv, "--out", str(out), *TINY_FLAGS]) == 1
+    errors = out / f"{stem}_errors.csv"
+    assert f"error: {argv[0]}: every cell failed; see {errors}" in capsys.readouterr().err
+    assert not (out / f"{stem}.csv").exists()
+    rows = errors.read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",RuntimeError: boom") for row in rows)
 
 
 def test_cli_ablate_single_cell(tmp_path):

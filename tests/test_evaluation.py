@@ -7,6 +7,7 @@ import pytest
 
 from rarecast import evaluation as ev
 from rarecast.dataset import RarityLevel, RarityThresholds
+from rarecast.pipeline import train_pipeline
 
 
 THRESH = RarityThresholds(t_moderate=0.4, t_very=0.6, t_extreme=0.8)
@@ -95,31 +96,82 @@ def test_run_once_smoke(tiny_data, tiny_cfg):
     assert tp.router is not None
 
 
-def test_sweep_k_varies_inference_only(tiny_data, tiny_cfg):
+def test_sweep_k_varies_inference_only(tiny_data, tiny_cfg, monkeypatch):
     cfg = tiny_cfg.with_overrides(epochs=1, router_epochs=1)
+    trainings = []
+
+    def counted(data, cfg):
+        trainings.append(cfg)
+        return train_pipeline(data, cfg)
+
+    monkeypatch.setattr(ev, "train_pipeline", counted)
     result = ev.sweep_k(tiny_data, cfg, ks=[1, 2, 3])
+    assert len(trainings) == 1
     assert len(result.rows) == 12 and not result.errors
     assert [r["k"] for r in result.rows[::4]] == [1, 2, 3]
     assert set(result.rows[0]) == {"k", "level", "mse", "mae", "count"}
-    with pytest.raises(ValueError, match="outside"):
+    # each k scores the one pipeline exactly as scoring it at that k directly
+    tp = train_pipeline(tiny_data, cfg)[0]
+    for i, k in enumerate([1, 2, 3]):
+        expected = [{"k": k, **row} for row in ev.report_rows(ev.score(tp, tiny_data, k=k))]
+        assert result.rows[4 * i : 4 * i + 4] == expected
+    with pytest.raises(ValueError, match="k must be in"):
         ev.sweep_k(tiny_data, cfg, ks=[0])
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="k must be in"):
         ev.sweep_k(tiny_data, cfg, ks=[4])
+    assert len(trainings) == 1  # an invalid k fails before any training
+
+
+def _fake_sweep_calls(monkeypatch, fails):
+    """Replace training and scoring with fakes; training a config for which fails() holds raises."""
+    canned = ev.evaluate(np.ones(4), np.zeros(4), THRESH)
+    trainings = []
+
+    def fake_train(data, cfg):
+        trainings.append(cfg)
+        if fails(cfg):
+            raise RuntimeError("boom")
+        return object(), None
+
+    monkeypatch.setattr(ev, "train_pipeline", fake_train)
+    monkeypatch.setattr(ev, "score", lambda tp, data, k=None: canned)
+    return trainings
 
 
 def test_sweep_beta_records_failures_and_continues(tiny_data, tiny_cfg, monkeypatch):
-    canned = ev.evaluate(np.ones(4), np.zeros(4), THRESH)
-
-    def fake_run_once(data, cfg):
-        if cfg.beta == pytest.approx(0.1):
-            raise RuntimeError("boom")
-        return canned, None
-
-    monkeypatch.setattr(ev, "run_once", fake_run_once)
+    _fake_sweep_calls(monkeypatch, lambda cfg: cfg.beta == pytest.approx(0.1))
     result = ev.sweep_beta(tiny_data, tiny_cfg, betas=[0.0, 0.1, 0.5])
     assert [r["beta"] for r in result.rows[::4]] == [0.0, 0.5]
     assert len(result.rows) == 8
     assert result.errors == [{"beta": 0.1, "error": "RuntimeError: boom"}]
+
+
+def test_sweep_trains_once_per_config_apart_from_k(tiny_data, tiny_cfg, monkeypatch):
+    # A training that failed is never reused: the next k-only cell trains again.
+    trainings = _fake_sweep_calls(monkeypatch, lambda cfg: cfg.beta == 0.1)
+    cells = [({"cell": i}, tiny_cfg.with_overrides(beta=b, k=k))
+             for i, (b, k) in enumerate([(0.5, 1), (0.5, 2), (0.0, 2), (0.0, 1), (0.1, 1), (0.1, 2)])]
+    result = ev.sweep(tiny_data, cells)
+    assert [(c.beta, c.k) for c in trainings] == [(0.5, 1), (0.0, 2), (0.1, 1), (0.1, 2)]
+    assert [r["cell"] for r in result.rows[::4]] == [0, 1, 2, 3]
+    assert [e["cell"] for e in result.errors] == [4, 5]
+
+
+def test_sweep_k_and_ablate_record_failures_and_continue(tiny_data, tiny_cfg, monkeypatch):
+    _fake_sweep_calls(monkeypatch, lambda cfg: cfg.n_bands == 1)  # the "none" preset
+    result = ev.ablation_table(tiny_data, tiny_cfg)
+    assert result.errors == [{"components": "none", "error": "RuntimeError: boom"}]
+    assert [r["components"] for r in result.rows[::4]] == ["WT", "WT+KD", "WT+RP", "WT+RP+KD"]
+
+    def score_fails_at_k2(tp, data, k=None):
+        if k == 2:
+            raise RuntimeError("no k=2")
+        return ev.evaluate(np.ones(4), np.zeros(4), THRESH)
+
+    monkeypatch.setattr(ev, "score", score_fails_at_k2)
+    result = ev.sweep_k(tiny_data, tiny_cfg, ks=[1, 2, 3])
+    assert result.errors == [{"k": 2, "error": "RuntimeError: no k=2"}]
+    assert [r["k"] for r in result.rows[::4]] == [1, 3]
 
 
 def test_sweep_beta_rejects_invalid_beta_up_front(tiny_data, tiny_cfg):
@@ -159,7 +211,9 @@ def test_components_label_ordering():
 
 def test_ablation_table_complete(tiny_data, tiny_cfg):
     cfg = tiny_cfg.with_overrides(epochs=1, router_epochs=1)
-    rows = ev.ablation_table(tiny_data, cfg)
+    result = ev.ablation_table(tiny_data, cfg)
+    assert not result.errors
+    rows = result.rows
     labels = ["none", "WT", "WT+KD", "WT+RP", "WT+RP+KD"]
     assert [r["components"] for r in rows] == [label for label in labels for _ in range(4)]
     assert [r["level"] for r in rows] == ["overall", "moderate", "very", "extreme"] * 5
