@@ -35,7 +35,9 @@ host. They depend on the BLAS build of the host: a different BLAS or kernel
 selection may round matrix products differently and change every digest
 without any change to the code. The BLAS thread count is pinned to one before
 numpy loads, so the digests do not depend on how a host splits matrix
-products across threads.
+products across threads. rarecast's own threads split only independent
+rows and whole models, so the digests are the same on one CPU
+(`taskset -c 0`) as on many.
 
     PYTHONPATH=src python scripts/repro_digests.py --seeds 0,1,2,3,4 \
         --expect scripts/repro_digests.expected

@@ -15,6 +15,13 @@ instead of computing it again, as reverse mode keeps forward intermediates
 for the backward sweep. `forecast` is the forward's output alone, for
 inference. `fit` is the one training loop: every expert, the baseline and
 the gate train through it, each supplying only its inputs and loss gradient.
+
+A forward on at least 2 * parallel.MIN_ROWS rows, a batched forecast or a
+loss curve's full pass, spreads the stack's models over the usable CPUs
+(rarecast.parallel): each thread runs whole models, never a share of one
+model's rows, so every matmul is the call a single thread would make and
+the bits do not depend on the thread count. Smaller forwards, among them
+every training minibatch and single-window request, run inline as before.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import parallel
 
 KINDS = ("linear", "mlp")
 # Every expert, the baseline and the gate train with Adam at LR in
@@ -193,14 +202,51 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _affine_into(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """_affine written into out."""
+    np.matmul(x, w.swapaxes(-1, -2), out=out)
+    out += b[:, None, :]
+
+
 def _forward(
     kind: str, p: dict[str, np.ndarray], x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
+    if x.shape[-2] >= 2 * parallel.MIN_ROWS:  # fewer rows would be one part, run inline
+        return _forward_spread(kind, p, x)
     if kind == "linear":
         return _affine(x, p["w"], p["b"]), None
     h = _affine(x, p["w1"], p["b1"])
     np.tanh(h, out=h)
     return _affine(h, p["w2"], p["b2"]), h
+
+
+def _forward_spread(
+    kind: str, p: dict[str, np.ndarray], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """_forward with the stack's models cut into parallel parts.
+
+    Each part writes its models' slices of one output and one hidden
+    array, repeating each model's own matmul. The rows of a matmul are
+    never cut: OpenBLAS picks its kernel by row count, so a row part could
+    change bits.
+    """
+    first, last = p["w" if kind == "linear" else "w1"], p["b" if kind == "linear" else "b2"]
+    n_models, rows = first.shape[0], x.shape[-2]
+    out = np.empty((n_models, rows, last.shape[-1]))
+    hidden = None if kind == "linear" else np.empty((n_models, rows, first.shape[1]))
+
+    def models(lo: int, hi: int) -> None:
+        xs = x if x.ndim == 2 else x[lo:hi]
+        if kind == "linear":
+            _affine_into(xs, p["w"][lo:hi], p["b"][lo:hi], out[lo:hi])
+            return
+        h = hidden[lo:hi]
+        _affine_into(xs, p["w1"][lo:hi], p["b1"][lo:hi], h)
+        np.tanh(h, out=h)
+        _affine_into(h, p["w2"][lo:hi], p["b2"][lo:hi], out[lo:hi])
+
+    parallel.spread(models, 0, n_models, rows)
+    return out, hidden
 
 
 def forward(model: ForecasterStack, history: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -4,6 +4,8 @@ Every run resolves one flat config: an optional --config JSON snapshot, else
 the defaults, which are the benchmark preset (for evaluate, the bundle's own
 config), with explicit flags on top. It writes the resolved snapshot next to
 its outputs, so any run can be reproduced bitwise from its own out directory.
+A command creates its --out directory only once it has something to write,
+so a rejected input leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ def _routing_rows(alphas: np.ndarray, sparse: np.ndarray) -> list[dict]:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = resolve_config(args).with_overrides(data_path=None)
-    out = _outdir(args)
     series = load_series(cfg)
+    out = _outdir(args)
     write_rows_csv([{"value": float(v)} for v in series.values], out / "series.csv")
     write_config_snapshot(cfg, out)
     print(f"wrote {len(series)} points to {out / 'series.csv'}")
@@ -130,8 +132,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    out = _outdir(args)
     data = prepare_data(cfg)
+    out = _outdir(args)
     write_rows_csv(
         [
             {
@@ -176,9 +178,9 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def cmd_train_experts(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    out = _outdir(args)
     data = prepare_data(cfg)
     tp, chain = train_pipeline(data, cfg, train_router_too=False)
+    out = _outdir(args)
     save_bundle(tp, out / "bundle.json")
     for level, curve in chain.curves.items():
         write_rows_csv(curve, out / f"curve_expert{level}.csv")
@@ -191,10 +193,10 @@ def cmd_train_experts(args: argparse.Namespace) -> int:
 def cmd_train_router(args: argparse.Namespace) -> int:
     tp = load_bundle(args.bundle)
     cfg = resolve_config(args, base=tp.config)
-    out = _outdir(args)
     data = prepare_data(cfg, normalizer=tp.normalizer, thresholds=tp.thresholds)
     router, curve = train_router(tp.experts, data.train_windows, cfg)
     tp = dataclasses.replace(tp, router=router, config=cfg)
+    out = _outdir(args)
     save_bundle(tp, out / "bundle.json")
     write_rows_csv(curve, out / "curve_router.csv")
     write_config_snapshot(cfg, out)
@@ -209,7 +211,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if args.data_column is None and tp.config.data_column is None:
         raise ValueError("predict: --column is required when the bundle has no CSV column")
     cfg = resolve_config(args, base=tp.config)  # this run's series and k on the bundle's model
-    out = _outdir(args)
     series = load_csv(cfg.data_path, cfg.data_column, cfg.delimiter)
     values = tp.normalizer.apply(series.values)
     t, h = cfg.history_len, cfg.horizon
@@ -225,6 +226,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         row = {"start": s}
         row.update({f"step_{j + 1}": float(p[j]) for j in range(h)})
         rows.append(row)
+    out = _outdir(args)
     write_rows_csv(rows, out / "forecast.csv")
     if args.routing_out:
         write_rows_csv(_routing_rows(alphas, sparse), out / args.routing_out)
@@ -282,7 +284,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"evaluate: {flag} sets {name}={ours!r}, which contradicts the bundle's {name}={theirs!r}"
             )
-    out = _outdir(args)
     data = prepare_data(cfg, normalizer=tp.normalizer, thresholds=tp.thresholds)
     preds, alphas, sparse = predict_windows(tp, data.test_windows, k=cfg.k)
     targets = data.test_windows.targets
@@ -294,6 +295,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         thresholds = tp.thresholds
     report = evaluate(preds, targets, thresholds)
     rows = report_rows(report)
+    out = _outdir(args)
     write_rows_csv(rows, out / "metrics.csv")
     if args.routing_out:
         write_rows_csv(_routing_rows(alphas, sparse), out / args.routing_out)
@@ -351,13 +353,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    out = _outdir(args)
     data = prepare_data(cfg)
     report, tp = run_once(data, cfg)
     base = train_baseline(data, cfg)
     base_preds = baseline_predict(base, data.test_windows)
     base_report = evaluate(base_preds, data.test_windows.targets, data.thresholds)
 
+    out = _outdir(args)
     write_rows_csv(report_rows(report), out / "metrics.csv")
     write_rows_csv(report_rows(base_report), out / "metrics_baseline.csv")
     save_bundle(tp, out / "bundle.json")
@@ -385,11 +387,11 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def cmd_loss_landscape(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    out = _outdir(args)
     rows = [
         {"delta": d, "level": level, "value": v}
         for d, level, v in loss_landscape_rows(cfg.horizon, args.lo, args.hi, args.steps)
     ]
+    out = _outdir(args)
     write_rows_csv(rows, out / "loss_landscape.csv")
     write_config_snapshot(cfg, out)
     print(f"wrote {len(rows)} rows to {out / 'loss_landscape.csv'}")
@@ -398,7 +400,6 @@ def cmd_loss_landscape(args: argparse.Namespace) -> int:
 
 def cmd_ewt_dump(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    out = _outdir(args)
     data = prepare_data(cfg)
     bank = fit_global_bank(data.train, cfg)
     freqs = ewt.bin_frequencies(bank.n_bins)
@@ -407,6 +408,7 @@ def cmd_ewt_dump(args: argparse.Namespace) -> int:
         | {f"gain_band{b + 1}": float(g) for b, g in enumerate(bank.filters[:, j])}
         for j in range(bank.n_bins)
     ]
+    out = _outdir(args)
     write_rows_csv(rows, out / "filters.csv")
     write_config_snapshot(cfg, out)
     edges = ", ".join(f"{w:.6g}" for w in bank.boundaries.omegas)

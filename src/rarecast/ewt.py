@@ -24,14 +24,19 @@ decompose_windows and decompose_with_bank return (N, n_bands, T)
 components stored band-major: the memory is one (n_bands, N, T) array and
 the caller gets its transpose(1, 0, 2) view, so each band's rows are one
 contiguous (N, T) block for the expert matmuls. The result is allocated
-once and filled in blocks of _BLOCK_ROWS rows: each block's spectra,
-boundaries, banks (band-major too) and products are built, inverted
-straight into the result's columns and dropped, so the working memory
-beyond the result stays that of one block whatever N is. A row's
-components depend on that row alone, so the blocks change no bits; a
-one-row tail block takes the one-row path, which matches the batch path.
-Fallback and clamp counts are summed over the blocks and warned about once
-per call. decompose is the one-row case of decompose_with_bank.
+once and filled in blocks of _BLOCK_ROWS rows. A block of enough rows is
+cut into contiguous row ranges, one per usable CPU (rarecast.parallel),
+and each range runs on its own thread: its spectra and boundaries are
+found, its distinct banks looked up or built, and its rows filtered
+_APPLY_ROWS at a time, inverted straight into its slice of the result's
+columns. Everything else a range builds is dropped when it returns, so
+the working memory beyond the result stays that of one block whatever N
+is and however many threads share it. A row's components depend on that
+row alone, so neither blocks nor ranges change a bit; a one-row range or
+tail block takes the one-row path, which matches the batch path. Each
+range returns its fallback and clamp counts; the caller sums them and
+warns once per call, so no thread but the caller's ever warns. decompose
+is the one-row case of decompose_with_bank.
 
 The module is numerics only and does no file I/O; `rarecast ewt-dump`
 writes a bank's gains as rows of a CSV.
@@ -46,6 +51,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import parallel
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,20 +345,18 @@ def _filters_for_rows(
     return ups[:, :-1, :] - ups[:, 1:, :], gam
 
 
-def _build_filters_batch(
+def _bank_rows(
     omegas: np.ndarray, n_bins: int, gamma: float | None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Filter tensors (N, n_bands, n_bins) for each boundary row, stored band-major.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, int]:
+    """Distinct banks (n_bands, U, n_bins), each row's bank index, effective gammas and clamp count.
 
     gamma None means half of the feasible maximum per row; an explicit gamma
     is clamped down per row when infeasible (count of clamped rows returned).
     gamma 0 gives hard masks with the convention that a bin exactly on a
     boundary joins the upper band. A single row is looked up in the bank memo
-    directly and a hit is copied out. Otherwise each distinct row is looked
-    up, the misses are built in one _filters_for_rows call, and the banks are
-    gathered back into a new array. Either way no caller holds a memo array.
-    The result is the transpose(1, 0, 2) view of an (n_bands, N, n_bins)
-    array, so _apply_filters multiplies contiguous band blocks.
+    directly, and its bank (U = 1) comes back with index None: a hit is the
+    memo's read-only array. Otherwise each distinct row is looked up and the
+    misses are built in one _filters_for_rows call, into a new array.
     """
     om = np.asarray(omegas, dtype=np.float64)
     # float.hex keeps -0.0 apart from 0.0, whose effective gammas differ in sign
@@ -362,15 +367,16 @@ def _build_filters_batch(
         if hit is None:
             filters, gam = _filters_for_rows(om, n_bins, gamma)
             _memo.put(key, filters[0], gam[0])
+            banks = filters.transpose(1, 0, 2)
         else:
-            filters, gam = hit[0][None].copy(), np.array([hit[1]])
+            banks, gam = hit[0][:, None, :], np.array([hit[1]])
         n_clamped = 0 if gamma is None else int(gam[0] < gamma)
-        return filters, gam, n_clamped
+        return banks, None, gam, n_clamped
 
     om, inv = _unique_rows(om)
     keys = [(n_bins, gamma_key, row.tobytes()) for row in om]
-    by_band = np.empty((om.shape[1] - 1, om.shape[0], n_bins))
-    filters = by_band.transpose(1, 0, 2)
+    banks = np.empty((om.shape[1] - 1, om.shape[0], n_bins))
+    filters = banks.transpose(1, 0, 2)
     gam = np.empty(om.shape[0])
     miss = []
     for i, key in enumerate(keys):
@@ -385,7 +391,21 @@ def _build_filters_batch(
             _memo.put(keys[i], filters[i], gam[i])
     gam = gam[inv]
     n_clamped = 0 if gamma is None else int(np.count_nonzero(gam < gamma))
-    return np.take(by_band, inv, axis=1).transpose(1, 0, 2), gam, n_clamped
+    return banks, inv, gam, n_clamped
+
+
+def _build_filters_batch(
+    omegas: np.ndarray, n_bins: int, gamma: float | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Filter tensors (N, n_bands, n_bins) for each boundary row, stored band-major.
+
+    _bank_rows with each row's bank gathered into a new array, so no caller
+    holds a memo array; the result is the transpose(1, 0, 2) view of an
+    (n_bands, N, n_bins) array.
+    """
+    banks, inv, gam, n_clamped = _bank_rows(omegas, n_bins, gamma)
+    filters = banks.copy() if inv is None else np.take(banks, inv, axis=1)
+    return filters.transpose(1, 0, 2), gam, n_clamped
 
 
 def build_filter_bank(
@@ -408,22 +428,34 @@ def build_filter_bank(
     return FilterBank(filters=filters[0], boundaries=boundaries, gamma=float(gam[0]))
 
 
-# Rows decomposed at once. At T = 64 and 4 bands a block's transients come to
-# about 15 MiB, and a 4,096-window forecast batch stays one block.
+# Rows decomposed at once, over every thread. At T = 64 and 4 bands a block's
+# transients come to about 6 MiB on one thread and 8 MiB on two, and a
+# 4,096-window forecast batch stays one block.
 _BLOCK_ROWS = 4096
+# Rows whose banks are gathered and whose complex band products are formed at
+# once: the largest transients, and the reason they stay small.
+_APPLY_ROWS = 512
 
 
 def _apply_filters(
-    signals: np.ndarray, filters: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Band-major components (n_bands, N, T) of signals (N, T) under filters (N or 1, n_bands, n_bins).
+    signals: np.ndarray, banks: np.ndarray, inv: np.ndarray | None, out: np.ndarray
+) -> None:
+    """Band-major components (n_bands, N, T) of signals (N, T) written into out.
 
-    Written into out, an (n_bands, N, T) array or column slice, when it is given.
+    Row i is filtered by banks[:, inv[i]], banks being (n_bands, U, n_bins);
+    with inv None the one bank of banks (U = 1) filters every row. out is an
+    (n_bands, N, T) array or column slice. Rows go _APPLY_ROWS at a time, so
+    the gathered banks and the complex band products held at once stay small
+    whatever N is.
     """
+    if len(signals) > _APPLY_ROWS:
+        for c in range(0, len(signals), _APPLY_ROWS):
+            rows = slice(c, c + _APPLY_ROWS)
+            _apply_filters(signals[rows], banks, None if inv is None else inv[rows], out[:, rows])
+        return
+    filters = banks if inv is None else np.take(banks, inv, axis=1)
     spec = np.fft.rfft(signals, axis=-1)
-    return np.fft.irfft(
-        spec[None] * filters.transpose(1, 0, 2), n=signals.shape[-1], axis=-1, out=out
-    )
+    np.fft.irfft(spec[None] * filters, n=signals.shape[-1], axis=-1, out=out)
 
 
 def decompose(signal: np.ndarray, bank: FilterBank) -> BandComponents:
@@ -446,8 +478,9 @@ def decompose_windows(
     Each row gets its own boundaries and bank, matching detect_boundaries +
     build_filter_bank + decompose row by row. The result is a band-major
     (n_bands, N, T) array's transpose(1, 0, 2) view. Rows run in blocks of
-    _BLOCK_ROWS; fallback subdivision and gamma clamping warnings are each
-    aggregated over the whole call into one message.
+    _BLOCK_ROWS, each spread over threads in row ranges; fallback subdivision
+    and gamma clamping warnings are each aggregated over the whole call into
+    one message.
     """
     x = np.asarray(signals, dtype=np.float64)
     if x.ndim != 2:
@@ -457,15 +490,20 @@ def decompose_windows(
         return x[:, None, :].copy()
     n, t = x.shape
     out = np.empty((n_bands, n, t))
+
+    def part(lo: int, hi: int) -> tuple[int, int]:
+        rows = x[lo:hi]
+        omegas, n_fallback = _detect_boundaries_batch(rows, n_bands)
+        banks, inv, _, n_clamped = _bank_rows(omegas, t // 2 + 1, gamma)
+        _apply_filters(rows, banks, inv, out[:, lo:hi])
+        return n_fallback, n_clamped
+
     n_fallback = n_clamped = 0
     # An empty batch still runs one (empty) block, so its length is checked too.
     for s in range(0, max(n, 1), _BLOCK_ROWS):
-        block = x[s : s + _BLOCK_ROWS]
-        omegas, block_fallback = _detect_boundaries_batch(block, n_bands)
-        filters, _, block_clamped = _build_filters_batch(omegas, t // 2 + 1, gamma)
-        _apply_filters(block, filters, out[:, s : s + _BLOCK_ROWS])
-        n_fallback += block_fallback
-        n_clamped += block_clamped
+        for part_fallback, part_clamped in parallel.spread(part, s, min(s + _BLOCK_ROWS, n)):
+            n_fallback += part_fallback
+            n_clamped += part_clamped
     if n_fallback:
         warnings.warn(
             f"decompose_windows: {n_fallback} of {n} windows had fewer than "
@@ -486,7 +524,7 @@ def decompose_with_bank(signals: np.ndarray, bank: FilterBank) -> np.ndarray:
 
     The bank must have been built for length T. A single-band bank is the
     identity and returns a copy. The result is band-major and rows run in
-    blocks of _BLOCK_ROWS, as in decompose_windows.
+    blocks of _BLOCK_ROWS spread over threads, as in decompose_windows.
     """
     x = np.asarray(signals, dtype=np.float64)
     if x.ndim != 2:
@@ -500,8 +538,13 @@ def decompose_with_bank(signals: np.ndarray, bank: FilterBank) -> np.ndarray:
     if bank.n_bands == 1:
         return x[:, None, :].copy()
     out = np.empty((bank.n_bands,) + x.shape)
-    for s in range(0, x.shape[0], _BLOCK_ROWS):
-        _apply_filters(x[s : s + _BLOCK_ROWS], bank.filters[None], out[:, s : s + _BLOCK_ROWS])
+
+    def part(lo: int, hi: int) -> None:
+        _apply_filters(x[lo:hi], bank.filters[:, None, :], None, out[:, lo:hi])
+
+    n = x.shape[0]
+    for s in range(0, n, _BLOCK_ROWS):
+        parallel.spread(part, s, min(s + _BLOCK_ROWS, n))
     return out.transpose(1, 0, 2)
 
 

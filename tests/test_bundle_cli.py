@@ -704,6 +704,17 @@ def test_cli_sweep_with_every_cell_failed_exits_1_and_keeps_the_errors(
     assert rows and all(row.endswith(",RuntimeError: boom") for row in rows)
 
 
+@pytest.mark.parametrize(
+    "argv", [["synth", "--spike-scale", "nan"], ["loss-landscape", "--steps", "0"]]
+)
+def test_cli_rejected_input_leaves_no_out_directory(argv, tmp_path, capsys):
+    # Both commands used to create --out before checking their input.
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error")
+    assert not out.exists()
+
+
 def test_cli_ablate_single_cell(tmp_path):
     out = tmp_path / "ab"
     assert cli.main(["ablate", "--components", "WT+RP", "--out", str(out), *TINY_FLAGS]) == 0

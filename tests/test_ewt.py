@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rarecast import cli, ewt
+from rarecast import cli, ewt, parallel
 from rarecast.config import PipelineConfig
 from rarecast.ewt import (
     BandComponents,
@@ -618,16 +618,20 @@ def test_block_warnings_come_once_per_call_with_summed_counts(monkeypatch):
     fallback_re = importlib.import_module("workloads").FALLBACK_RE
     monkeypatch.setattr(ewt, "_BLOCK_ROWS", 8)
     x = _block_signals(33)  # constant rows 0, 5, ..., 30 spread over all five blocks
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        decompose_windows(x, 4, gamma=5.0)
-    assert [str(w.message) for w in caught] == [
-        "decompose_windows: 7 of 33 windows had fewer than 4 spectral maxima, "
-        "padded by subdividing the widest band",
-        "decompose_windows: gamma 5.0 infeasible for 33 of 33 windows, "
-        "clamped to each window's feasible maximum",
-    ]
-    assert [m.group(1) for w in caught if (m := fallback_re.match(str(w.message)))] == ["7"]
+    # One thread, then three with each block of 8 rows cut into ranges of 2 or 3.
+    for threads, min_rows in ((1, parallel.MIN_ROWS), (3, 1)):
+        monkeypatch.setattr(parallel, "THREADS", threads)
+        monkeypatch.setattr(parallel, "MIN_ROWS", min_rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            decompose_windows(x, 4, gamma=5.0)
+        assert [str(w.message) for w in caught] == [
+            "decompose_windows: 7 of 33 windows had fewer than 4 spectral maxima, "
+            "padded by subdividing the widest band",
+            "decompose_windows: gamma 5.0 infeasible for 33 of 33 windows, "
+            "clamped to each window's feasible maximum",
+        ]
+        assert [m.group(1) for w in caught if (m := fallback_re.match(str(w.message)))] == ["7"]
 
 
 @pytest.mark.parametrize("shared_bank", [False, True])
