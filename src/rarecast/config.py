@@ -84,6 +84,10 @@ class PipelineConfig:
             raise ValueError("config: normalization must be 'zscore' or 'identity'")
         if self.data_path is not None and self.data_column is None:
             raise ValueError("config: data_path needs data_column")
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise ValueError(f"config: delimiter must be exactly one character, got {self.delimiter!r}")
+        if self.seed < 0:
+            raise ValueError(f"config: seed must be >= 0, got {self.seed}")
 
     # The training functions take the config itself. These two identity
     # methods remain only because the benchmark harness still calls them.

@@ -20,23 +20,22 @@ its peaks are found and ranked on the magnitude spectrum as Python floats
 its boundary row is looked up in the memo directly rather than through the
 batch's row deduplication and gather. Both give the batch path's bits.
 
-decompose_windows and decompose_with_bank return (N, n_bands, T)
-components stored band-major: the memory is one (n_bands, N, T) array and
-the caller gets its transpose(1, 0, 2) view, so each band's rows are one
-contiguous (N, T) block for the expert matmuls. The result is allocated
-once and filled in blocks of _BLOCK_ROWS rows. A block of enough rows is
-cut into contiguous row ranges, one per usable CPU (rarecast.parallel),
-and each range runs on its own thread: its spectra and boundaries are
-found, its distinct banks looked up or built, and its rows filtered
-_APPLY_ROWS at a time, inverted straight into its slice of the result's
-columns. Everything else a range builds is dropped when it returns, so
-the working memory beyond the result stays that of one block whatever N
-is and however many threads share it. A row's components depend on that
-row alone, so neither blocks nor ranges change a bit; a one-row range or
-tail block takes the one-row path, which matches the batch path. Each
-range returns its fallback and clamp counts; the caller sums them and
-warns once per call, so no thread but the caller's ever warns. decompose
-is the one-row case of decompose_with_bank.
+decompose_windows and decompose_with_bank return (n_bands, N, T)
+components: one contiguous (N, T) block per band, the layout the expert
+matmuls read, and banks are (n_bands, U, n_bins) the same way. The result
+is allocated once and filled in blocks of _BLOCK_ROWS rows. A block of
+enough rows is cut into contiguous row ranges, one per usable CPU
+(rarecast.parallel), and each range runs on its own thread: its spectra
+and boundaries are found, its distinct banks looked up or built, and its
+rows filtered _APPLY_ROWS at a time, inverted straight into its slice of
+the result's columns. Everything else a range builds is dropped when it
+returns, so the working memory beyond the result stays that of one block
+whatever N is and however many threads share it. A row's components
+depend on that row alone, so neither blocks nor ranges change a bit; a
+one-row range or tail block takes the one-row path, which matches the
+batch path. Each range returns its fallback and clamp counts; the caller
+sums them and warns once per call, so no thread but the caller's ever
+warns. decompose is the one-row case of decompose_with_bank.
 
 The module is numerics only and does no file I/O; `rarecast ewt-dump`
 writes a bank's gains as rows of a CSV.
@@ -48,6 +47,7 @@ import functools
 import math
 import threading
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,9 +315,9 @@ _memo = _BankMemo()
 def _filters_for_rows(
     om: np.ndarray, n_bins: int, gamma: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Filters (U, n_bands, n_bins) and effective gammas (U,) built for each boundary row.
+    """Filters (n_bands, U, n_bins) and effective gammas (U,) built for each boundary row.
 
-    Band b is the difference of two cumulative rising edges, so the rows of
+    Band b is the difference of two cumulative rising edges, so the bands of
     each bank telescope to one at every bin. All edges of all rows are one
     broadcast; each row's bank depends on that row alone.
     """
@@ -330,19 +330,19 @@ def _filters_for_rows(
         gam = np.full(om.shape[0], float(gamma))
         gam = np.where(gam > feasible, feasible, gam)
 
-    # Cumulative edges: ups[:, 0] = 1 (no lower edge for band 1), ups[:, B] = 0
+    # Cumulative edges: ups[0] = 1 (no lower edge for band 1), ups[B] = 0
     # (band B runs through pi). Interior edge k rises from 0 to 1 around
     # omega_k over half-width gam * omega_k.
-    ups = np.empty((om.shape[0], n_bands + 1, n_bins))
-    ups[:, 0, :] = 1.0
-    ups[:, n_bands, :] = 0.0
-    center = om[:, 1:n_bands, None]
-    width = gam[:, None, None] * center
+    ups = np.empty((n_bands + 1, om.shape[0], n_bins))
+    ups[0] = 1.0
+    ups[n_bands] = 0.0
+    center = om.T[1:n_bands, :, None]
+    width = gam[:, None] * center
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.clip((freqs - (center - width)) / (2.0 * width), 0.0, 1.0)
     hard = (freqs >= center).astype(np.float64)
-    ups[:, 1:n_bands, :] = np.where(width > 0.0, 0.5 * (1.0 - np.cos(np.pi * s)), hard)
-    return ups[:, :-1, :] - ups[:, 1:, :], gam
+    ups[1:n_bands] = np.where(width > 0.0, 0.5 * (1.0 - np.cos(np.pi * s)), hard)
+    return ups[:-1] - ups[1:], gam
 
 
 def _bank_rows(
@@ -365,9 +365,8 @@ def _bank_rows(
         key = (n_bins, gamma_key, om[0].tobytes())
         hit = _memo.get(key)
         if hit is None:
-            filters, gam = _filters_for_rows(om, n_bins, gamma)
-            _memo.put(key, filters[0], gam[0])
-            banks = filters.transpose(1, 0, 2)
+            banks, gam = _filters_for_rows(om, n_bins, gamma)
+            _memo.put(key, banks[:, 0], gam[0])
         else:
             banks, gam = hit[0][:, None, :], np.array([hit[1]])
         n_clamped = 0 if gamma is None else int(gam[0] < gamma)
@@ -376,7 +375,6 @@ def _bank_rows(
     om, inv = _unique_rows(om)
     keys = [(n_bins, gamma_key, row.tobytes()) for row in om]
     banks = np.empty((om.shape[1] - 1, om.shape[0], n_bins))
-    filters = banks.transpose(1, 0, 2)
     gam = np.empty(om.shape[0])
     miss = []
     for i, key in enumerate(keys):
@@ -384,28 +382,14 @@ def _bank_rows(
         if hit is None:
             miss.append(i)
         else:
-            filters[i], gam[i] = hit
+            banks[:, i], gam[i] = hit
     if miss:
-        filters[miss], gam[miss] = _filters_for_rows(om[miss], n_bins, gamma)
+        banks[:, miss], gam[miss] = _filters_for_rows(om[miss], n_bins, gamma)
         for i in miss:
-            _memo.put(keys[i], filters[i], gam[i])
+            _memo.put(keys[i], banks[:, i], gam[i])
     gam = gam[inv]
     n_clamped = 0 if gamma is None else int(np.count_nonzero(gam < gamma))
     return banks, inv, gam, n_clamped
-
-
-def _build_filters_batch(
-    omegas: np.ndarray, n_bins: int, gamma: float | None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Filter tensors (N, n_bands, n_bins) for each boundary row, stored band-major.
-
-    _bank_rows with each row's bank gathered into a new array, so no caller
-    holds a memo array; the result is the transpose(1, 0, 2) view of an
-    (n_bands, N, n_bins) array.
-    """
-    banks, inv, gam, n_clamped = _bank_rows(omegas, n_bins, gamma)
-    filters = banks.copy() if inv is None else np.take(banks, inv, axis=1)
-    return filters.transpose(1, 0, 2), gam, n_clamped
 
 
 def build_filter_bank(
@@ -418,14 +402,14 @@ def build_filter_bank(
     feasible maximum is clamped down with a warning; zero yields hard masks.
     """
     _check_gamma(gamma, "build_filter_bank")
-    filters, gam, n_clamped = _build_filters_batch(boundaries.omegas[None, :], n_bins, gamma)
+    banks, _, gam, n_clamped = _bank_rows(boundaries.omegas[None, :], n_bins, gamma)
     if n_clamped:
         warnings.warn(
             f"build_filter_bank: gamma {gamma} infeasible for these boundaries, "
             f"clamped to {gam[0]:.6g}",
             stacklevel=2,
         )
-    return FilterBank(filters=filters[0], boundaries=boundaries, gamma=float(gam[0]))
+    return FilterBank(filters=banks[:, 0], boundaries=boundaries, gamma=float(gam[0]))
 
 
 # Rows decomposed at once, over every thread. At T = 64 and 4 bands a block's
@@ -440,7 +424,7 @@ _APPLY_ROWS = 512
 def _apply_filters(
     signals: np.ndarray, banks: np.ndarray, inv: np.ndarray | None, out: np.ndarray
 ) -> None:
-    """Band-major components (n_bands, N, T) of signals (N, T) written into out.
+    """Components (n_bands, N, T) of signals (N, T) written into out.
 
     Row i is filtered by banks[:, inv[i]], banks being (n_bands, U, n_bins);
     with inv None the one bank of banks (U = 1) filters every row. out is an
@@ -458,6 +442,26 @@ def _apply_filters(
     np.fft.irfft(spec[None] * filters, n=signals.shape[-1], axis=-1, out=out)
 
 
+def _blocked(
+    x: np.ndarray, n_bands: int, part: Callable[[np.ndarray, np.ndarray], object]
+) -> tuple[np.ndarray, list]:
+    """Components (n_bands, N, T) of x (N, T), and what each part returned.
+
+    part(rows, out) writes the components of a row range into that range's
+    columns of the result. Rows run in blocks of _BLOCK_ROWS, each spread
+    over threads in row ranges. An empty x still runs one (empty) block, so
+    the part's own checks apply to it too.
+    """
+    n = x.shape[0]
+    out = np.empty((n_bands,) + x.shape)
+    results = []
+    for s in range(0, max(n, 1), _BLOCK_ROWS):
+        results += parallel.spread(
+            lambda lo, hi: part(x[lo:hi], out[:, lo:hi]), s, min(s + _BLOCK_ROWS, n)
+        )
+    return out, results
+
+
 def decompose(signal: np.ndarray, bank: FilterBank) -> BandComponents:
     """Split a signal into additive band components via the given bank.
 
@@ -467,43 +471,36 @@ def decompose(signal: np.ndarray, bank: FilterBank) -> BandComponents:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("decompose: expected a 1-d signal")
-    return BandComponents(decompose_with_bank(x[None, :], bank)[0])
+    return BandComponents(decompose_with_bank(x[None], bank)[:, 0])
 
 
 def decompose_windows(
     signals: np.ndarray, n_bands: int, gamma: float | None = None
 ) -> np.ndarray:
-    """Per-window decomposition of stacked signals (N, T) into (N, n_bands, T).
+    """Per-window decomposition of stacked signals (N, T) into (n_bands, N, T).
 
     Each row gets its own boundaries and bank, matching detect_boundaries +
-    build_filter_bank + decompose row by row. The result is a band-major
-    (n_bands, N, T) array's transpose(1, 0, 2) view. Rows run in blocks of
-    _BLOCK_ROWS, each spread over threads in row ranges; fallback subdivision
-    and gamma clamping warnings are each aggregated over the whole call into
-    one message.
+    build_filter_bank + decompose row by row. Fallback subdivision and gamma
+    clamping warnings are each aggregated over the whole call into one
+    message.
     """
     x = np.asarray(signals, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("decompose_windows: expected a (N, T) array")
     _check_gamma(gamma, "decompose_windows")
     if n_bands == 1:
-        return x[:, None, :].copy()
+        return x[None].copy()
     n, t = x.shape
-    out = np.empty((n_bands, n, t))
 
-    def part(lo: int, hi: int) -> tuple[int, int]:
-        rows = x[lo:hi]
+    def part(rows: np.ndarray, out: np.ndarray) -> tuple[int, int]:
         omegas, n_fallback = _detect_boundaries_batch(rows, n_bands)
         banks, inv, _, n_clamped = _bank_rows(omegas, t // 2 + 1, gamma)
-        _apply_filters(rows, banks, inv, out[:, lo:hi])
+        _apply_filters(rows, banks, inv, out)
         return n_fallback, n_clamped
 
-    n_fallback = n_clamped = 0
-    # An empty batch still runs one (empty) block, so its length is checked too.
-    for s in range(0, max(n, 1), _BLOCK_ROWS):
-        for part_fallback, part_clamped in parallel.spread(part, s, min(s + _BLOCK_ROWS, n)):
-            n_fallback += part_fallback
-            n_clamped += part_clamped
+    out, counts = _blocked(x, n_bands, part)
+    n_fallback = sum(f for f, _ in counts)
+    n_clamped = sum(c for _, c in counts)
     if n_fallback:
         warnings.warn(
             f"decompose_windows: {n_fallback} of {n} windows had fewer than "
@@ -516,15 +513,14 @@ def decompose_windows(
             "windows, clamped to each window's feasible maximum",
             stacklevel=2,
         )
-    return out.transpose(1, 0, 2)
+    return out
 
 
 def decompose_with_bank(signals: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """Decompose stacked signals (N, T) with one shared bank into (N, n_bands, T).
+    """Decompose stacked signals (N, T) with one shared bank into (n_bands, N, T).
 
     The bank must have been built for length T. A single-band bank is the
-    identity and returns a copy. The result is band-major and rows run in
-    blocks of _BLOCK_ROWS spread over threads, as in decompose_windows.
+    identity and returns a copy.
     """
     x = np.asarray(signals, dtype=np.float64)
     if x.ndim != 2:
@@ -536,16 +532,9 @@ def decompose_with_bank(signals: np.ndarray, bank: FilterBank) -> np.ndarray:
             f"bins, the bank was built for {bank.n_bins}"
         )
     if bank.n_bands == 1:
-        return x[:, None, :].copy()
-    out = np.empty((bank.n_bands,) + x.shape)
-
-    def part(lo: int, hi: int) -> None:
-        _apply_filters(x[lo:hi], bank.filters[:, None, :], None, out[:, lo:hi])
-
-    n = x.shape[0]
-    for s in range(0, n, _BLOCK_ROWS):
-        parallel.spread(part, s, min(s + _BLOCK_ROWS, n))
-    return out.transpose(1, 0, 2)
+        return x[None].copy()
+    filters = bank.filters[:, None, :]
+    return _blocked(x, bank.n_bands, lambda rows, out: _apply_filters(rows, filters, None, out))[0]
 
 
 def reconstruct(components: BandComponents | np.ndarray) -> np.ndarray:

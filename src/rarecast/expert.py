@@ -117,12 +117,11 @@ def decompose_histories(
     bank: ewt.FilterBank | None,
     gamma: float | None = None,
 ) -> np.ndarray:
-    """Band components (N, n_bands, T) for stacked histories (N, T) under either mode.
+    """Band components (n_bands, N, T) for stacked histories (N, T) under either mode.
 
-    The components are stored band-major, as both decompositions return
-    them: result.transpose(1, 0, 2) is a contiguous (n_bands, N, T) array.
-    A history holding NaN or an infinity raises ValueError: its components,
-    and every forecast made from them, would be NaN.
+    Each band's rows are one contiguous (N, T) block. A history holding NaN
+    or an infinity raises ValueError: its components, and every forecast
+    made from them, would be NaN.
     """
     x = np.asarray(histories, dtype=np.float64)
     if x.ndim != 2:
@@ -151,20 +150,17 @@ def _band_sum(bands: np.ndarray) -> np.ndarray:
 
 
 def _forward(stack: bb.ForecasterStack, components: np.ndarray) -> np.ndarray:
-    """Summed per-band forecasts; components is (N, n_bands, T).
+    """Summed per-band forecasts; components is (n_bands, N, T).
 
-    The backbone kernel runs on the components' (n_bands, N, T) transpose,
-    which for band-major components is a contiguous block per band, so each
-    band's matmul reads its rows with unit stride. The shape check here
-    stands in for the one bb.forecast would make.
+    The shape check here stands in for the one bb.forecast would make.
     """
     c = np.asarray(components, dtype=np.float64)
-    if c.ndim != 3 or c.shape[1:] != (stack.n_models, stack.input_len):
+    if c.ndim != 3 or c.shape[0] != stack.n_models or c.shape[2] != stack.input_len:
         raise ValueError(
             f"expert forecast: components shaped {c.shape}, "
-            f"needs (N, {stack.n_models}, {stack.input_len})"
+            f"needs (n_bands, N, T) = ({stack.n_models}, N, {stack.input_len})"
         )
-    return _band_sum(bb._forward(stack.kind, stack.params, c.transpose(1, 0, 2))[0])
+    return _band_sum(bb._forward(stack.kind, stack.params, c)[0])
 
 
 def expert_predict_batch(
@@ -214,20 +210,19 @@ def train_expert(
 ) -> tuple[ExpertModel, bb.EpochCurve]:
     """Train one expert on the windows at `rows` (default: every row) through `bb.fit`.
 
-    components are the windows' band components, row for row, so a chain
+    components are the windows' (n_bands, N, T) band components, so a chain
     passes its one training set and one component array to every expert and
-    only rows changes. Gathers run band by band: band-major components, as
-    decompose_histories returns them, are read in place, and C-ordered ones
-    are copied once. The teacher (the expert one level down) stays frozen;
-    when beta > 0 its forecasts on the same rows feed the distillation term.
+    only rows changes; each gather takes its rows from every band into a new
+    array. The teacher (the expert one level down) stays frozen; when
+    beta > 0 its forecasts on the same rows feed the distillation term.
     Returns the trained expert and the per-epoch loss curve, computed when
     first read; row 0 is the loss before any update.
     """
     comps = np.asarray(components, dtype=np.float64)
-    if comps.shape[0] != len(windows):
+    if comps.ndim != 3 or comps.shape[1] != len(windows):
         raise ValueError(
-            f"train_expert: components hold {comps.shape[0]} rows but the windows hold "
-            f"{len(windows)}; pass the components of these windows"
+            f"train_expert: components shaped {comps.shape}, needs (n_bands, N, T) with "
+            f"N = {len(windows)} windows; pass the components of these windows"
         )
     rows = np.arange(len(windows)) if rows is None else np.asarray(rows)
     if rows.size == 0:
@@ -241,15 +236,6 @@ def train_expert(
     history_len, horizon = windows.histories.shape[1], targ.shape[1]
     plev = collapse_level(windows.point_levels, cfg.n_experts)
 
-    # (n_bands, N, T): a view of band-major components, one copy of C-ordered
-    # ones. Every gather below takes rows band by band from it into a new
-    # contiguous block, and np.take would copy a non-contiguous source whole.
-    by_band = np.ascontiguousarray(comps.transpose(1, 0, 2))
-
-    def band_rows(r: np.ndarray) -> np.ndarray:
-        """Components (len(r), n_bands, T) of rows r, band-major."""
-        return np.take(by_band, r, axis=1).transpose(1, 0, 2)
-
     penalty_level = expert_level(level) if cfg.use_rare_penalty else RarityLevel.NORMAL
     distill = level > 0 and cfg.beta > 0.0
     if distill:
@@ -259,7 +245,7 @@ def train_expert(
             )
         # The teacher forecasts on a temporary gather of the trained rows,
         # dropped before the first epoch.
-        teacher_preds = _forward(teacher.stack, band_rows(rows))
+        teacher_preds = _forward(teacher.stack, np.take(comps, rows, axis=1))
     else:
         teacher_preds = None
 
@@ -283,7 +269,7 @@ def train_expert(
         ).d_dpred
 
     def curve_rows(stacks: list[bb.ForecasterStack]) -> list[dict]:
-        comps_r, targ_r, plev_r = band_rows(rows), targ[rows], plev[rows]
+        comps_r, targ_r, plev_r = np.take(comps, rows, axis=1), targ[rows], plev[rows]
         out = []
         for epoch, stack in enumerate(stacks):
             r, k, tot = _losses_on(
@@ -294,7 +280,7 @@ def train_expert(
 
     curve = bb.fit(
         expert.stack, rows.size, cfg.epochs, bb.BATCH_SIZE, bb.LR,
-        substream(cfg.seed, SHUFFLE, level), lambda idx: np.take(by_band, rows[idx], axis=1),
+        substream(cfg.seed, SHUFFLE, level), lambda idx: np.take(comps, rows[idx], axis=1),
         output_grad, curve_rows,
     )
     return expert, curve

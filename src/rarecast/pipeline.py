@@ -173,7 +173,7 @@ def train_baseline(data: PreparedData, cfg: PipelineConfig) -> ExpertModel:
     """
     base_cfg = cfg.with_overrides(n_bands=1, beta=0.0, use_rare_penalty=False, mode="per_window")
     model, _ = train_expert(
-        data.train_windows, 0, None, base_cfg, components=data.train_windows.histories[:, None, :]
+        data.train_windows, 0, None, base_cfg, components=data.train_windows.histories[None]
     )
     return model
 

@@ -188,15 +188,15 @@ def stack_expert_outputs(
 ) -> np.ndarray:
     """Expert forecast tensor (N, H, E) on shared histories.
 
-    components, when given, are the histories' band components, row for row.
+    components, when given, are the histories' (n_bands, N, T) band components.
     """
     if components is None:
         first = experts[0]
         components = decompose_histories(histories, first.n_bands, first.mode, first.bank, first.gamma)
-    elif len(components) != len(histories):
+    elif np.ndim(components) != 3 or np.shape(components)[1] != len(histories):
         raise ValueError(
-            f"stack_expert_outputs: components hold {len(components)} rows but the histories "
-            f"hold {len(histories)}; pass the components of these histories"
+            f"stack_expert_outputs: components shaped {np.shape(components)}, needs (n_bands, N, T) "
+            f"with N = {len(histories)} histories; pass the components of these histories"
         )
     cols = [expert_predict_batch(e, histories, components) for e in experts]
     return np.stack(cols, axis=-1)

@@ -141,7 +141,7 @@ def test_a04_gradients_match_finite_differences():
     preds = expert_predict_batch(expert, hist, comps)
     dpred = np.asarray(rare_loss(preds, targets, plev, expert.penalty_level, horizon).d_dpred)
     # the stack's backward on (n_bands, N, T) components, as a training step runs it
-    grads = bb.backward(expert.stack, comps.transpose(1, 0, 2), dpred)
+    grads = bb.backward(expert.stack, comps, dpred)
     for _ in range(1000):
         b = int(rng.integers(n_bands))
         name = "w" if rng.random() < 0.9 else "b"

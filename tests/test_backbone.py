@@ -193,9 +193,8 @@ def test_stacked_kernels_match_per_band_reference(kind, n_models, n):
     s = stack_params(kind, models)
     opt = OptimizerState()
     for _ in range(3):
-        # (N, B, T) components viewed band-major, as an expert trains on them
-        comps = rng.standard_normal((n, n_models, t))
-        x = comps.transpose(1, 0, 2)
+        # (B, N, T) components, as an expert trains on them
+        x = rng.standard_normal((n_models, n, t))
         g = rng.standard_normal((n, h))
         out, hidden = forward(s, x)
         assert out.shape == (n_models, n, h)
@@ -206,8 +205,8 @@ def test_stacked_kernels_match_per_band_reference(kind, n_models, n):
             assert hidden.shape == (n_models, n, 6)
         grads = backward(s, x, g, hidden)
         for b in range(n_models):
-            np.testing.assert_array_equal(out[b], _ref_forecast(ref[b], kind, comps[:, b, :]))
-            ref_g = _ref_backward(ref[b], kind, comps[:, b, :], g)
+            np.testing.assert_array_equal(out[b], _ref_forecast(ref[b], kind, x[b]))
+            ref_g = _ref_backward(ref[b], kind, x[b], g)
             for name in ref_g:
                 np.testing.assert_array_equal(grads[name][b], ref_g[name])
             _ref_adam(ref[b], ref_g, states[b])
@@ -307,8 +306,7 @@ def test_fit_matches_a_hand_rolled_loop(kind):
     rng = np.random.default_rng(23)
     n_models, n, t, h, epochs, batch, lr = 3, 50, 8, 4, 3, 16, 0.01
     models = [init_params(kind, t, h, 6, rng) for _ in range(n_models)]
-    comps = rng.standard_normal((n, n_models, t))
-    by_band = np.ascontiguousarray(comps.transpose(1, 0, 2))
+    comps = rng.standard_normal((n_models, n, t))
     target = rng.standard_normal((n, h))
 
     ref = [{k: v.copy() for k, v in m.items()} for m in models]
@@ -318,17 +316,17 @@ def test_fit_matches_a_hand_rolled_loop(kind):
     for _ in range(epochs):
         order = ref_rng.permutation(n)
         for start in range(0, n, batch):
-            x = comps[order[start : start + batch]]
-            preds = np.stack([_ref_forecast(ref[b], kind, x[:, b]) for b in range(n_models)])
+            x = comps[:, order[start : start + batch]]
+            preds = np.stack([_ref_forecast(ref[b], kind, x[b]) for b in range(n_models)])
             g = preds.sum(axis=0) - target[order[start : start + batch]]
             for b in range(n_models):
-                _ref_adam(ref[b], _ref_backward(ref[b], kind, x[:, b], g), states[b], lr)
+                _ref_adam(ref[b], _ref_backward(ref[b], kind, x[b], g), states[b], lr)
         want.append(stack_params(kind, ref).flat)
 
     s = stack_params(kind, models)
     curve = fit(
         s, n, epochs, batch, lr, np.random.default_rng(11),
-        lambda idx: np.take(by_band, idx, axis=1),
+        lambda idx: np.take(comps, idx, axis=1),
         lambda idx, out: out.sum(axis=0) - target[idx],
         lambda stacks: [{"epoch": e, "flat": st.flat} for e, st in enumerate(stacks)],
     )

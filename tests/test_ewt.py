@@ -16,7 +16,7 @@ from rarecast import cli, ewt, parallel
 from rarecast.config import PipelineConfig
 from rarecast.ewt import (
     BandComponents,
-    _build_filters_batch,
+    _bank_rows,
     _detect_boundaries_batch,
     _unique_rows,
     Boundaries,
@@ -210,19 +210,19 @@ def test_decompose_windows_matches_per_row():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((6, 128))
     batch = decompose_windows(x, 3)
-    assert batch.shape == (6, 3, 128)
+    assert batch.shape == (3, 6, 128)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for i in range(6):
             b = detect_boundaries(x[i], 3)
             bank = build_filter_bank(b, 65)
-            np.testing.assert_allclose(batch[i], decompose(x[i], bank).components, atol=1e-12)
+            np.testing.assert_allclose(batch[:, i], decompose(x[i], bank).components, atol=1e-12)
 
 
 def test_decompose_windows_single_band_copies():
     x = np.random.default_rng(2).standard_normal((3, 32))
     out = decompose_windows(x, 1)
-    np.testing.assert_array_equal(out[:, 0, :], x)
+    np.testing.assert_array_equal(out[0], x)
     out[0, 0, 0] = 99.0
     assert x[0, 0] != 99.0
 
@@ -231,14 +231,14 @@ def test_decompose_windows_single_band_copies():
 @pytest.mark.parametrize("gamma", [None, 0.0, 5.0])
 def test_decompose_windows_empty_batch(n_bands, gamma):
     out = decompose_windows(np.empty((0, 64)), n_bands, gamma)
-    assert out.shape == (0, n_bands, 64) and out.dtype == np.float64
+    assert out.shape == (n_bands, 0, 64) and out.dtype == np.float64
 
 
 def test_decompose_with_bank_matches_single():
     x = np.random.default_rng(5).standard_normal((4, 64))
     bank = build_filter_bank(detect_boundaries(x[0], 2), 33)
     batch = decompose_with_bank(x, bank)
-    np.testing.assert_allclose(batch[0], decompose(x[0], bank).components, atol=1e-14)
+    np.testing.assert_allclose(batch[:, 0], decompose(x[0], bank).components, atol=1e-14)
     with pytest.raises(ValueError):
         decompose_with_bank(np.zeros((2, 100)), bank)
 
@@ -266,7 +266,7 @@ def test_reconstruction_property(seed, n_bands, log2_len):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         comps = decompose_windows(x[None, :], n_bands)
-    recon = comps[0].sum(axis=0)
+    recon = comps[:, 0].sum(axis=0)
     assert np.abs(recon - x).max() <= 1e-9 * max(1.0, np.abs(x).max())
 
 
@@ -389,9 +389,9 @@ def _edge_loop_filters(
         over = gam > feasible
         n_clamped = int(over.sum())
         gam = np.where(over, feasible, gam)
-    ups = np.empty((n, n_bands + 1, n_bins))
-    ups[:, 0, :] = 1.0
-    ups[:, n_bands, :] = 0.0
+    ups = np.empty((n_bands + 1, n, n_bins))
+    ups[0] = 1.0
+    ups[n_bands] = 0.0
     for k in range(1, n_bands):
         center = om[:, k][:, None]
         width = (gam * om[:, k])[:, None]
@@ -399,8 +399,16 @@ def _edge_loop_filters(
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.clip((f - (center - width)) / (2.0 * width), 0.0, 1.0)
         hard = (f >= center).astype(np.float64)
-        ups[:, k, :] = np.where(width > 0.0, 0.5 * (1.0 - np.cos(np.pi * s)), hard)
-    return ups[:, :-1, :] - ups[:, 1:, :], gam, n_clamped
+        ups[k] = np.where(width > 0.0, 0.5 * (1.0 - np.cos(np.pi * s)), hard)
+    return ups[:-1] - ups[1:], gam, n_clamped
+
+
+def _row_banks(
+    omegas: np.ndarray, n_bins: int, gamma: float | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """_bank_rows with each row's bank gathered: filters (n_bands, N, n_bins), gammas, clamp count."""
+    banks, inv, gam, n_clamped = _bank_rows(omegas, n_bins, gamma)
+    return (banks if inv is None else np.take(banks, inv, axis=1)), gam, n_clamped
 
 
 def _shared_boundary_rows(n_bands: int) -> np.ndarray:
@@ -423,13 +431,14 @@ def test_build_filters_batch_matches_edge_loop(n_bands):
     feasible = max_transition_ratio(om)
     cases = {"auto": None, "hard": 0.0, "feasible": 0.5 * feasible.min(), "clamped": 5.0}
     for name, gamma in cases.items():
-        got = _build_filters_batch(om, 33, gamma)
+        got = _row_banks(om, 33, gamma)
         want = _edge_loop_filters(om, 33, gamma)
         np.testing.assert_array_equal(got[0], want[0], err_msg=name)
         np.testing.assert_array_equal(got[1], want[1], err_msg=name)
         assert got[2] == want[2], name
-    assert _build_filters_batch(om, 33, 5.0)[2] == len(om)
-    assert _build_filters_batch(om, 33, 0.5 * feasible.min())[2] == 0
+    assert _bank_rows(om, 33, None)[0].shape == (n_bands, len(uniq), 33)  # one bank per distinct row
+    assert _bank_rows(om, 33, 5.0)[3] == len(om)
+    assert _bank_rows(om, 33, 0.5 * feasible.min())[3] == 0
 
 
 def test_decompose_windows_is_batch_composition_invariant():
@@ -441,9 +450,9 @@ def test_decompose_windows_is_batch_composition_invariant():
         warnings.simplefilter("ignore")
         for gamma in (None, 0.05):
             full = decompose_windows(x, 4, gamma)
-            np.testing.assert_array_equal(decompose_windows(x[perm], 4, gamma), full[perm])
+            np.testing.assert_array_equal(decompose_windows(x[perm], 4, gamma), full[:, perm])
             for i in range(x.shape[0]):
-                np.testing.assert_array_equal(decompose_windows(x[i : i + 1], 4, gamma)[0], full[i])
+                np.testing.assert_array_equal(decompose_windows(x[i : i + 1], 4, gamma)[:, 0], full[:, i])
 
 
 @pytest.mark.parametrize("n_bands", [1, 3])
@@ -482,9 +491,9 @@ def test_bank_memo_cold_and_warm_give_the_same_bits(tiny_pipeline, tiny_data):
         ewt._memo.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cold = _build_filters_batch(om, 33, gamma), decompose_windows(x, 4, gamma)
+            cold = _row_banks(om, 33, gamma), decompose_windows(x, 4, gamma)
             n_cold = len(ewt._memo)
-            warm = _build_filters_batch(om, 33, gamma), decompose_windows(x, 4, gamma)
+            warm = _row_banks(om, 33, gamma), decompose_windows(x, 4, gamma)
         distinct = _unique_rows(np.vstack([om, _detect_boundaries_batch(x, 4)[0]]))[0]
         assert len(ewt._memo) == n_cold == len(distinct)  # the warm calls built nothing
         for a, b in zip(cold[0], warm[0]):
@@ -511,7 +520,7 @@ def test_bank_memo_hits_still_count_and_warn_about_clamping():
     ewt._memo.clear()
     messages = []
     for _ in range(2):  # the second pass hits the memo on every row
-        assert _build_filters_batch(om, 33, 5.0)[2] == len(om)
+        assert _bank_rows(om, 33, 5.0)[3] == len(om)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             decompose_windows(x, 4, gamma=5.0)
@@ -530,19 +539,19 @@ def test_bank_memo_empties_when_full_and_stays_correct(monkeypatch):
     ewt._memo.clear()
     sizes = []
     for row in om:
-        got = _build_filters_batch(row[None, :], 33, None)
+        got = _row_banks(row[None, :], 33, None)
         np.testing.assert_array_equal(got[0], _edge_loop_filters(row[None, :], 33, None)[0])
         sizes.append((len(ewt._memo), ewt._memo.nbytes))
     assert sizes == [(n, n * bank_bytes) for n in (1, 2, 3) * 3 + (1,)]
     # a batch of more distinct rows than the memo can hold
     for _ in range(2):
         np.testing.assert_array_equal(
-            _build_filters_batch(om, 33, 0.05)[0], _edge_loop_filters(om, 33, 0.05)[0]
+            _row_banks(om, 33, 0.05)[0], _edge_loop_filters(om, 33, 0.05)[0]
         )
     assert ewt._memo.nbytes <= 3 * bank_bytes
     # a bank larger than the whole budget is built but never kept
     ewt._memo.clear()
-    big = _build_filters_batch(om[:1], 4 * 33, None)[0]
+    big = _row_banks(om[:1], 4 * 33, None)[0]
     np.testing.assert_array_equal(big, _edge_loop_filters(om[:1], 4 * 33, None)[0])
     assert len(ewt._memo) == 0
 
@@ -551,16 +560,19 @@ def test_bank_memo_empties_when_full_and_stays_correct(monkeypatch):
 def test_bank_memo_cannot_be_changed_through_a_returned_array(n_rows):
     om = _shared_boundary_rows(4)[:n_rows]
     ewt._memo.clear()
-    for _ in range(2):  # a miss, then a hit, each handing out its own arrays
-        filters, gam, _ = _build_filters_batch(om, 33, None)
-        filters[...] = 7.0
+    for hit in (False, True):
+        banks, _, gam, _ = _bank_rows(om, 33, None)
+        if hit and n_rows == 1:
+            assert not banks.flags.writeable  # a one-row hit hands out the memo's own array
+        else:
+            banks[...] = 7.0
         gam[...] = 7.0
     want = _edge_loop_filters(om, 33, None)
-    got = _build_filters_batch(om, 33, None)
+    got = _row_banks(om, 33, None)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
     bank = build_filter_bank(Boundaries(om[0]), 33)
-    np.testing.assert_array_equal(bank.filters, want[0][0])
+    np.testing.assert_array_equal(bank.filters, want[0][:, 0])
     assert not bank.filters.flags.writeable
 
 
@@ -593,12 +605,12 @@ def test_components_are_band_major_behind_the_window_major_shape(monkeypatch, n_
         per_window = decompose_windows(x, n_bands, 0.05)
         shared = decompose_with_bank(x, bank)
         for got in (per_window, shared):
-            assert got.shape == (n_rows, n_bands, t)
-            assert got.transpose(1, 0, 2).flags.c_contiguous
+            assert got.shape == (n_bands, n_rows, t)
+            assert got.flags.c_contiguous
         for i in range(n_rows):
             own = build_filter_bank(detect_boundaries(x[i], n_bands), t // 2 + 1, 0.05)
-            np.testing.assert_array_equal(per_window[i], decompose(x[i], own).components)
-            np.testing.assert_array_equal(shared[i], decompose(x[i], bank).components)
+            np.testing.assert_array_equal(per_window[:, i], decompose(x[i], own).components)
+            np.testing.assert_array_equal(shared[:, i], decompose(x[i], bank).components)
 
 
 @pytest.mark.parametrize("n_rows", [32, 33, 1, 0])
@@ -609,7 +621,7 @@ def test_blocks_give_the_one_block_bits(monkeypatch, n_rows):
     whole = _decompose_all(x, bank)
     monkeypatch.setattr(ewt, "_BLOCK_ROWS", 8)
     for got, want in zip(_decompose_all(x, bank), whole):
-        assert got.shape == (n_rows, 4, 64)
+        assert got.shape == (4, n_rows, 64)
         np.testing.assert_array_equal(got, want)
 
 

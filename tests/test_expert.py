@@ -87,6 +87,9 @@ def test_expert_train_config_validation():
         ("beta", -1.0),
         ("beta", float("nan")),
         ("beta", float("inf")),
+        ("seed", -1),
+        ("delimiter", ";;"),
+        ("delimiter", ""),
     ],
 )
 def test_config_rejects_out_of_range_training_values(name, value):
@@ -117,11 +120,11 @@ def test_decompose_histories_modes():
     rng = np.random.default_rng(0)
     hist = rng.standard_normal((5, 32))
     per = decompose_histories(hist, 2, "per_window", None)
-    assert per.shape == (5, 2, 32)
+    assert per.shape == (2, 5, 32)
     bank = build_filter_bank(Boundaries(np.array([0.0, 1.0, np.pi])), 17)
     glob = decompose_histories(hist, 2, "global", bank)
-    assert glob.shape == (5, 2, 32)
-    np.testing.assert_allclose(glob.sum(axis=1), hist, atol=1e-9)
+    assert glob.shape == (2, 5, 32)
+    np.testing.assert_allclose(glob.sum(axis=0), hist, atol=1e-9)
     with pytest.raises(ValueError, match="requires a bank"):
         decompose_histories(hist, 2, "global", None)
     # an unknown mode used to run the per-window decomposition
@@ -176,7 +179,7 @@ def test_expert_forecast_is_sum_of_band_forecasts():
     hist = rng.standard_normal((4, 16))
     comps = decompose_histories(hist, 3, "per_window", None)
     # each band forecast on its own, by a stack of that band's model alone
-    expected = sum(bb.forecast(bb.stack_params("linear", [bands[b]]), comps[:, b, :])[0] for b in range(3))
+    expected = sum(bb.forecast(bb.stack_params("linear", [bands[b]]), comps[b])[0] for b in range(3))
     np.testing.assert_allclose(expert_predict_batch(expert, hist, comps), expected, atol=1e-15)
     single = expert_predict(expert, hist[0])
     np.testing.assert_allclose(single, expert_predict_batch(expert, hist)[0], atol=1e-12)
@@ -211,7 +214,7 @@ def test_train_expert_curve_and_descent(tiny_data):
 def test_train_expert_errors(tiny_data):
     cfg = _small_cfg()
     with pytest.raises(ValueError, match="no samples"):
-        train_expert(tiny_data.train_windows[:0], 0, None, cfg, np.empty((0, cfg.n_bands, 32)))
+        train_expert(tiny_data.train_windows[:0], 0, None, cfg, np.empty((cfg.n_bands, 0, 32)))
     wins = tiny_data.train_windows[:50]
     with pytest.raises(ValueError, match="requires a teacher"):
         train_expert(wins, 1, None, cfg, _comps(wins, cfg))
@@ -236,9 +239,9 @@ def test_train_expert_rejects_rows_that_are_not_row_indices(tiny_data, make_rows
 
 
 def test_train_expert_reads_band_major_components_in_place(tiny_data):
-    # Minibatches, teacher rows and curve rows are gathered band by band from
-    # the components as the decomposition stores them; no step may copy the
-    # whole array, as a C-ordered copy of it would.
+    # Minibatches, teacher rows and curve rows are gathered from the
+    # (n_bands, N, T) components as the decomposition returns them; no step
+    # may copy the whole array.
     wins = tiny_data.train_windows
     cfg = _small_cfg(epochs=2)
     comps = decompose_histories(wins.histories, cfg.n_bands, cfg.mode, None)
@@ -311,11 +314,10 @@ def test_components_of_other_windows_raise_naming_both_row_counts(tiny_data):
     cfg = _small_cfg(epochs=1)
     train, test = tiny_data.train_windows, tiny_data.test_windows
     for wins, comps in ((test, _comps(train, cfg)), (train, _comps(test, cfg))):
-        with pytest.raises(
-            ValueError, match=rf"components hold {len(comps)} rows but the windows hold {len(wins)}"
-        ):
+        match = re.escape(f"components shaped {comps.shape}, needs (n_bands, N, T) with N = {len(wins)} windows")
+        with pytest.raises(ValueError, match=match):
             build_expert_chain(wins, cfg, None, comps)
-        with pytest.raises(ValueError, match=rf"{len(comps)} rows but the windows hold {len(wins)}"):
+        with pytest.raises(ValueError, match=match):
             train_expert(wins, 0, None, cfg, comps)
 
 

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -276,16 +277,17 @@ def test_column_reductions_match_the_axis_form_bitwise(n_experts):
 
 @pytest.mark.parametrize("backbone", ["linear", "mlp"])
 def test_c_ordered_components_give_the_band_major_bits(tiny_data, tiny_cfg, backbone):
-    # The decomposition stores components band-major; a caller's C-ordered copy
-    # of them must train and forecast through the same path to the same bits.
+    # The decomposition returns C-ordered (n_bands, N, T) components; a caller's
+    # non-contiguous view of the same values, stored window by window, must
+    # train and forecast through the same path to the same bits.
     wins = tiny_data.train_windows
     cfg = tiny_cfg.with_overrides(backbone=backbone, epochs=2, router_epochs=2)
-    band_major = expert_mod.decompose_histories(wins.histories, cfg.n_bands, cfg.mode, None)
-    c_ordered = np.ascontiguousarray(band_major)
-    assert band_major.transpose(1, 0, 2).flags.c_contiguous
-    assert not c_ordered.transpose(1, 0, 2).flags.c_contiguous
+    c_ordered = expert_mod.decompose_histories(wins.histories, cfg.n_bands, cfg.mode, None)
+    view = np.ascontiguousarray(c_ordered.swapaxes(0, 1)).swapaxes(0, 1)
+    assert c_ordered.flags.c_contiguous and not view.flags.c_contiguous
+    np.testing.assert_array_equal(view, c_ordered)
     runs = []
-    for comps in (band_major, c_ordered):
+    for comps in (c_ordered, view):
         chain = expert_mod.build_expert_chain(wins, cfg, None, comps)
         router, _ = train_router(chain.experts, wins, cfg, comps)
         outputs = stack_expert_outputs(chain.experts, wins.histories, comps)
@@ -313,7 +315,7 @@ def test_components_of_other_histories_raise_naming_both_row_counts(tiny_pipelin
     tp, _ = tiny_pipeline
     train, test = tiny_data.train_windows, tiny_data.test_windows
     comps = expert_mod.decompose_histories(train.histories, tp.config.n_bands, tp.config.mode, None)
-    match = rf"components hold {len(train)} rows but the histories hold {len(test)}"
+    match = re.escape(f"components shaped {comps.shape}, needs (n_bands, N, T) with N = {len(test)} histories")
     with pytest.raises(ValueError, match=match):
         train_router(tp.experts, test, tp.config, comps)
     with pytest.raises(ValueError, match=match):
@@ -382,13 +384,30 @@ def test_pipeline_predict_rejects_non_finite_history(tiny_pipeline, tiny_data, b
 def test_stack_expert_outputs_checks_the_components_shape():
     experts = _experts(2, 16, 4)
     hist = np.random.default_rng(2).standard_normal((3, 16))
-    for comps in (np.zeros((3, 2, 16)), np.zeros((3, 1, 15)), np.zeros((3, 16))):
-        with pytest.raises(ValueError, match="needs \\(N, 1, 16\\)"):
+    for comps in (np.zeros((2, 3, 16)), np.zeros((1, 3, 15)), np.zeros((3, 16))):
+        with pytest.raises(ValueError, match=re.escape("needs (n_bands, N, T)")):
             stack_expert_outputs(experts, hist, comps)
-        with pytest.raises(ValueError, match="needs \\(N, 1, 16\\)"):
+        with pytest.raises(ValueError, match=re.escape("needs (n_bands, N, T)")):
             expert_predict_batch(experts[0], hist, comps)
-    ok = stack_expert_outputs(experts, hist, hist[:, None, :])
+    ok = stack_expert_outputs(experts, hist, hist[None])
     np.testing.assert_array_equal(ok[..., 1], expert_predict_batch(experts[1], hist))
+
+
+def test_window_major_components_are_refused(tiny_pipeline, tiny_data, tiny_cfg):
+    # (N, n_bands, T) components, with N != n_bands, name the layout they miss
+    # rather than training or forecasting on the wrong axis.
+    tp, _ = tiny_pipeline
+    wins = tiny_data.train_windows[:50]
+    comps = expert_mod.decompose_histories(wins.histories, tiny_cfg.n_bands, tiny_cfg.mode, None)
+    window_major = comps.swapaxes(0, 1)
+    assert window_major.shape == (50, tiny_cfg.n_bands, tiny_cfg.history_len)
+    match = re.escape(f"components shaped {window_major.shape}, needs (n_bands, N, T)")
+    with pytest.raises(ValueError, match=match):
+        expert_mod.train_expert(wins, 0, None, tiny_cfg, window_major)
+    with pytest.raises(ValueError, match=match):
+        stack_expert_outputs(tp.experts, wins.histories, window_major)
+    with pytest.raises(ValueError, match=match):
+        expert_predict_batch(tp.experts[0], wins.histories, window_major)
 
 
 def test_sparse_weights_stay_on_simplex(tiny_pipeline, tiny_data):
