@@ -88,6 +88,12 @@ def _run(seed: int, argv: list[str]) -> None:
         raise SystemExit(f"seed {seed}: {argv[0]} failed (rc={rc})")
 
 
+def synth_argv(seed: int, out: Path) -> list[str]:
+    """`rarecast synth` arguments for the predict series of run seed `seed`."""
+    return ["synth", "--seed", str(PREDICT_SEED + seed), "--synth-n", str(PREDICT_POINTS),
+            "--spike-rate", "0.01", "--spike-scale", "4.0", "--out", str(out)]
+
+
 def digest_lines(seed: int, root: Path) -> list[str]:
     out = root / f"seed{seed}"
     _run(seed, ["reproduce", "--seed", str(seed), "--out", str(out)])
@@ -101,11 +107,7 @@ def digest_lines(seed: int, root: Path) -> list[str]:
         ["reproduce", "--seed", str(seed), "--mode", "global", "--backbone", "mlp",
          "--out", str(out / "mlp_global")],
     )
-    _run(
-        seed,
-        ["synth", "--seed", str(PREDICT_SEED + seed), "--synth-n", str(PREDICT_POINTS),
-         "--spike-rate", "0.01", "--spike-scale", "4.0", "--out", str(out / "series")],
-    )
+    _run(seed, synth_argv(seed, out / "series"))
     predict = ["predict", "--bundle", str(out / "bundle.json"),
                "--data", str(out / "series" / "series.csv"), "--column", "value"]
     _run(seed, predict + ["--out", str(out / "predict_last")])

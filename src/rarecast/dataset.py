@@ -294,6 +294,9 @@ class Normalizer:
 
 # Fixed shape of the synthetic generator. The recurrence below is a contract:
 # tests rebuild the spike-free base from this exact recipe and stream layout.
+# Its loop runs on Python floats, one multiply and one add per step, each
+# rounded as numpy rounds the same float64 operation, so every point keeps
+# the bits of the element-wise numpy recurrence.
 # Pulses decay slowly so exceedances form multi-step episodes, the way real
 # extreme events (pollution peaks, storm swells) persist across a horizon.
 _SYNTH_PHI = 0.95
@@ -310,19 +313,22 @@ def synth_base(seed: int, n: int) -> np.ndarray:
     """Spike-free part of the synthetic series: seasonal sum plus AR(1) noise.
 
     ar[0] = sigma * eps[0]; ar[t] = phi * ar[t-1] + sigma * eps[t], with eps
-    drawn in one batch from substream (seed, DATA, 11).
+    drawn in one batch from substream (seed, DATA, 11). n must be at least 1.
     """
+    if n < 1:
+        raise ValueError(f"synth_base: n must be >= 1, got {n}")
     rng = substream(seed, DATA, _SYNTH_BASE_STREAM)
-    eps = rng.standard_normal(n)
-    ar = np.empty(n)
-    ar[0] = _SYNTH_SIGMA * eps[0]
-    for t in range(1, n):
-        ar[t] = _SYNTH_PHI * ar[t - 1] + _SYNTH_SIGMA * eps[t]
+    shocks = (_SYNTH_SIGMA * rng.standard_normal(n)).tolist()
+    phi, a = _SYNTH_PHI, shocks[0]
+    ar = [a]
+    for s in shocks[1:]:
+        a = phi * a + s
+        ar.append(a)
     t_idx = np.arange(n, dtype=np.float64)
     season = np.zeros(n)
     for amp, period, phase in _SYNTH_SEASON:
         season += amp * np.sin(2.0 * np.pi * t_idx / period + phase)
-    return season + ar
+    return season + np.array(ar)
 
 
 def synth_generate(

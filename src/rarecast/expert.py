@@ -218,7 +218,9 @@ def train_expert(
     Returns the trained expert and the per-epoch loss curve, computed when
     first read; row 0 is the loss before any update.
     """
-    comps = np.asarray(components, dtype=np.float64)
+    # np.take copies a non-contiguous source whole before it gathers, so a
+    # view is copied once here rather than at every minibatch.
+    comps = np.ascontiguousarray(components, dtype=np.float64)
     if comps.ndim != 3 or comps.shape[1] != len(windows):
         raise ValueError(
             f"train_expert: components shaped {comps.shape}, needs (n_bands, N, T) with "

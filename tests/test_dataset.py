@@ -346,8 +346,11 @@ def _pulse_oracle(seed: int, n: int) -> np.ndarray:
     return np.convolve(onsets * amps, kernel)[:n]
 
 
-def test_synth_base_matches_recurrence_oracle():
-    np.testing.assert_array_equal(synth_base(5, 1500), _base_oracle(5, 1500))
+@pytest.mark.parametrize("n", [1000, 1500, 20_000])
+@pytest.mark.parametrize("seed", range(5))
+def test_synth_base_matches_recurrence_oracle(seed, n):
+    # bitwise: the float loop must round each step as the numpy recurrence does
+    np.testing.assert_array_equal(synth_base(seed, n), _base_oracle(seed, n))
 
 
 def test_synth_generate_is_base_plus_scaled_pulses():
@@ -376,6 +379,9 @@ def test_synth_generate_determinism_and_independent_streams():
 def test_synth_generate_validation():
     with pytest.raises(ValueError):
         synth_generate(0, 999)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=rf"synth_base: n must be >= 1, got {n}"):
+            synth_base(0, n)
     with pytest.raises(ValueError):
         synth_generate(0, 2000, spike_rate=0.0)
     with pytest.raises(ValueError):

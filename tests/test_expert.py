@@ -262,6 +262,40 @@ def test_train_expert_reads_band_major_components_in_place(tiny_data):
     assert rare_peak < comps.nbytes // 2  # an eighth of the rows, gathered one copy at a time
 
 
+def test_train_expert_copies_non_contiguous_components_once(tiny_data, monkeypatch):
+    # np.take copies a non-contiguous source whole before it gathers, so a
+    # Fortran-ordered array gathered per minibatch would be copied at every
+    # step. One contiguous copy at entry makes every gather read in place:
+    # the peak grows by at most that copy, and the expert keeps its bits.
+    wins = tiny_data.train_windows
+    cfg = _small_cfg(epochs=2)
+    comps = decompose_histories(wins.histories, cfg.n_bands, cfg.mode, None)
+    comps_f = np.asfortranarray(comps)
+    assert not comps_f.flags.c_contiguous
+    sources = []
+    take = np.take
+
+    def spy_take(a, *args, **kw):
+        sources.append(a.flags.c_contiguous)
+        return take(a, *args, **kw)
+
+    monkeypatch.setattr(np, "take", spy_take)
+    peaks, results = [], []
+    for c in (comps, comps_f):
+        tracemalloc.start()
+        try:
+            expert, curve = train_expert(wins, 0, None, cfg, components=c)
+            rows = list(curve)  # the curve gathers its rows when read
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        results.append((_params_digest(expert), rows))
+    assert comps.nbytes > 2**20
+    assert len(sources) > 2 * len(wins) // bb.BATCH_SIZE and all(sources)
+    assert peaks[1] < peaks[0] + comps.nbytes + comps.nbytes // 4
+    assert results[1] == results[0]
+
+
 def test_teacher_stays_frozen(tiny_data):
     wins = tiny_data.train_windows[:200]
     comps = _comps(wins, _small_cfg())
