@@ -15,6 +15,11 @@ instead of computing it again, as reverse mode keeps forward intermediates
 for the backward sweep. `forecast` is the forward's output alone, for
 inference. `fit` is the one training loop: every expert, the baseline and
 the gate train through it, each supplying only its inputs and loss gradient.
+A training step does only the work its update needs: `fit` checks the stack
+and its first minibatch once and then runs the forward kernel directly,
+and Adam keeps both moments in one (2, P) buffer, so each of its moment
+operations is one numpy call. `backward` and `step` are still called
+through this module once per minibatch.
 
 A forward on at least 2 * parallel.MIN_ROWS rows, a batched forecast or a
 loss curve's full pass, spreads the stack's models over the usable CPUs
@@ -312,16 +317,34 @@ def backward(
 
 @dataclass(eq=False)
 class OptimizerState:
-    """Adam moments and hyperparameters for one stack, shaped like its flat buffer."""
+    """Adam moments and hyperparameters for one stack.
+
+    `moments` is one (2, P) buffer, P the stack's flat size: row 0 is the
+    first moment m, row 1 the second moment v, so `step` updates both with
+    one numpy call per operation. `m` and `v` are views of its rows, None
+    before the first step. `decay` and `gain` are (2, P) buffers whose rows
+    hold (beta1, beta2) and (1 - beta1, 1 - beta2): operands shaped like
+    `moments` take numpy's contiguous loop, where a broadcast (2, 1) column
+    costs more iterator set-up than the calls it saves on a small stack.
+    """
 
     lr: float = LR
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    moments: np.ndarray | None = None
     work: np.ndarray | None = field(default=None, repr=False)  # (2, P) scratch
+    decay: np.ndarray | None = field(default=None, repr=False)
+    gain: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def m(self) -> np.ndarray | None:
+        return None if self.moments is None else self.moments[0]
+
+    @property
+    def v(self) -> np.ndarray | None:
+        return None if self.moments is None else self.moments[1]
 
 
 def step(model: ForecasterStack, opt: OptimizerState) -> ForecasterStack:
@@ -333,30 +356,31 @@ def step(model: ForecasterStack, opt: OptimizerState) -> ForecasterStack:
     if not np.isfinite(g).all():
         bad = next(name for name, buf in model.grads.items() if not np.isfinite(buf).all())
         raise ValueError(f"step: non-finite gradient for {bad!r}, training aborted")
-    if opt.m is None:
-        opt.m, opt.v = np.zeros_like(g), np.zeros_like(g)
+    if opt.moments is None:
+        opt.moments = np.zeros((2, g.size))
         opt.work = np.empty((2, g.size))
-    if opt.m.shape != g.shape:
+        opt.decay = np.repeat([[opt.beta1], [opt.beta2]], g.size, axis=1)
+        opt.gain = np.repeat([[1.0 - opt.beta1], [1.0 - opt.beta2]], g.size, axis=1)
+    if opt.moments.shape[1:] != g.shape:
         raise ValueError("step: optimizer state belongs to a differently sized model")
     opt.step_count += 1
     t = opt.step_count
     bc1 = 1.0 - opt.beta1**t
     bc2 = 1.0 - opt.beta2**t
-    m, v = opt.m, opt.v
-    tmp, upd = opt.work
-    # Same elementwise roundings as m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), done in place on the flat buffer.
-    m *= opt.beta1
-    np.multiply(g, 1.0 - opt.beta1, out=tmp)
-    m += tmp
-    v *= opt.beta2
-    np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - opt.beta2
-    v += tmp
-    np.divide(v, bc2, out=tmp)
+    mv, work = opt.moments, opt.work
+    # Same elementwise roundings as m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    # with m and v updated together as the rows of one buffer.
+    mv *= opt.decay
+    work[0] = g
+    np.multiply(g, g, out=work[1])
+    work *= opt.gain
+    mv += work
+    # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), in place on the flat buffer.
+    tmp, upd = work
+    np.divide(mv[1], bc2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += opt.eps
-    np.divide(m, bc1, out=upd)
+    np.divide(mv[0], bc1, out=upd)
     upd *= opt.lr
     upd /= tmp
     model.flat -= upd
@@ -372,19 +396,26 @@ def fit(
     """Train `model` in place by minibatch Adam on n samples; return its `EpochCurve`.
 
     Each epoch walks one `rng.permutation(n)` in batch_size slices idx:
-    `x = inputs(idx)`, `forward`, `backward` with `output_grad(idx, out)`,
-    the loss gradient wrt the (B, N, H) output, then `step`. The curve is
+    `x = inputs(idx)`, the forward pass, `backward` with `output_grad(idx, out)`,
+    the loss gradient wrt the (B, N, H) output, then `step`. The stack and
+    the first minibatch are checked as `forward` checks them; every later
+    minibatch comes from the same `inputs` with the same trailing shape, so
+    its forward pass calls the kernel directly. `backward` and `step` are
+    called through this module once per minibatch. The curve is
     snapshotted before the first update and after each epoch.
     """
     opt = OptimizerState(lr=lr)
     curve = EpochCurve(model, curve_rows)
     curve.snapshot()
+    unchecked = True
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             x = inputs(idx)
-            out, hidden = forward(model, x)
+            if unchecked:
+                x, unchecked = _check_input(model, x), False
+            out, hidden = _forward(model.kind, model.params, x)
             backward(model, x, output_grad(idx, out), hidden)
             step(model, opt)
         curve.snapshot()

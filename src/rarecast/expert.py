@@ -20,7 +20,7 @@ from . import backbone as bb
 from . import ewt
 from .config import DECOMPOSITION_MODES, PipelineConfig
 from .dataset import N_LEVELS, RarityLevel, RarityThresholds, Windows
-from .losses import combined_loss, kd_loss, rare_loss
+from .losses import combined_grad, kd_loss, rare_loss
 from .rng import INIT, SHUFFLE, substream
 
 log = logging.getLogger(__name__)
@@ -163,11 +163,23 @@ def _forward(stack: bb.ForecasterStack, components: np.ndarray) -> np.ndarray:
     return _band_sum(bb._forward(stack.kind, stack.params, c)[0])
 
 
+def check_history_len(caller: str, histories: np.ndarray, history_len: int) -> None:
+    """Raise ValueError, naming both lengths, if (N, T) histories do not hold history_len values each.
+
+    Called before any decomposition, so the error names the array the caller
+    passed; other shapes are left to decompose_histories.
+    """
+    shape = np.shape(histories)
+    if len(shape) == 2 and shape[1] != history_len:
+        raise ValueError(f"{caller}: history length {shape[1]} does not match history_len {history_len}")
+
+
 def expert_predict_batch(
     expert: ExpertModel, histories: np.ndarray, components: np.ndarray | None = None
 ) -> np.ndarray:
     """Forecasts (N, H) for stacked histories, decomposing unless given components."""
     if components is None:
+        check_history_len("expert forecast", histories, expert.history_len)
         components = decompose_histories(
             histories, expert.n_bands, expert.mode, expert.bank, expert.gamma
         )
@@ -263,12 +275,14 @@ def train_expert(
         gamma=cfg.gamma,
     )
 
+    rare = penalty_level != RarityLevel.NORMAL  # the quadratic reads no point levels
+
     def output_grad(idx: np.ndarray, bands: np.ndarray) -> np.ndarray:
         teacher_b = teacher_preds[idx] if distill else None
         r = rows[idx]
-        return combined_loss(
-            _band_sum(bands), targ[r], teacher_b, plev[r], penalty_level, cfg.beta, horizon
-        ).d_dpred
+        return combined_grad(
+            _band_sum(bands), targ[r], teacher_b, plev[r] if rare else None, penalty_level, cfg.beta, horizon
+        )
 
     def curve_rows(stacks: list[bb.ForecasterStack]) -> list[dict]:
         comps_r, targ_r, plev_r = np.take(comps, rows, axis=1), targ[rows], plev[rows]

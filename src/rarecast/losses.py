@@ -12,6 +12,12 @@ punished exponentially, and over-prediction is softened per level:
 
 H is the prediction horizon. Every branch is 0 at delta = 0, so the loss is
 continuous; the gradient at the kink takes the quadratic branch's value 0.
+The normal level is the quadratic alone and reads no point levels.
+
+Values and derivatives are computed apart (`_penalty_values`,
+`_penalty_derivs`). `combined_grad` is the combined objective's gradient
+and computes no loss value: training steps call it, and `combined_loss`
+takes its `d_dpred` from it, so the analytic gradient has one code path.
 
 Each exponential branch exp(u) - 1 is exact for u <= EXP_ARG_LIMIT and
 continues as its tangent line past it, with value and slope continuous:
@@ -70,75 +76,138 @@ def _log_cosh(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expm1_continued(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(u) - 1 and its derivative, continued linearly past EXP_ARG_LIMIT."""
+def _expm1_continued(u: np.ndarray) -> np.ndarray:
+    """exp(u) - 1, continued linearly past EXP_ARG_LIMIT; _exp_slope is its derivative."""
     capped = np.minimum(u, EXP_ARG_LIMIT)
-    slope = np.exp(capped)
-    return np.expm1(capped) + slope * (u - capped), slope
+    return np.expm1(capped) + np.exp(capped) * (u - capped)
 
 
-def _penalty_terms(
-    delta: np.ndarray, point_levels: np.ndarray, expert_level: int, horizon: int
+def _exp_slope(u: np.ndarray) -> np.ndarray:
+    return np.exp(np.minimum(u, EXP_ARG_LIMIT))
+
+
+def _branches(
+    d: np.ndarray, point_levels: np.ndarray, expert_level: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point penalty values and derivatives for one expert level."""
-    d = np.asarray(delta, dtype=np.float64)
+    """Masks of the matching points' under- and over-prediction branches.
+
+    delta == 0 stays on the quadratic branch (value and derivative both 0).
+    """
+    if expert_level not in (RarityLevel.MODERATE, RarityLevel.VERY_RARE, RarityLevel.EXTREME_RARE):
+        raise ValueError(f"unknown expert level {expert_level}")
+    match = np.asarray(point_levels) == expert_level
+    return match & (d < 0.0), match & (d > 0.0)
+
+
+def _penalty_values(
+    d: np.ndarray, point_levels: np.ndarray | None, expert_level: int, horizon: int
+) -> np.ndarray:
+    """Per-point penalty values for one expert level; the normal level reads no point levels."""
     values = d * d
+    if expert_level == RarityLevel.NORMAL:
+        return values
+    under, over = _branches(d, point_levels, expert_level)
+    values[under] = _expm1_continued(-d[under])
+    if expert_level == RarityLevel.VERY_RARE:
+        values[over] = _log_cosh(d[over])
+    elif expert_level == RarityLevel.EXTREME_RARE:
+        values[over] = _expm1_continued(d[over] * (1.0 / (horizon + 1.0)))
+    return values  # MODERATE over-prediction keeps the quadratic branch
+
+
+def _penalty_derivs(
+    d: np.ndarray, point_levels: np.ndarray | None, expert_level: int, horizon: int
+) -> np.ndarray:
+    """Per-point derivatives of _penalty_values wrt the prediction: the one analytic gradient."""
     derivs = 2.0 * d
     if expert_level == RarityLevel.NORMAL:
-        return values, derivs
-
-    p = np.asarray(point_levels)
-    match = p == expert_level
-    # delta == 0 stays on the quadratic branch (value and derivative both 0).
-    under = match & (d < 0.0)
-    over = match & (d > 0.0)
-
-    values[under], slope = _expm1_continued(-d[under])
-    derivs[under] = -slope
-
-    do = d[over]
-    if expert_level == RarityLevel.MODERATE:
-        pass  # over-prediction keeps the quadratic branch
-    elif expert_level == RarityLevel.VERY_RARE:
-        values[over] = _log_cosh(do)
-        derivs[over] = np.tanh(do)
+        return derivs
+    under, over = _branches(d, point_levels, expert_level)
+    derivs[under] = -_exp_slope(-d[under])
+    if expert_level == RarityLevel.VERY_RARE:
+        derivs[over] = np.tanh(d[over])
     elif expert_level == RarityLevel.EXTREME_RARE:
         scale = 1.0 / (horizon + 1.0)
-        values[over], slope = _expm1_continued(do * scale)
-        derivs[over] = slope * scale
-    else:
-        raise ValueError(f"unknown expert level {expert_level}")
-    return values, derivs
+        derivs[over] = _exp_slope(d[over] * scale) * scale
+    return derivs
 
 
 def rare_penalty(delta: float, ctx: PenaltyContext) -> LossValueGrad:
     """Penalty of a single point error under the given context."""
-    v, g = _penalty_terms(
-        np.asarray([delta], dtype=np.float64),
-        np.asarray([int(ctx.point_level)]),
-        int(ctx.expert_level),
-        ctx.horizon,
+    d = np.asarray([delta], dtype=np.float64)
+    levels, level = np.asarray([int(ctx.point_level)]), int(ctx.expert_level)
+    return LossValueGrad(
+        value=float(_penalty_values(d, levels, level, ctx.horizon)[0]),
+        d_dpred=float(_penalty_derivs(d, levels, level, ctx.horizon)[0]),
     )
-    return LossValueGrad(value=float(v[0]), d_dpred=float(g[0]))
+
+
+def _rare_arrays(
+    pred: np.ndarray, truth: np.ndarray, point_levels: np.ndarray | None, expert_level: RarityLevel,
+    horizon: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int, int]:
+    """rare_loss's checked arguments: pred, truth and point levels as arrays, the level and horizon.
+
+    Point levels may be None only for the normal level, which reads none.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    level = int(expert_level)
+    if point_levels is None:
+        if level != RarityLevel.NORMAL:
+            raise ValueError(f"rare_loss: expert level {RarityLevel(level).name} needs point levels")
+        levels = None
+    else:
+        levels = np.asarray(point_levels)
+    if pred.shape != truth.shape or (levels is not None and pred.shape != levels.shape):
+        raise ValueError("rare_loss: pred, truth, point_levels must share a shape")
+    return pred, truth, levels, level, pred.shape[-1] if horizon is None else int(horizon)
+
+
+def _rare_value(
+    pred: np.ndarray, truth: np.ndarray, levels: np.ndarray | None, level: int, horizon: int
+) -> float:
+    return float(_penalty_values(pred - truth, levels, level, horizon).sum() / pred.size)
+
+
+def _rare_grad(
+    pred: np.ndarray, truth: np.ndarray, levels: np.ndarray | None, level: int, horizon: int
+) -> np.ndarray:
+    g = _penalty_derivs(pred - truth, levels, level, horizon)
+    g /= pred.size
+    return g
 
 
 def rare_loss(
     pred: np.ndarray,
     truth: np.ndarray,
-    point_levels: np.ndarray,
+    point_levels: np.ndarray | None,
     expert_level: RarityLevel,
     horizon: int | None = None,
 ) -> LossValueGrad:
-    """Mean penalty over a window; gradient is the per-point derivative / H."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    levels = np.asarray(point_levels)
-    if pred.shape != truth.shape or pred.shape != levels.shape:
-        raise ValueError("rare_loss: pred, truth, point_levels must share a shape")
-    h = pred.shape[-1] if horizon is None else int(horizon)
-    v, g = _penalty_terms(pred - truth, levels, int(expert_level), h)
-    n_points = pred.size
-    return LossValueGrad(value=float(v.sum() / n_points), d_dpred=g / n_points)
+    """Mean penalty over a window; gradient is the per-point derivative / H.
+
+    point_levels may be None for the normal level, whose quadratic reads none.
+    """
+    args = _rare_arrays(pred, truth, point_levels, expert_level, horizon)
+    return LossValueGrad(value=_rare_value(*args), d_dpred=_rare_grad(*args))
+
+
+def _kd_value(d: np.ndarray) -> float:
+    """kd_loss's value for student - teacher = d."""
+    r = d / (1.0 + np.abs(d))
+    return float((r * r).sum() / d.size)
+
+
+def _kd_grad(d: np.ndarray) -> np.ndarray:
+    """kd_loss's gradient for student - teacher = d: 2 d / (1 + |d|)^3 / n, in that order."""
+    denom = 1.0 + np.abs(d)
+    cube = denom * denom
+    cube *= denom
+    g = 2.0 * d
+    g /= cube
+    g /= d.size
+    return g
 
 
 def kd_loss(student: np.ndarray, teacher: np.ndarray) -> LossValueGrad:
@@ -153,18 +222,64 @@ def kd_loss(student: np.ndarray, teacher: np.ndarray) -> LossValueGrad:
     if s.shape != t.shape:
         raise ValueError("kd_loss: student and teacher must share a shape")
     d = s - t
-    denom = 1.0 + np.abs(d)
-    r = d / denom
-    n_points = s.size
-    grad = 2.0 * d / (denom * denom * denom) / n_points
-    return LossValueGrad(value=float((r * r).sum() / n_points), d_dpred=grad)
+    return LossValueGrad(value=_kd_value(d), d_dpred=_kd_grad(d))
+
+
+def _combined_arrays(
+    pred: np.ndarray,
+    truth: np.ndarray,
+    teacher_pred: np.ndarray | None,
+    point_levels: np.ndarray | None,
+    expert_level: RarityLevel,
+    beta: float,
+    horizon: int | None,
+) -> tuple[tuple, np.ndarray | None]:
+    """combined_loss's checked arguments: _rare_arrays' tuple, and pred - teacher if it distills."""
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"combined_loss: beta must be finite and >= 0, got {beta}")
+    args = _rare_arrays(pred, truth, point_levels, expert_level, horizon)
+    if beta == 0.0 or (teacher_pred is None and expert_level == RarityLevel.NORMAL):
+        return args, None
+    if teacher_pred is None:
+        raise ValueError(
+            f"combined_loss: expert level {RarityLevel(expert_level).name} with "
+            f"beta={beta} requires teacher predictions"
+        )
+    t = np.asarray(teacher_pred, dtype=np.float64)
+    if t.shape != args[0].shape:
+        raise ValueError("kd_loss: student and teacher must share a shape")
+    return args, args[0] - t
+
+
+def combined_grad(
+    pred: np.ndarray,
+    truth: np.ndarray,
+    teacher_pred: np.ndarray | None,
+    point_levels: np.ndarray | None,
+    expert_level: RarityLevel,
+    beta: float,
+    horizon: int | None = None,
+) -> np.ndarray:
+    """The gradient of `combined_loss` wrt pred, computing no loss value.
+
+    Training steps call this; `combined_loss` takes its d_dpred from it too,
+    so the analytic gradient has one code path. It makes every check
+    `combined_loss` makes. point_levels may be None for the normal level.
+    """
+    args, d = _combined_arrays(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon)
+    g = _rare_grad(*args)
+    if d is not None:
+        kd = _kd_grad(d)
+        kd *= beta
+        g += kd
+    return g
 
 
 def combined_loss(
     pred: np.ndarray,
     truth: np.ndarray,
     teacher_pred: np.ndarray | None,
-    point_levels: np.ndarray,
+    point_levels: np.ndarray | None,
     expert_level: RarityLevel,
     beta: float,
     horizon: int | None = None,
@@ -175,22 +290,14 @@ def combined_loss(
     entirely. A rare expert with beta > 0 must be given teacher predictions.
     Given teacher predictions, the term applies whatever the penalty level:
     a rare expert trained with the plain quadratic loss still distills.
+    The gradient is `combined_grad`'s.
     """
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"combined_loss: beta must be finite and >= 0, got {beta}")
-    rare = rare_loss(pred, truth, point_levels, expert_level, horizon)
-    if beta == 0.0 or (teacher_pred is None and expert_level == RarityLevel.NORMAL):
-        return rare
-    if teacher_pred is None:
-        raise ValueError(
-            f"combined_loss: expert level {RarityLevel(expert_level).name} with "
-            f"beta={beta} requires teacher predictions"
-        )
-    kd = kd_loss(pred, teacher_pred)
-    return LossValueGrad(
-        value=rare.value + beta * kd.value,
-        d_dpred=np.asarray(rare.d_dpred) + beta * np.asarray(kd.d_dpred),
-    )
+    grad = combined_grad(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon)
+    args, d = _combined_arrays(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon)
+    value = _rare_value(*args)
+    if d is not None:
+        value += beta * _kd_value(d)
+    return LossValueGrad(value=value, d_dpred=grad)
 
 
 def loss_landscape_rows(
@@ -204,6 +311,6 @@ def loss_landscape_rows(
     rows = []
     grid = np.linspace(lo, hi, steps)
     for level in RarityLevel:
-        v, _ = _penalty_terms(grid, np.full(grid.shape, int(level)), int(level), horizon)
+        v = _penalty_values(grid, np.full(grid.shape, int(level)), int(level), horizon)
         rows.extend((float(d), LEVEL_KEYS[level], float(val)) for d, val in zip(grid, v))
     return rows

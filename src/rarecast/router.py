@@ -22,6 +22,7 @@ from .config import PipelineConfig
 from .dataset import Windows
 from .expert import (
     ExpertModel,
+    check_history_len,
     collapse_level,
     decompose_histories,
     expert_level,
@@ -190,6 +191,7 @@ def stack_expert_outputs(
 
     components, when given, are the histories' (n_bands, N, T) band components.
     """
+    check_history_len("stack_expert_outputs", histories, experts[0].history_len)
     if components is None:
         first = experts[0]
         components = decompose_histories(histories, first.n_bands, first.mode, first.bank, first.gamma)

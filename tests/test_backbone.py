@@ -211,9 +211,13 @@ def test_stacked_kernels_match_per_band_reference(kind, n_models, n):
                 np.testing.assert_array_equal(grads[name][b], ref_g[name])
             _ref_adam(ref[b], ref_g, states[b])
         step(s, opt)
+        # the moments, read in the stack's layout, are the reference's too
+        moments = {key: stack_at(s, getattr(opt, key)).params for key in ("m", "v")}
         for b in range(n_models):
             for name in ref[b]:
                 np.testing.assert_array_equal(s.params[name][b], ref[b][name])
+                for key, got in moments.items():
+                    np.testing.assert_array_equal(got[name][b], states[b][key][name])
     # a history shared by every model (the gate's case) equals passing it per model
     xs = rng.standard_normal((n, t))
     np.testing.assert_array_equal(forecast(s, xs), forecast(s, np.stack([xs] * n_models)))

@@ -427,12 +427,14 @@ def test_chain_trains_on_unnormalized_large_scale_series(tiny_cfg):
 
 def test_one_backward_and_one_step_per_minibatch(monkeypatch, tiny_data, tiny_cfg):
     # Every expert, the gate and the baseline train through bb.fit, which the
-    # benchmark's backbone call counts read at the module boundary.
-    calls = {"backward": 0, "step": 0}
+    # benchmark's backbone call counts read at the module boundary: one
+    # backward and one step per minibatch, and no forecast, which the
+    # benchmark counts for prediction alone.
+    calls = {"forecast": 0, "backward": 0, "step": 0}
     for name in calls:
-        def counted(*args, name=name, fn=getattr(bb, name)):
+        def counted(*args, name=name, fn=getattr(bb, name), **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         monkeypatch.setattr(bb, name, counted)
     _, chain = train_pipeline(tiny_data, tiny_cfg)
     pipeline.train_baseline(tiny_data, tiny_cfg)
@@ -446,7 +448,7 @@ def test_one_backward_and_one_step_per_minibatch(monkeypatch, tiny_data, tiny_cf
         + tiny_cfg.router_epochs * batches(n)
         + tiny_cfg.epochs * batches(n)
     )
-    assert calls == {"backward": want, "step": want}
+    assert calls == {"forecast": 0, "backward": want, "step": want}
 
 
 # ------------------------------------------------------------ specialization

@@ -4,6 +4,7 @@ Closed-form oracles are asserted to 1e-12; gradients are checked against
 central finite differences away from the kink at zero error.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from rarecast.dataset import RarityLevel
 from rarecast.losses import (
     EXP_ARG_LIMIT,
     PenaltyContext,
+    combined_grad,
     combined_loss,
     kd_loss,
     loss_landscape_rows,
@@ -289,6 +291,11 @@ def test_combined_loss_requires_teacher():
     # beta 0 is the plain rarity loss, no teacher needed
     out = combined_loss(pred, truth, None, levels, RarityLevel.MODERATE, beta=0.0, horizon=3)
     assert out.value == pytest.approx(1.0)
+    # the normal level's quadratic needs no point levels, every rarer level does
+    assert rare_loss(pred, truth, None, RarityLevel.NORMAL, horizon=3).value == 1.0
+    for level in RARE:
+        with pytest.raises(ValueError, match=f"{level.name} needs point levels"):
+            combined_grad(pred, truth, None, None, level, 0.0, 3)
 
 
 # ---------------------------------------------------------------- landscape
@@ -311,3 +318,63 @@ def test_loss_landscape_rows_rejects_a_bad_grid(lo, hi, steps):
     # These used to write NaN rows, no rows, or fail with a bare numpy message.
     with pytest.raises(ValueError, match="^loss_landscape_rows: "):
         loss_landscape_rows(horizon=16, lo=lo, hi=hi, steps=steps)
+
+
+# ------------------------------------------------------ one gradient path
+
+
+@st.composite
+def _gradient_cases(draw):
+    """A horizon and (pred, truth, teacher) rows whose errors cover every branch.
+
+    The errors hold at least one each of: delta < 0, delta = 0, delta > 0,
+    delta past -EXP_ARG_LIMIT, and delta past EXP_ARG_LIMIT * (H + 1).
+    """
+    h = draw(st.integers(1, 24))
+    limit = EXP_ARG_LIMIT * (h + 1)
+    regimes = [
+        st.floats(-EXP_ARG_LIMIT, -1e-9),
+        st.just(0.0),
+        st.floats(1e-9, EXP_ARG_LIMIT),
+        st.floats(-1e6, -EXP_ARG_LIMIT, exclude_max=True),
+        st.floats(limit, 1e6, exclude_min=True),
+    ]
+    delta = [draw(r) for r in regimes]
+    delta += draw(st.lists(st.one_of(regimes), max_size=8))
+    n = len(delta)
+    truth = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    teacher = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+    # truth 0 keeps each error exact; a second copy of the rows shifts them by truth
+    zero = np.zeros(n)
+    return h, np.concatenate([delta, truth + delta]), np.concatenate([zero, truth]), np.concatenate(
+        [teacher, teacher]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_gradient_cases(), beta=st.floats(1e-3, 10.0))
+def test_training_gradient_is_combined_loss_gradient_bitwise(case, beta):
+    # train_expert's loss gradient is combined_grad, given no point levels at
+    # the normal level; it must be combined_loss's d_dpred, and the rarity
+    # gradient plus beta times the distillation gradient, bit for bit, in
+    # every cell: expert level x point level x teacher absent/given x beta
+    # zero/positive, the normal level with a teacher (use_rare_penalty off)
+    # included.
+    h, pred, truth, teacher_row = case
+    for expert, point, teacher, b in itertools.product(
+        RarityLevel, RarityLevel, (None, teacher_row), (0.0, beta)
+    ):
+        levels = np.full(pred.shape, int(point))
+        train_levels = None if expert == RarityLevel.NORMAL else levels
+        if teacher is None and b > 0.0 and expert != RarityLevel.NORMAL:
+            for call in (combined_grad, combined_loss):
+                with pytest.raises(ValueError, match="requires teacher"):
+                    call(pred, truth, teacher, train_levels, expert, b, h)
+            continue
+        got = combined_grad(pred, truth, teacher, train_levels, expert, b, h)
+        assert got.tobytes() == combined_loss(pred, truth, teacher, levels, expert, b, h).d_dpred.tobytes()
+        want = np.asarray(rare_loss(pred, truth, levels, expert, h).d_dpred)
+        if teacher is not None and b > 0.0:
+            want = want + b * np.asarray(kd_loss(pred, teacher).d_dpred)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got).all()

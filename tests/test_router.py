@@ -11,10 +11,10 @@ from rarecast import backbone as bb
 from rarecast import expert as expert_mod
 from rarecast import router as router_mod
 from rarecast.config import PipelineConfig
-from rarecast.dataset import RarityLevel
+from rarecast.dataset import RarityLevel, Windows
 from rarecast.expert import ExpertModel, collapse_level, expert_predict_batch
 from rarecast.losses import rare_loss
-from rarecast.pipeline import train_pipeline
+from rarecast.pipeline import baseline_predict, train_pipeline
 from rarecast.router import (
     Router,
     _exp_shifted,
@@ -391,6 +391,32 @@ def test_stack_expert_outputs_checks_the_components_shape():
             expert_predict_batch(experts[0], hist, comps)
     ok = stack_expert_outputs(experts, hist, hist[None])
     np.testing.assert_array_equal(ok[..., 1], expert_predict_batch(experts[1], hist))
+
+
+def test_a_history_of_the_wrong_length_fails_before_decomposing(tiny_pipeline, tiny_cfg, monkeypatch):
+    # A history one value short used to be decomposed in full and then fail on
+    # "components shaped (4, 1, 63)", an array the caller never passed.
+    tp, _ = tiny_pipeline
+    t, h = tiny_cfg.history_len, tiny_cfg.horizon
+
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("a history of the wrong length was decomposed")
+
+    monkeypatch.setattr(expert_mod, "decompose_histories", no_decompose)
+    monkeypatch.setattr(router_mod, "decompose_histories", no_decompose)
+    baseline = ExpertModel(level=0, stack=_linear(t, h))
+    for got, call in [
+        (t - 1, lambda: pipeline_predict(tp.experts, tp.router, np.zeros(t - 1))),
+        (t + 1, lambda: pipeline_predict_batch(tp.experts, tp.router, np.zeros((2, t + 1)))),
+        (t - 1, lambda: stack_expert_outputs(tp.experts, np.zeros((3, t - 1)))),
+        (t - 1, lambda: expert_predict_batch(tp.experts[0], np.zeros((3, t - 1)))),
+        (t + 5, lambda: expert_mod.expert_predict(tp.experts[0], np.zeros(t + 5))),
+        (t - 1, lambda: baseline_predict(
+            baseline, Windows(np.zeros((2, t - 1)), np.zeros((2, h)), np.zeros((2, h), dtype=int))
+        )),
+    ]:
+        with pytest.raises(ValueError, match=f"history length {got} does not match history_len {t}"):
+            call()
 
 
 def test_window_major_components_are_refused(tiny_pipeline, tiny_data, tiny_cfg):
