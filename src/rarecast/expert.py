@@ -20,7 +20,7 @@ from . import backbone as bb
 from . import ewt
 from .config import DECOMPOSITION_MODES, PipelineConfig
 from .dataset import N_LEVELS, RarityLevel, RarityThresholds, Windows
-from .losses import combined_grad, kd_loss, rare_loss
+from .losses import combined_grad, loss_terms
 from .rng import INIT, SHUFFLE, substream
 
 log = logging.getLogger(__name__)
@@ -194,23 +194,6 @@ def expert_predict(expert: ExpertModel, history: np.ndarray) -> np.ndarray:
     return expert_predict_batch(expert, x[None, :])[0]
 
 
-def _losses_on(
-    stack: bb.ForecasterStack,
-    components: np.ndarray,
-    targets: np.ndarray,
-    point_levels: np.ndarray,
-    teacher_preds: np.ndarray | None,
-    penalty_level: RarityLevel,
-    beta: float,
-    horizon: int,
-) -> tuple[float, float, float]:
-    """(rare, kd, total) on a full window set; teacher_preds None means no distillation."""
-    preds = _forward(stack, components)
-    rare = rare_loss(preds, targets, point_levels, penalty_level, horizon)
-    kd_val = kd_loss(preds, teacher_preds).value if teacher_preds is not None else 0.0
-    return rare.value, kd_val, rare.value + beta * kd_val
-
-
 def train_expert(
     windows: Windows,
     level: int,
@@ -246,6 +229,8 @@ def train_expert(
             f"train_expert: rows must be a 1-d array of integer row indices in [0, {len(windows)}), "
             f"got {rows.dtype} of shape {rows.shape}"
         )
+    if cfg.mode == "global" and bank is None:
+        raise ValueError("train_expert: global mode requires a fitted bank")
     targ = windows.targets
     history_len, horizon = windows.histories.shape[1], targ.shape[1]
     plev = collapse_level(windows.point_levels, cfg.n_experts)
@@ -277,21 +262,21 @@ def train_expert(
 
     rare = penalty_level != RarityLevel.NORMAL  # the quadratic reads no point levels
 
-    def output_grad(idx: np.ndarray, bands: np.ndarray) -> np.ndarray:
-        teacher_b = teacher_preds[idx] if distill else None
+    def objective(idx: np.ndarray | slice) -> tuple:
+        """The objective's arguments after pred, for the trained rows at positions idx."""
         r = rows[idx]
-        return combined_grad(
-            _band_sum(bands), targ[r], teacher_b, plev[r] if rare else None, penalty_level, cfg.beta, horizon
-        )
+        teacher_r = teacher_preds[idx] if distill else None
+        return targ[r], teacher_r, plev[r] if rare else None, penalty_level, cfg.beta, horizon
+
+    def output_grad(idx: np.ndarray, bands: np.ndarray) -> np.ndarray:
+        return combined_grad(_band_sum(bands), *objective(idx))
 
     def curve_rows(stacks: list[bb.ForecasterStack]) -> list[dict]:
-        comps_r, targ_r, plev_r = np.take(comps, rows, axis=1), targ[rows], plev[rows]
+        comps_r, args = np.take(comps, rows, axis=1), objective(slice(None))
         out = []
         for epoch, stack in enumerate(stacks):
-            r, k, tot = _losses_on(
-                stack, comps_r, targ_r, plev_r, teacher_preds, penalty_level, cfg.beta, horizon
-            )
-            out.append({"epoch": epoch, "rare": r, "kd": k, "total": tot})
+            r, k = loss_terms(_forward(stack, comps_r), *args)
+            out.append({"epoch": epoch, "rare": r, "kd": k, "total": r + cfg.beta * k})
         return out
 
     curve = bb.fit(

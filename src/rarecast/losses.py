@@ -14,10 +14,13 @@ H is the prediction horizon. Every branch is 0 at delta = 0, so the loss is
 continuous; the gradient at the kink takes the quadratic branch's value 0.
 The normal level is the quadratic alone and reads no point levels.
 
-Values and derivatives are computed apart (`_penalty_values`,
-`_penalty_derivs`). `combined_grad` is the combined objective's gradient
-and computes no loss value: training steps call it, and `combined_loss`
-takes its `d_dpred` from it, so the analytic gradient has one code path.
+An expert's objective is the rarity loss plus beta times the distillation
+loss. Its arguments are checked in one place, and two kernels run on the
+result: one computes loss values only, the other the gradient only.
+Training steps call `combined_grad` (gradient only), loss curves call
+`loss_terms` (values only), `combined_loss` runs both, and `rare_loss` is
+`combined_loss` with no teacher and beta 0. So every loss value and the
+analytic gradient have one code path each.
 
 Each exponential branch exp(u) - 1 is exact for u <= EXP_ARG_LIMIT and
 continues as its tangent line past it, with value and slope continuous:
@@ -142,57 +145,6 @@ def rare_penalty(delta: float, ctx: PenaltyContext) -> LossValueGrad:
     )
 
 
-def _rare_arrays(
-    pred: np.ndarray, truth: np.ndarray, point_levels: np.ndarray | None, expert_level: RarityLevel,
-    horizon: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int, int]:
-    """rare_loss's checked arguments: pred, truth and point levels as arrays, the level and horizon.
-
-    Point levels may be None only for the normal level, which reads none.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    level = int(expert_level)
-    if point_levels is None:
-        if level != RarityLevel.NORMAL:
-            raise ValueError(f"rare_loss: expert level {RarityLevel(level).name} needs point levels")
-        levels = None
-    else:
-        levels = np.asarray(point_levels)
-    if pred.shape != truth.shape or (levels is not None and pred.shape != levels.shape):
-        raise ValueError("rare_loss: pred, truth, point_levels must share a shape")
-    return pred, truth, levels, level, pred.shape[-1] if horizon is None else int(horizon)
-
-
-def _rare_value(
-    pred: np.ndarray, truth: np.ndarray, levels: np.ndarray | None, level: int, horizon: int
-) -> float:
-    return float(_penalty_values(pred - truth, levels, level, horizon).sum() / pred.size)
-
-
-def _rare_grad(
-    pred: np.ndarray, truth: np.ndarray, levels: np.ndarray | None, level: int, horizon: int
-) -> np.ndarray:
-    g = _penalty_derivs(pred - truth, levels, level, horizon)
-    g /= pred.size
-    return g
-
-
-def rare_loss(
-    pred: np.ndarray,
-    truth: np.ndarray,
-    point_levels: np.ndarray | None,
-    expert_level: RarityLevel,
-    horizon: int | None = None,
-) -> LossValueGrad:
-    """Mean penalty over a window; gradient is the per-point derivative / H.
-
-    point_levels may be None for the normal level, whose quadratic reads none.
-    """
-    args = _rare_arrays(pred, truth, point_levels, expert_level, horizon)
-    return LossValueGrad(value=_rare_value(*args), d_dpred=_rare_grad(*args))
-
-
 def _kd_value(d: np.ndarray) -> float:
     """kd_loss's value for student - teacher = d."""
     r = d / (1.0 + np.abs(d))
@@ -225,30 +177,64 @@ def kd_loss(student: np.ndarray, teacher: np.ndarray) -> LossValueGrad:
     return LossValueGrad(value=_kd_value(d), d_dpred=_kd_grad(d))
 
 
-def _combined_arrays(
-    pred: np.ndarray,
-    truth: np.ndarray,
-    teacher_pred: np.ndarray | None,
-    point_levels: np.ndarray | None,
-    expert_level: RarityLevel,
-    beta: float,
-    horizon: int | None,
-) -> tuple[tuple, np.ndarray | None]:
-    """combined_loss's checked arguments: _rare_arrays' tuple, and pred - teacher if it distills."""
+def _checked(
+    pred: np.ndarray, truth: np.ndarray, teacher_pred: np.ndarray | None,
+    point_levels: np.ndarray | None, expert_level: RarityLevel, beta: float, horizon: int | None,
+) -> tuple[np.ndarray, np.ndarray | None, int, int, np.ndarray | None]:
+    """The objective's checked arguments: pred - truth, point levels, level, horizon, pred - teacher.
+
+    Point levels may be None only for the normal level, which reads none.
+    pred - teacher is None where the distillation term does not apply.
+    """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"combined_loss: beta must be finite and >= 0, got {beta}")
-    args = _rare_arrays(pred, truth, point_levels, expert_level, horizon)
-    if beta == 0.0 or (teacher_pred is None and expert_level == RarityLevel.NORMAL):
-        return args, None
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    level = int(expert_level)
+    if point_levels is None:
+        if level != RarityLevel.NORMAL:
+            raise ValueError(f"rare_loss: expert level {RarityLevel(level).name} needs point levels")
+        levels = None
+    else:
+        levels = np.asarray(point_levels)
+    if pred.shape != truth.shape or (levels is not None and pred.shape != levels.shape):
+        raise ValueError("rare_loss: pred, truth, point_levels must share a shape")
+    args = (pred - truth, levels, level, pred.shape[-1] if horizon is None else int(horizon))
+    if beta == 0.0 or (teacher_pred is None and level == RarityLevel.NORMAL):
+        return *args, None
     if teacher_pred is None:
         raise ValueError(
-            f"combined_loss: expert level {RarityLevel(expert_level).name} with "
+            f"combined_loss: expert level {RarityLevel(level).name} with "
             f"beta={beta} requires teacher predictions"
         )
     t = np.asarray(teacher_pred, dtype=np.float64)
-    if t.shape != args[0].shape:
-        raise ValueError("kd_loss: student and teacher must share a shape")
-    return args, args[0] - t
+    if t.shape != pred.shape:
+        raise ValueError(
+            f"combined_loss: teacher predictions shaped {t.shape} do not match pred shaped {pred.shape}"
+        )
+    return *args, pred - t
+
+
+def _values(
+    err: np.ndarray, levels: np.ndarray | None, level: int, horizon: int, d: np.ndarray | None
+) -> tuple[float, float]:
+    """The value kernel: (rarity loss, distillation loss), the latter 0 where it does not apply."""
+    rare = float(_penalty_values(err, levels, level, horizon).sum() / err.size)
+    return rare, 0.0 if d is None else _kd_value(d)
+
+
+def _grad(
+    err: np.ndarray, levels: np.ndarray | None, level: int, horizon: int, d: np.ndarray | None,
+    beta: float,
+) -> np.ndarray:
+    """The gradient kernel: the objective's derivative wrt pred."""
+    g = _penalty_derivs(err, levels, level, horizon)
+    g /= err.size
+    if d is not None:
+        kd = _kd_grad(d)
+        kd *= beta
+        g += kd
+    return g
 
 
 def combined_grad(
@@ -262,17 +248,27 @@ def combined_grad(
 ) -> np.ndarray:
     """The gradient of `combined_loss` wrt pred, computing no loss value.
 
-    Training steps call this; `combined_loss` takes its d_dpred from it too,
-    so the analytic gradient has one code path. It makes every check
-    `combined_loss` makes. point_levels may be None for the normal level.
+    Training steps call this. It makes every check `combined_loss` makes.
+    point_levels may be None for the normal level.
     """
-    args, d = _combined_arrays(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon)
-    g = _rare_grad(*args)
-    if d is not None:
-        kd = _kd_grad(d)
-        kd *= beta
-        g += kd
-    return g
+    return _grad(*_checked(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon), beta)
+
+
+def loss_terms(
+    pred: np.ndarray,
+    truth: np.ndarray,
+    teacher_pred: np.ndarray | None,
+    point_levels: np.ndarray | None,
+    expert_level: RarityLevel,
+    beta: float,
+    horizon: int | None = None,
+) -> tuple[float, float]:
+    """The objective's (rarity, distillation) loss values, computing no gradient.
+
+    The distillation value is 0 where `combined_loss` leaves the term out,
+    so `combined_loss`'s value is rare + beta * kd. Loss curves call this.
+    """
+    return _values(*_checked(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon))
 
 
 def combined_loss(
@@ -290,14 +286,26 @@ def combined_loss(
     entirely. A rare expert with beta > 0 must be given teacher predictions.
     Given teacher predictions, the term applies whatever the penalty level:
     a rare expert trained with the plain quadratic loss still distills.
-    The gradient is `combined_grad`'s.
+    The value is `loss_terms`' and the gradient `combined_grad`'s.
     """
-    grad = combined_grad(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon)
-    args, d = _combined_arrays(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon)
-    value = _rare_value(*args)
-    if d is not None:
-        value += beta * _kd_value(d)
-    return LossValueGrad(value=value, d_dpred=grad)
+    args = _checked(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon)
+    rare, kd = _values(*args)
+    return LossValueGrad(value=rare + beta * kd, d_dpred=_grad(*args, beta))
+
+
+def rare_loss(
+    pred: np.ndarray,
+    truth: np.ndarray,
+    point_levels: np.ndarray | None,
+    expert_level: RarityLevel,
+    horizon: int | None = None,
+) -> LossValueGrad:
+    """Mean penalty over a window; gradient is the per-point derivative / H.
+
+    This is `combined_loss` with no teacher and beta 0. point_levels may be
+    None for the normal level, whose quadratic reads none.
+    """
+    return combined_loss(pred, truth, None, point_levels, expert_level, 0.0, horizon)
 
 
 def loss_landscape_rows(

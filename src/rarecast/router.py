@@ -217,7 +217,9 @@ def train_router(
     weighted by n / (labels present * its label's count), so every label
     present carries equal total weight (top-k applies at inference only).
     Returns the router and the per-epoch loss/accuracy curve, computed when
-    first read; row 0 precedes any update.
+    first read; row 0 precedes any update. The curve's ce is the unweighted
+    mean cross-entropy over the windows, while the gate minimises the
+    class-weighted one, so the two need not fall together.
     """
     if not windows:
         raise ValueError("train_router: no windows")

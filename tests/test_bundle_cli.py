@@ -1,6 +1,7 @@
 """Bundle persistence and the command line surface."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import logging
@@ -38,6 +39,12 @@ def test_bundle_roundtrip_is_bitwise(tiny_pipeline, tiny_data, tmp_path):
     a, _, _ = predict_windows(tp, wins)
     b, _, _ = predict_windows(tp2, wins)
     np.testing.assert_array_equal(a, b)
+
+
+def test_predict_windows_needs_a_router(tiny_pipeline, tiny_data):
+    tp = dataclasses.replace(tiny_pipeline[0], router=None)
+    with pytest.raises(ValueError, match="^predict_windows: this pipeline has no trained router$"):
+        predict_windows(tp, tiny_data.test_windows[:4])
 
 
 def test_bundle_save_is_byte_deterministic(tiny_pipeline, tmp_path):
@@ -383,6 +390,10 @@ def test_cli_synth_train_evaluate_predict_chain(tmp_path, capsys):
                    "--out", str(tmp_path / "nope")])
     assert rc == 1
     assert "no router" in capsys.readouterr().err
+    rc = cli.main(["predict", "--bundle", str(experts_dir / "bundle.json"), "--data", str(series_csv),
+                   "--column", "value", "--out", str(tmp_path / "nope")])
+    assert rc == 1
+    assert "predict: bundle has no router, run train-router first" in capsys.readouterr().err
 
     routed_dir = tmp_path / "routed"
     assert cli.main(["train-router", "--bundle", str(experts_dir / "bundle.json"),
@@ -391,12 +402,17 @@ def test_cli_synth_train_evaluate_predict_chain(tmp_path, capsys):
     bundle = str(routed_dir / "bundle.json")
 
     eval_dir = tmp_path / "eval"
-    assert cli.main(["evaluate", "--bundle", bundle, "--out", str(eval_dir),
+    assert cli.main(["evaluate", "--bundle", bundle, "--out", str(eval_dir), "--routing-out", "routing.csv",
                      "--assert", "overall.mse<=100", "--assert", "overall.mae>=0"]) == 0
     lines = (eval_dir / "metrics.csv").read_text().splitlines()
     assert lines[0] == "level,mse,mae,count" and len(lines) == 5
     captured = capsys.readouterr().out
     assert "overall.mse" in captured and "FAILED" not in captured
+    # one routing row per test window: the 600-point test split in 40-point windows at stride 2
+    routing = (eval_dir / "routing.csv").read_text().splitlines()
+    assert routing[0] == "window,alpha0,alpha1,alpha2,chosen"
+    assert len(routing) == 1 + (600 - 40) // 2 + 1
+    assert all(row.rsplit(",", 1)[1] for row in routing[1:])  # every window chose an expert
 
     assert cli.main(["evaluate", "--bundle", bundle, "--out", str(eval_dir),
                      "--assert", "overall.mse<=0"]) == 1
@@ -416,6 +432,13 @@ def test_cli_synth_train_evaluate_predict_chain(tmp_path, capsys):
                    "--out", str(pred_dir)])
     assert rc == 1  # synth-trained bundle carries no CSV column name
     assert "--column is required" in capsys.readouterr().err
+
+    short_csv = tmp_path / "short.csv"
+    short_csv.write_text("value\n" + "".join(f"{v}\n" for v in range(31)))
+    rc = cli.main(["predict", "--bundle", bundle, "--data", str(short_csv), "--column", "value",
+                   "--out", str(pred_dir)])
+    assert rc == 1
+    assert "predict: need at least 32 points, got 31" in capsys.readouterr().err
 
 
 def test_cli_synth_ignores_a_data_path(tmp_path):
@@ -751,6 +774,22 @@ def test_cli_reproduce_smoke(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert summary.startswith("seed 3: full pipeline vs single-band MSE baseline")
     assert "overall" in summary and "extreme" in summary
+
+
+def test_cli_reproduce_names_a_level_without_test_points(tmp_path):
+    synth_dir = tmp_path / "synth"
+    assert cli.main(["synth", "--out", str(synth_dir), "--synth-n", "6000", "--seed", "3"]) == 0
+    values = load_csv(synth_dir / "series.csv", "value").values.copy()
+    # the 8:1:1 test split starts at 5400; held at the training median it has no extreme point
+    values[5400:] = np.minimum(values[5400:], np.median(values[:4800]))
+    series = tmp_path / "calm_tail.csv"
+    series.write_text("value\n" + "".join(f"{float(v)!r}\n" for v in values))
+    out = tmp_path / "repro"
+    argv = ["reproduce", "--seed", "3", *QUICK_FLAGS, "--data", str(series), "--column", "value", "--out", str(out)]
+    assert cli.main(argv) == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[1].startswith("  overall  mse ")
+    assert summary[2] == "  extreme  (no points)"
 
 
 def test_cli_reproduce_explicit_flags_win_over_the_preset(tmp_path):

@@ -90,6 +90,11 @@ def test_expert_train_config_validation():
         ("seed", -1),
         ("delimiter", ";;"),
         ("delimiter", ""),
+        ("horizon", 0),
+        ("history_len", 7),
+        ("stride", 0),
+        ("normalization", "minmax"),
+        ("unknown_field", 1),
     ],
 )
 def test_config_rejects_out_of_range_training_values(name, value):
@@ -218,6 +223,21 @@ def test_train_expert_errors(tiny_data):
     wins = tiny_data.train_windows[:50]
     with pytest.raises(ValueError, match="requires a teacher"):
         train_expert(wins, 1, None, cfg, _comps(wins, cfg))
+    with pytest.raises(ValueError, match="build_expert_chain: no windows"):
+        build_expert_chain(tiny_data.train_windows[:0], cfg, None, np.empty((cfg.n_bands, 0, 32)))
+
+
+def test_global_mode_without_a_bank_fails_before_training(tiny_data):
+    # train_expert used to return a per-window expert here, which then
+    # forecast from components it never trained on.
+    wins = tiny_data.train_windows[:50]
+    cfg = _small_cfg(epochs=1)
+    comps = _comps(wins, cfg)
+    cfg = cfg.with_overrides(mode="global")
+    with pytest.raises(ValueError, match="^train_expert: global mode requires a fitted bank$"):
+        train_expert(wins, 0, None, cfg, comps)
+    with pytest.raises(ValueError, match="^build_expert_chain: global mode requires a fitted bank$"):
+        build_expert_chain(wins, cfg, None, comps)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ central finite differences away from the kink at zero error.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rarecast.losses import (
     combined_loss,
     kd_loss,
     loss_landscape_rows,
+    loss_terms,
     rare_loss,
     rare_penalty,
 )
@@ -181,6 +183,11 @@ def test_rare_loss_shape_mismatch():
         rare_loss(np.zeros(3), np.zeros(4), np.zeros(3), RarityLevel.NORMAL)
 
 
+def test_rare_loss_rejects_an_unknown_expert_level():
+    with pytest.raises(ValueError, match="unknown expert level 5"):
+        rare_loss(np.zeros(3), np.ones(3), np.zeros(3, dtype=int), 5)
+
+
 def _fd(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
@@ -296,6 +303,12 @@ def test_combined_loss_requires_teacher():
     for level in RARE:
         with pytest.raises(ValueError, match=f"{level.name} needs point levels"):
             combined_grad(pred, truth, None, None, level, 0.0, 3)
+    # a teacher of the wrong shape is named as the objective's, with both shapes
+    for call in (combined_grad, combined_loss, loss_terms):
+        with pytest.raises(ValueError, match=re.escape(
+            "combined_loss: teacher predictions shaped (2,) do not match pred shaped (3,)"
+        )):
+            call(pred, truth, np.zeros(2), levels, RarityLevel.MODERATE, 0.5, 3)
 
 
 # ---------------------------------------------------------------- landscape
@@ -359,7 +372,8 @@ def test_training_gradient_is_combined_loss_gradient_bitwise(case, beta):
     # gradient plus beta times the distillation gradient, bit for bit, in
     # every cell: expert level x point level x teacher absent/given x beta
     # zero/positive, the normal level with a teacher (use_rare_penalty off)
-    # included.
+    # included. Its loss curve reads loss_terms, whose values must compose
+    # combined_loss's value and match rare_loss and kd_loss bit for bit.
     h, pred, truth, teacher_row = case
     for expert, point, teacher, b in itertools.product(
         RarityLevel, RarityLevel, (None, teacher_row), (0.0, beta)
@@ -367,10 +381,14 @@ def test_training_gradient_is_combined_loss_gradient_bitwise(case, beta):
         levels = np.full(pred.shape, int(point))
         train_levels = None if expert == RarityLevel.NORMAL else levels
         if teacher is None and b > 0.0 and expert != RarityLevel.NORMAL:
-            for call in (combined_grad, combined_loss):
+            for call in (combined_grad, combined_loss, loss_terms):
                 with pytest.raises(ValueError, match="requires teacher"):
                     call(pred, truth, teacher, train_levels, expert, b, h)
             continue
+        rare, kd = loss_terms(pred, truth, teacher, train_levels, expert, b, h)
+        assert rare + b * kd == combined_loss(pred, truth, teacher, levels, expert, b, h).value
+        assert rare == rare_loss(pred, truth, levels, expert, h).value
+        assert kd == (kd_loss(pred, teacher).value if teacher is not None and b > 0.0 else 0.0)
         got = combined_grad(pred, truth, teacher, train_levels, expert, b, h)
         assert got.tobytes() == combined_loss(pred, truth, teacher, levels, expert, b, h).d_dpred.tobytes()
         want = np.asarray(rare_loss(pred, truth, levels, expert, h).d_dpred)

@@ -121,6 +121,11 @@ def test_select_topk_errors():
         select_topk(np.array([0.5, 0.5]), 3)
     with pytest.raises(ValueError, match="sum to zero"):
         select_topk(np.zeros(3), 2)
+    with pytest.raises(ValueError, match=r"select_topk_batch: expected an \(N, E\) weight matrix"):
+        select_topk_batch(np.array([0.5, 0.5]), 1)
+    # two or more rows take the batch path, which makes the same check
+    with pytest.raises(ValueError, match="sum to zero"):
+        select_topk_batch(np.array([[0.5, 0.5], [0.0, 0.0]]), 2)
 
 
 def test_fuse_oracles_and_bounds():
@@ -233,7 +238,7 @@ def test_training_curves_are_computed_only_when_read(tiny_data, tiny_cfg, monkey
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(expert_mod, "_losses_on", counted("losses", expert_mod._losses_on))
+    monkeypatch.setattr(expert_mod, "loss_terms", counted("losses", expert_mod.loss_terms))
     monkeypatch.setattr(router_mod, "cross_entropy", counted("ce", router_mod.cross_entropy))
     cfg = tiny_cfg.with_overrides(router_epochs=3)
     wins = tiny_data.train_windows
