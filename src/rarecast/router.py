@@ -190,10 +190,27 @@ def stack_expert_outputs(
     """Expert forecast tensor (N, H, E) on shared histories.
 
     components, when given, are the histories' (n_bands, N, T) band components.
+    Every expert reads the same components, so the experts must agree on how
+    histories are decomposed: a list that mixes band counts, modes, banks or
+    gammas raises ValueError naming the first expert that differs.
     """
     check_history_len("stack_expert_outputs", histories, experts[0].history_len)
+    first = experts[0]
+    for i, e in enumerate(experts[1:], 1):
+        for attr in ("n_bands", "mode", "gamma"):
+            if getattr(e, attr) != getattr(first, attr):
+                raise ValueError(
+                    f"stack_expert_outputs: expert {i} has {attr} {getattr(e, attr)!r}, expert 0 "
+                    f"has {getattr(first, attr)!r}; every expert must decompose the same way"
+                )
+        # Same mode, so either both banks are None or neither is; a chain or a
+        # loaded bundle shares one bank object and skips the comparison.
+        if e.bank is not first.bank and not np.array_equal(e.bank.filters, first.bank.filters):
+            raise ValueError(
+                f"stack_expert_outputs: expert {i} has a bank whose filters differ from expert 0's; "
+                "every expert must decompose the same way"
+            )
     if components is None:
-        first = experts[0]
         components = decompose_histories(histories, first.n_bands, first.mode, first.bank, first.gamma)
     elif np.ndim(components) != 3 or np.shape(components)[1] != len(histories):
         raise ValueError(

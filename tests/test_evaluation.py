@@ -1,6 +1,7 @@
 """Metrics, sweeps, and the component ablation grid."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ def test_evaluate_errors():
         ev.evaluate(np.zeros(3), np.zeros(4), THRESH)
     with pytest.raises(ValueError, match="no points"):
         ev.evaluate(np.zeros(0), np.zeros(0), THRESH)
+
+
+def test_evaluate_compares_shapes_before_flattening():
+    # (16, 2) and (2, 16) hold 32 points each; flattened first, they were scored
+    # against each other (overall MSE 325.5) instead of failing.
+    with pytest.raises(ValueError, match=re.escape(
+        "evaluate: predictions shaped (16, 2) and truths shaped (2, 16) must share a shape"
+    )):
+        ev.evaluate(np.zeros((16, 2)), np.arange(32.0).reshape(2, 16), THRESH)
 
 
 def test_report_rows_absent_levels_are_blank():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rarecast import cli, ewt, parallel
 from rarecast.config import PipelineConfig
+from rarecast.dataset import synth_generate
 from rarecast.ewt import (
     BandComponents,
     _bank_rows,
@@ -204,6 +205,8 @@ def test_decompose_errors():
         reconstruct(np.zeros(8))
     with pytest.raises(ValueError):
         BandComponents(np.zeros(8))
+    with pytest.raises(ValueError, match=r"^decompose_windows: signal length 6 < 2 \* n_bands = 8"):
+        decompose_windows(np.zeros((3, 6)), 4)
 
 
 def test_decompose_windows_matches_per_row():
@@ -367,6 +370,58 @@ def test_tied_rows_really_tie():
     is_max[:, 1:-1] = (mag[:, 1:-1] > mag[:, :-2]) & (mag[:, 1:-1] > mag[:, 2:])
     tied = [len(np.unique(m[k])) < k.sum() for m, k in zip(mag, is_max)]
     assert sum(tied) >= 10 and tied[-1]
+
+
+# ------------------------------------------- one spectrum vs two transforms
+
+
+def _synth_windows(seed: int) -> np.ndarray:
+    """Z-scored 20,000-point synthetic series cut into every window of T = 64."""
+    v = synth_generate(seed, 20_000).values
+    z = (v - v.mean()) / v.std()
+    return np.lib.stride_tricks.sliding_window_view(z, 64).copy()
+
+
+def _two_transform_components(x: np.ndarray, n_bands: int, gamma: float | None) -> np.ndarray:
+    """The decomposition that transformed each window twice, kept as its oracle.
+
+    Boundaries from the mean-removed spectrum ranked by a stable argsort
+    (_row_loop_boundaries), banks from _bank_rows, and a second rfft of the
+    windows themselves to filter.
+    """
+    omegas, _ = _row_loop_boundaries(x, n_bands)
+    banks, inv, _, _ = _bank_rows(omegas, x.shape[1] // 2 + 1, gamma)
+    filters = banks if inv is None else np.take(banks, inv, axis=1)
+    return np.fft.irfft(np.fft.rfft(x, axis=1)[None] * filters, n=x.shape[1], axis=-1)
+
+
+@pytest.mark.parametrize("seed", [1_000_000, 1_000_001, 1_000_002])
+def test_one_spectrum_matches_the_two_transform_oracle(monkeypatch, seed):
+    x = _synth_windows(seed)
+    singles = range(0, len(x), 997)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = {(nb, g): _two_transform_components(x, nb, g) for nb in (2, 4) for g in (None, 0.05)}
+        real_rfft = np.fft.rfft
+        transformed = []
+
+        def counting_rfft(a, *args, **kwargs):
+            transformed.append(len(a))
+            return real_rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(ewt.np.fft, "rfft", counting_rfft)
+        for (n_bands, gamma), oracle in want.items():
+            transformed.clear()
+            np.testing.assert_array_equal(decompose_windows(x, n_bands, gamma), oracle)
+            assert sum(transformed) == len(x)  # one row per window, however it is split
+            for i in singles:
+                transformed.clear()
+                np.testing.assert_array_equal(decompose_windows(x[i : i + 1], n_bands, gamma)[:, 0], oracle[:, i])
+                assert transformed == [1]
+        bank = build_filter_bank(Boundaries(np.array([0.0, 0.5, 1.0, 2.0, np.pi])), 33)
+        transformed.clear()
+        decompose_with_bank(x, bank)
+        assert sum(transformed) == len(x)
 
 
 # ------------------------------------- deduplicated filter kernel vs edge loop

@@ -303,12 +303,37 @@ def test_combined_loss_requires_teacher():
     for level in RARE:
         with pytest.raises(ValueError, match=f"{level.name} needs point levels"):
             combined_grad(pred, truth, None, None, level, 0.0, 3)
-    # a teacher of the wrong shape is named as the objective's, with both shapes
+    # a teacher of the wrong shape is named with both shapes, by the function called
     for call in (combined_grad, combined_loss, loss_terms):
         with pytest.raises(ValueError, match=re.escape(
-            "combined_loss: teacher predictions shaped (2,) do not match pred shaped (3,)"
+            f"{call.__name__}: teacher predictions shaped (2,) do not match pred shaped (3,)"
         )):
             call(pred, truth, np.zeros(2), levels, RarityLevel.MODERATE, 0.5, 3)
+
+
+# Each public entry to the objective with (pred, truth, point_levels, level, beta).
+OBJECTIVE_CALLS = {
+    "combined_grad": lambda p, t, lv, level, beta: combined_grad(p, t, None, lv, level, beta, 3),
+    "loss_terms": lambda p, t, lv, level, beta: loss_terms(p, t, None, lv, level, beta, 3),
+    "combined_loss": lambda p, t, lv, level, beta: combined_loss(p, t, None, lv, level, beta, 3),
+    "rare_loss": lambda p, t, lv, level, beta: rare_loss(p, t, lv, level, 3),
+}
+
+
+@pytest.mark.parametrize("name", OBJECTIVE_CALLS)
+def test_objective_errors_name_the_function_called(name):
+    call = OBJECTIVE_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{name}: expert level MODERATE needs point levels$"):
+        call(np.zeros(3), np.zeros(3), None, RarityLevel.MODERATE, 0.0)
+    with pytest.raises(ValueError, match="^" + re.escape(
+        f"{name}: pred (3,), truth (4,), point_levels (3,) must share a shape"
+    )):
+        call(np.zeros(3), np.zeros(4), np.zeros(3, dtype=int), RarityLevel.MODERATE, 0.0)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name}: pred (2, 3), truth (3,) must share")):
+        call(np.zeros((2, 3)), np.zeros(3), None, RarityLevel.NORMAL, 0.0)
+    if name != "rare_loss":  # rare_loss takes no beta
+        with pytest.raises(ValueError, match=f"^{name}: beta must be finite and >= 0, got nan$"):
+            call(np.zeros(3), np.zeros(3), np.zeros(3, dtype=int), RarityLevel.MODERATE, float("nan"))
 
 
 # ---------------------------------------------------------------- landscape

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rarecast import backbone as bb
+from rarecast import ewt
 from rarecast import expert as expert_mod
 from rarecast import router as router_mod
 from rarecast.config import PipelineConfig
@@ -396,6 +397,36 @@ def test_stack_expert_outputs_checks_the_components_shape():
             expert_predict_batch(experts[0], hist, comps)
     ok = stack_expert_outputs(experts, hist, hist[None])
     np.testing.assert_array_equal(ok[..., 1], expert_predict_batch(experts[1], hist))
+
+
+def test_stack_expert_outputs_refuses_experts_that_decompose_differently(tiny_data, tiny_cfg):
+    # The histories used to be decomposed with expert 0's gamma and every
+    # expert forecast from those bands, whatever gamma it was trained at.
+    wins = tiny_data.train_windows[:200]
+    experts = []
+    for gamma in (0.05, 0.2):
+        cfg = tiny_cfg.with_overrides(gamma=gamma, epochs=1)
+        comps = expert_mod.decompose_histories(wins.histories, cfg.n_bands, cfg.mode, None, gamma)
+        experts.append(expert_mod.train_expert(wins, 0, None, cfg, comps)[0])
+    with pytest.raises(ValueError, match="^stack_expert_outputs: expert 1 has gamma 0.2, expert 0 has 0.05;"):
+        stack_expert_outputs(experts, wins.histories)
+    with pytest.raises(ValueError, match="^stack_expert_outputs: expert 2 has gamma 0.2"):
+        pipeline_predict_batch(experts[:1] * 2 + experts[1:], Router(_gate(8, 3), k=2), wins.histories)
+
+    # Global experts: banks are compared by identity first, then by their filters.
+    t, h = tiny_cfg.history_len, tiny_cfg.horizon
+    edges = ewt.Boundaries(np.array([0.0, 1.0, np.pi]))
+    bank, twin = (ewt.build_filter_bank(edges, t // 2 + 1) for _ in range(2))
+    other = ewt.build_filter_bank(edges, t // 2 + 1, gamma=0.0)
+    stack = _linear(t, h, n_models=2)
+    same = [ExpertModel(level=c, stack=stack, bank=b) for c, b in enumerate((bank, bank, twin))]
+    assert twin is not bank
+    np.testing.assert_array_equal(
+        stack_expert_outputs(same, wins.histories)[..., 2], expert_predict_batch(same[0], wins.histories)
+    )
+    mixed = same[:2] + [ExpertModel(level=2, stack=stack, bank=other)]
+    with pytest.raises(ValueError, match="^stack_expert_outputs: expert 2 has a bank whose filters differ"):
+        stack_expert_outputs(mixed, wins.histories)
 
 
 def test_a_history_of_the_wrong_length_fails_before_decomposing(tiny_pipeline, tiny_cfg, monkeypatch):
