@@ -184,32 +184,49 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logsumexp - picked).mean())
 
 
+# What every expert of one forecast tensor must share with expert 0, beyond its mode and bank.
+_SHARED = ("history_len", "horizon", "n_bands", "gamma")
+
+
+def _shared(e: ExpertModel) -> tuple:
+    return e.history_len, e.horizon, e.n_bands, e.gamma
+
+
+def _differs(i: int, attr: str, got: object, want: object) -> ValueError:
+    return ValueError(
+        f"stack_expert_outputs: expert {i} has {attr} {got!r}, expert 0 has {want!r}; "
+        "every expert must read, decompose and forecast the same way"
+    )
+
+
 def stack_expert_outputs(
     experts: list[ExpertModel], histories: np.ndarray, components: np.ndarray | None = None
 ) -> np.ndarray:
     """Expert forecast tensor (N, H, E) on shared histories.
 
     components, when given, are the histories' (n_bands, N, T) band components.
-    Every expert reads the same components, so the experts must agree on how
-    histories are decomposed: a list that mixes band counts, modes, banks or
-    gammas raises ValueError naming the first expert that differs.
+    Every expert reads the same histories and components into one tensor, so
+    the experts must agree on history length, horizon and how histories are
+    decomposed: a list that mixes any of these, or banks, raises ValueError
+    naming the first expert that differs.
     """
     check_history_len("stack_expert_outputs", histories, experts[0].history_len)
     first = experts[0]
+    want = _shared(first)
     for i, e in enumerate(experts[1:], 1):
-        for attr in ("n_bands", "mode", "gamma"):
-            if getattr(e, attr) != getattr(first, attr):
+        got = _shared(e)
+        if got != want:
+            raise _differs(i, *next((n, g, w) for n, g, w in zip(_SHARED, got, want) if g != w))
+        # A chain or a loaded bundle shares one bank object, None in per-window
+        # mode, which settles both the mode and the bank.
+        if e.bank is not first.bank:
+            if e.mode != first.mode:
+                raise _differs(i, "mode", e.mode, first.mode)
+            if not np.array_equal(e.bank.filters, first.bank.filters):
                 raise ValueError(
-                    f"stack_expert_outputs: expert {i} has {attr} {getattr(e, attr)!r}, expert 0 "
-                    f"has {getattr(first, attr)!r}; every expert must decompose the same way"
+                    f"stack_expert_outputs: expert {i} has a bank whose filters differ from expert 0's; "
+                    "every expert must decompose the same way"
                 )
-        # Same mode, so either both banks are None or neither is; a chain or a
-        # loaded bundle shares one bank object and skips the comparison.
-        if e.bank is not first.bank and not np.array_equal(e.bank.filters, first.bank.filters):
-            raise ValueError(
-                f"stack_expert_outputs: expert {i} has a bank whose filters differ from expert 0's; "
-                "every expert must decompose the same way"
-            )
     if components is None:
         components = decompose_histories(histories, first.n_bands, first.mode, first.bank, first.gamma)
     elif np.ndim(components) != 3 or np.shape(components)[1] != len(histories):

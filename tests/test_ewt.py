@@ -17,9 +17,7 @@ from rarecast.config import PipelineConfig
 from rarecast.dataset import synth_generate
 from rarecast.ewt import (
     BandComponents,
-    _bank_rows,
     _detect_boundaries_batch,
-    _unique_rows,
     Boundaries,
     bin_frequencies,
     build_filter_bank,
@@ -209,6 +207,14 @@ def test_decompose_errors():
         decompose_windows(np.zeros((3, 6)), 4)
 
 
+@pytest.mark.parametrize("n_bands", [0, -1])
+def test_decompose_windows_rejects_fewer_than_one_band(n_bands):
+    # 0 failed in numpy with "zero-size array to reduction operation minimum",
+    # -1 with "negative dimensions are not allowed".
+    with pytest.raises(ValueError, match=f"^decompose_windows: n_bands must be >= 1, got {n_bands}$"):
+        decompose_windows(np.zeros((5, 64)), n_bands)
+
+
 def test_decompose_windows_matches_per_row():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((6, 128))
@@ -375,23 +381,23 @@ def test_tied_rows_really_tie():
 # ------------------------------------------- one spectrum vs two transforms
 
 
-def _synth_windows(seed: int) -> np.ndarray:
-    """Z-scored 20,000-point synthetic series cut into every window of T = 64."""
+def _synth_windows(seed: int, t: int = 64) -> np.ndarray:
+    """Z-scored 20,000-point synthetic series cut into every window of length t."""
     v = synth_generate(seed, 20_000).values
     z = (v - v.mean()) / v.std()
-    return np.lib.stride_tricks.sliding_window_view(z, 64).copy()
+    return np.lib.stride_tricks.sliding_window_view(z, t).copy()
 
 
 def _two_transform_components(x: np.ndarray, n_bands: int, gamma: float | None) -> np.ndarray:
-    """The decomposition that transformed each window twice, kept as its oracle.
+    """The row-by-row decomposition that transformed each window twice, kept as its oracle.
 
     Boundaries from the mean-removed spectrum ranked by a stable argsort
-    (_row_loop_boundaries), banks from _bank_rows, and a second rfft of the
-    windows themselves to filter.
+    (_row_loop_boundaries), one bank per row built edge by edge
+    (_edge_loop_filters), and a second rfft of the windows themselves to
+    filter. No memo is read or filled.
     """
     omegas, _ = _row_loop_boundaries(x, n_bands)
-    banks, inv, _, _ = _bank_rows(omegas, x.shape[1] // 2 + 1, gamma)
-    filters = banks if inv is None else np.take(banks, inv, axis=1)
+    filters = _edge_loop_filters(omegas, x.shape[1] // 2 + 1, gamma)[0]
     return np.fft.irfft(np.fft.rfft(x, axis=1)[None] * filters, n=x.shape[1], axis=-1)
 
 
@@ -424,14 +430,15 @@ def test_one_spectrum_matches_the_two_transform_oracle(monkeypatch, seed):
         assert sum(transformed) == len(x)
 
 
-# ------------------------------------- deduplicated filter kernel vs edge loop
+# ---------------------------------------------------- bank lookup vs edge loop
 
 
 def _edge_loop_filters(
     omegas: np.ndarray, n_bins: int, gamma: float | None
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The one-bank-per-row, one-edge-at-a-time builder the deduplicated
-    broadcast kernel replaced, kept as its oracle."""
+    """The one-bank-per-row, one-edge-at-a-time builder the broadcast kernel
+    behind the bank lookup replaced, kept as its oracle: filters
+    (n_bands, N, n_bins), effective gammas and clamp count."""
     om = np.asarray(omegas, dtype=np.float64)
     n, n_bands = om.shape[0], om.shape[1] - 1
     freqs = np.linspace(0.0, np.pi, n_bins)
@@ -458,42 +465,51 @@ def _edge_loop_filters(
     return ups[:-1] - ups[1:], gam, n_clamped
 
 
-def _row_banks(
-    omegas: np.ndarray, n_bins: int, gamma: float | None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """_bank_rows with each row's bank gathered: filters (n_bands, N, n_bins), gammas, clamp count."""
-    banks, inv, gam, n_clamped = _bank_rows(omegas, n_bins, gamma)
-    return (banks if inv is None else np.take(banks, inv, axis=1)), gam, n_clamped
+def _row_filters(peaks: np.ndarray, n_bins: int, gamma: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The bank lookup with each row's bank gathered: filters (n_bands, N, n_bins) and effective gammas."""
+    table, slots = ewt._bank_slots(peaks, n_bins, gamma)
+    return table.filters[slots].transpose(1, 0, 2), table.gammas[slots]
 
 
-def _shared_boundary_rows(n_bands: int) -> np.ndarray:
-    """Detected boundary rows (T=64) with exact duplicates, in shuffled order."""
+def _peaks(x: np.ndarray, n_bands: int) -> np.ndarray:
+    """Kept peak bins of the rows of x as the batch detector keeps them."""
+    return ewt._spectrum_peaks(np.fft.rfft(x, axis=1), n_bands)
+
+
+def _keys(x: np.ndarray, n_bands: int) -> np.ndarray:
+    """The memo's peak-set key of each row of x, as the batch path computes it."""
+    return ewt._peak_keys(_peaks(x, n_bands), x.shape[1] // 2 + 1)
+
+
+def _shared_rows(n_bands: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kept peaks (T=64) with exact duplicates, in shuffled order, and their oracle boundary rows."""
     rng = np.random.default_rng(100 + n_bands)
     signals = rng.standard_normal((300, 64))
+    signals = np.vstack([signals, signals[::3], signals[:7], np.zeros((2, 64))])
+    signals = signals[rng.permutation(signals.shape[0])]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        om, _ = _detect_boundaries_batch(signals, n_bands)
-    om = np.vstack([om, om[::3], om[:7]])
-    return om[rng.permutation(om.shape[0])]
+        return _peaks(signals, n_bands), _row_loop_boundaries(signals, n_bands)[0]
 
 
 @pytest.mark.parametrize("n_bands", range(1, 9))
-def test_build_filters_batch_matches_edge_loop(n_bands):
-    om = _shared_boundary_rows(n_bands)
-    uniq, inv = _unique_rows(om)
-    assert len(uniq) < len(om)  # the duplicates really are shared
-    np.testing.assert_array_equal(uniq[inv], om)
+def test_bank_lookup_matches_edge_loop(n_bands):
+    peaks, om = _shared_rows(n_bands)
+    n_distinct = len(np.unique(ewt._peak_keys(peaks, 33)))
+    assert n_distinct < len(peaks)  # the duplicates really share a key
     feasible = max_transition_ratio(om)
     cases = {"auto": None, "hard": 0.0, "feasible": 0.5 * feasible.min(), "clamped": 5.0}
     for name, gamma in cases.items():
-        got = _row_banks(om, 33, gamma)
+        ewt._memo.clear()
+        got = _row_filters(peaks, 33, gamma)
         want = _edge_loop_filters(om, 33, gamma)
         np.testing.assert_array_equal(got[0], want[0], err_msg=name)
         np.testing.assert_array_equal(got[1], want[1], err_msg=name)
-        assert got[2] == want[2], name
-    assert _bank_rows(om, 33, None)[0].shape == (n_bands, len(uniq), 33)  # one bank per distinct row
-    assert _bank_rows(om, 33, 5.0)[3] == len(om)
-    assert _bank_rows(om, 33, 0.5 * feasible.min())[3] == 0
+        if gamma is not None:  # the clamp count decompose_windows reports
+            assert np.count_nonzero(got[1] < gamma) == want[2], name
+        assert len(ewt._memo) == n_distinct, name  # one bank per distinct peak set
+    assert _edge_loop_filters(om, 33, 5.0)[2] == len(om)
+    assert _edge_loop_filters(om, 33, 0.5 * feasible.min())[2] == 0
 
 
 def test_decompose_windows_is_batch_composition_invariant():
@@ -539,17 +555,22 @@ def test_decompose_windows_warns_once_when_gamma_is_clamped():
 # ------------------------------------------------------------------ bank memo
 
 
+def _memo_keys() -> list:
+    """Every peak-set key the memo holds, table by table."""
+    return [key for table in ewt._memo._tables.values() for key in table.slots]
+
+
 def test_bank_memo_cold_and_warm_give_the_same_bits(tiny_pipeline, tiny_data):
-    om = _shared_boundary_rows(4)
+    peaks, om = _shared_rows(4)
     x = np.random.default_rng(31).standard_normal((60, 64))
     for gamma in (None, 0.0, 0.05, 5.0):
         ewt._memo.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cold = _row_banks(om, 33, gamma), decompose_windows(x, 4, gamma)
+            cold = _row_filters(peaks, 33, gamma), decompose_windows(x, 4, gamma)
             n_cold = len(ewt._memo)
-            warm = _row_banks(om, 33, gamma), decompose_windows(x, 4, gamma)
-        distinct = _unique_rows(np.vstack([om, _detect_boundaries_batch(x, 4)[0]]))[0]
+            warm = _row_filters(peaks, 33, gamma), decompose_windows(x, 4, gamma)
+        distinct = np.unique(np.concatenate([ewt._peak_keys(peaks, 33), _keys(x, 4)]))
         assert len(ewt._memo) == n_cold == len(distinct)  # the warm calls built nothing
         for a, b in zip(cold[0], warm[0]):
             np.testing.assert_array_equal(a, b)
@@ -569,66 +590,109 @@ def test_bank_memo_cold_and_warm_give_the_same_bits(tiny_pipeline, tiny_data):
 
 
 def test_bank_memo_hits_still_count_and_warn_about_clamping():
-    om = _shared_boundary_rows(3)
+    peaks, om = _shared_rows(3)
     x = np.random.default_rng(4).standard_normal((50, 64))
     bounds = Boundaries(np.array([0.0, 0.1, np.pi]))
     ewt._memo.clear()
     messages = []
     for _ in range(2):  # the second pass hits the memo on every row
-        assert _bank_rows(om, 33, 5.0)[3] == len(om)
+        assert np.count_nonzero(_row_filters(peaks, 33, 5.0)[1] < 5.0) == len(peaks)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             decompose_windows(x, 4, gamma=5.0)
+            decompose_windows(x[:1], 4, gamma=5.0)
             bank = build_filter_bank(bounds, 33, gamma=5.0)
         messages.append([str(w.message) for w in caught if "gamma" in str(w.message)])
         assert bank.gamma == max_transition_ratio(bounds.omegas)[0]
-    assert messages[0] == messages[1] and len(messages[0]) == 2
+    assert messages[0] == messages[1] and len(messages[0]) == 3
     assert messages[0][0].startswith("decompose_windows: gamma 5.0 infeasible for 50 of 50 windows")
-    assert messages[0][1].startswith("build_filter_bank: gamma 5.0 infeasible")
+    assert messages[0][1].startswith("decompose_windows: gamma 5.0 infeasible for 1 of 1 windows")
+    assert messages[0][2].startswith("build_filter_bank: gamma 5.0 infeasible")
 
 
 def test_bank_memo_empties_when_full_and_stays_correct(monkeypatch):
-    om = _unique_rows(_shared_boundary_rows(4))[0][:10]
+    x = _synth_windows(1_000_000)
+    keys = _keys(x, 4).tolist()
+    _, first = np.unique(keys, return_index=True)
+    rows = x[np.sort(first)[:10]]  # ten windows of ten different peak sets
+    keys = _keys(rows, 4).tolist()
+    want = {g: _two_transform_components(rows, 4, g) for g in (None, 0.05)}
     bank_bytes = 4 * 33 * 8
     monkeypatch.setattr(ewt, "_MEMO_BYTES", 3 * bank_bytes)
     ewt._memo.clear()
     sizes = []
-    for row in om:
-        got = _row_banks(row[None, :], 33, None)
-        np.testing.assert_array_equal(got[0], _edge_loop_filters(row[None, :], 33, None)[0])
+    for i in range(10):
+        np.testing.assert_array_equal(decompose_windows(rows[i : i + 1], 4)[:, 0], want[None][:, i])
         sizes.append((len(ewt._memo), ewt._memo.nbytes))
     assert sizes == [(n, n * bank_bytes) for n in (1, 2, 3) * 3 + (1,)]
-    # a batch of more distinct rows than the memo can hold
+    # The memo holds windows 9 and 0; a batch of 9 (a hit) and two misses
+    # does not fit it, so a new table takes all three, the hit copied.
+    decompose_windows(rows[:1], 4)
+    got = decompose_windows(rows[[9, 1, 2]], 4)
+    np.testing.assert_array_equal(got, want[None][:, [9, 1, 2]])
+    assert sorted(_memo_keys()) == sorted(keys[i] for i in (9, 1, 2))
+    # a batch of more distinct banks than the memo can hold, built and gathered
+    # from a table of its own, and the memo left as it was
     for _ in range(2):
-        np.testing.assert_array_equal(
-            _row_banks(om, 33, 0.05)[0], _edge_loop_filters(om, 33, 0.05)[0]
-        )
-    assert ewt._memo.nbytes <= 3 * bank_bytes
+        np.testing.assert_array_equal(decompose_windows(rows, 4, 0.05), want[0.05])
+        assert ewt._memo.nbytes == 3 * bank_bytes and len(_memo_keys()) == 3
     # a bank larger than the whole budget is built but never kept
     ewt._memo.clear()
-    big = _row_banks(om[:1], 4 * 33, None)[0]
-    np.testing.assert_array_equal(big, _edge_loop_filters(om[:1], 4 * 33, None)[0])
+    long = _synth_windows(1_000_000, 256)[:1]
+    np.testing.assert_array_equal(decompose_windows(long, 4), _two_transform_components(long, 4, None))
     assert len(ewt._memo) == 0
 
 
 @pytest.mark.parametrize("n_rows", [1, 40])
 def test_bank_memo_cannot_be_changed_through_a_returned_array(n_rows):
-    om = _shared_boundary_rows(4)[:n_rows]
+    x = np.random.default_rng(47).standard_normal((n_rows, 64))
+    want = _two_transform_components(x, 4, None)
     ewt._memo.clear()
-    for hit in (False, True):
-        banks, _, gam, _ = _bank_rows(om, 33, None)
-        if hit and n_rows == 1:
-            assert not banks.flags.writeable  # a one-row hit hands out the memo's own array
-        else:
-            banks[...] = 7.0
-        gam[...] = 7.0
-    want = _edge_loop_filters(om, 33, None)
-    got = _row_banks(om, 33, None)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
+    for _ in range(2):  # built, then hit
+        got = decompose_windows(x, 4)
+        assert not any(np.shares_memory(got, t.filters) for t in ewt._memo._tables.values())
+        got[...] = 7.0
+    np.testing.assert_array_equal(decompose_windows(x, 4), want)
+    om, _ = _row_loop_boundaries(x[:1], 4)
     bank = build_filter_bank(Boundaries(om[0]), 33)
-    np.testing.assert_array_equal(bank.filters, want[0][:, 0])
+    np.testing.assert_array_equal(bank.filters, _edge_loop_filters(om, 33, None)[0][:, 0])
     assert not bank.filters.flags.writeable
+
+
+@pytest.mark.parametrize(("t", "n_bands"), [(64, 16), (256, 10)])
+@pytest.mark.parametrize("gamma", [None, 0.05])
+def test_keys_too_wide_for_an_int64_stay_exact(t, n_bands, gamma):
+    # 16 bins of 6 bits and 10 of 8 do not fit an int64 key; those keys are
+    # byte strings, and two peak sets must never share one.
+    assert ewt._key_bits(t // 2 + 1, n_bands) == 0 and ewt._key_bits(33, 4) > 0
+    x = _synth_windows(1_000_000, t)[:: 7 if t == 64 else 13]
+    x = np.vstack([x, x[:50], np.full((3, t), 1.5)])  # repeated windows and rows without maxima
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ewt._memo.clear()
+        for _ in range(2):  # cold, then warm
+            np.testing.assert_array_equal(decompose_windows(x, n_bands, gamma), _two_transform_components(x, n_bands, gamma))
+    assert len(ewt._memo) == len(np.unique(_keys(x, n_bands)))
+
+
+@pytest.mark.parametrize(("t", "n_bands"), [(64, 4), (64, 16), (256, 10)])
+def test_a_window_alone_takes_its_batch_rows_key_and_bits(t, n_bands):
+    x = _synth_windows(1_000_003, t)[::97][:150]
+    x[::25] = 1.5  # rows without maxima, keyed by their padding
+    keys = _keys(x, n_bands).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ewt._memo.clear()
+        batch = decompose_windows(x, n_bands)
+        n_kept = len(ewt._memo)
+        assert n_kept == len(set(keys))
+        for i in range(len(x)):  # warm: every window alone hits its batch row's bank
+            np.testing.assert_array_equal(decompose_windows(x[i : i + 1], n_bands)[:, 0], batch[:, i])
+        assert len(ewt._memo) == n_kept
+        for i in range(0, len(x), 5):  # cold: the window alone keeps its batch row's key
+            ewt._memo.clear()
+            np.testing.assert_array_equal(decompose_windows(x[i : i + 1], n_bands)[:, 0], batch[:, i])
+            assert _memo_keys() == [keys[i]]
 
 
 # ------------------------------------------------------------------ row blocks

@@ -156,22 +156,29 @@ def test_a_forked_child_spreads_on_a_pool_of_its_own(monkeypatch):
 
 
 def test_threads_share_the_bank_memo_without_losing_a_count(monkeypatch, fresh_pool):
-    # More threads than cores, a memo that holds three banks and so empties
-    # again and again, and a short switch interval: parts build, look up and
-    # clear the one process-wide memo at once.
-    x = np.random.default_rng(7).standard_normal((64, 64))
+    # More threads than cores, eight ranges of eight rows whose peak sets
+    # repeat across ranges, and a short switch interval: parts look up and
+    # add banks to the one process-wide memo at once, and with a budget of
+    # twelve banks replace its table again and again.
+    x = np.random.default_rng(7).standard_normal((32, 64))
+    x = np.vstack([x, x[::-1]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = decompose_windows(x, 4, 0.05)
-        monkeypatch.setattr(ewt, "_MEMO_BYTES", 3 * 4 * 33 * 8)
         _threads(monkeypatch, 8, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(20):
-                ewt._memo.clear()
-                assert decompose_windows(x, 4, 0.05).tobytes() == want.tobytes()
-                kept = sum(f.nbytes for f, _ in ewt._memo._banks.values())
-                assert ewt._memo.nbytes == kept <= ewt._MEMO_BYTES
+            for budget in (ewt._MEMO_BYTES, 12 * 4 * 33 * 8):
+                monkeypatch.setattr(ewt, "_MEMO_BYTES", budget)
+                for _ in range(20):
+                    ewt._memo.clear()
+                    assert decompose_windows(x, 4, 0.05).tobytes() == want.tobytes()
+                    tables = list(ewt._memo._tables.values())
+                    assert ewt._memo.nbytes == sum(t.nbytes for t in tables) <= budget
+                    for t in tables:  # one slot per key and no slot unused: no add lost or made twice
+                        assert sorted(t.slots.values()) == list(range(t.used))
+                    if budget > 32 * 4 * 33 * 8:  # every range's banks stay in the one table
+                        assert len(ewt._memo) == len(tables[0].slots) == 32
         finally:
             sys.setswitchinterval(interval)

@@ -399,6 +399,19 @@ def test_stack_expert_outputs_checks_the_components_shape():
     np.testing.assert_array_equal(ok[..., 1], expert_predict_batch(experts[1], hist))
 
 
+@pytest.mark.parametrize(
+    ("attr", "shapes"), [("horizon", [(16, 4), (16, 5)]), ("history_len", [(16, 4), (15, 4)])]
+)
+def test_stack_expert_outputs_names_the_expert_of_another_shape(attr, shapes):
+    # A second expert of horizon 5 failed in np.stack ("all input arrays must
+    # have the same shape"), one of history length 15 as "expert forecast:
+    # components shaped (1, 3, 16) ...": neither named the expert.
+    experts = [ExpertModel(level=c, stack=_linear(t, h)) for c, (t, h) in enumerate(shapes)]
+    first, second = (getattr(e, attr) for e in experts)
+    with pytest.raises(ValueError, match=f"^stack_expert_outputs: expert 1 has {attr} {second}, expert 0 has {first};"):
+        stack_expert_outputs(experts, np.zeros((3, 16)))
+
+
 def test_stack_expert_outputs_refuses_experts_that_decompose_differently(tiny_data, tiny_cfg):
     # The histories used to be decomposed with expert 0's gamma and every
     # expert forecast from those bands, whatever gamma it was trained at.
