@@ -21,6 +21,11 @@ and Adam keeps both moments in one (2, P) buffer, so each of its moment
 operations is one numpy call. `backward` and `step` are still called
 through this module once per minibatch.
 
+`bind_rows` copies E same-shaped stacks onto the rows of one (E, P) buffer,
+whose (E, B, ...) views a single forward runs as E * B models: the model
+axes of every kernel broadcast, and each model's matmul is the call its own
+stack makes, so the bits are the same.
+
 A forward on at least 2 * parallel.MIN_ROWS rows, a batched forecast or a
 loss curve's full pass, spreads the stack's models over the usable CPUs
 (rarecast.parallel): each thread runs whole models, never a share of one
@@ -61,6 +66,9 @@ class ForecasterStack:
     params: dict[str, np.ndarray]
     grad_flat: np.ndarray
     grads: dict[str, np.ndarray]
+    # Set by `bind_rows`: the stacks this one shares a buffer with, and its row there.
+    bound: BoundStacks | None = field(default=None, repr=False)
+    row: int = 0
 
     @property
     def n_models(self) -> int:
@@ -103,17 +111,23 @@ def init_params(
     return params
 
 
-def _bind(kind: str, shapes: dict[str, tuple[int, ...]], n: int, flat: np.ndarray) -> ForecasterStack:
-    """Stack of n models over `flat` itself: a (n, ...) view per parameter."""
-    grad_flat = np.zeros_like(flat)
-    params, grads = {}, {}
+def _views(shapes: dict[str, tuple[int, ...]], n: int, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """A (..., n, ...) view of `flat` per parameter: n models laid out along flat's last axis."""
+    views = {}
     start = 0
     for name, shape in shapes.items():
         stop = start + n * int(np.prod(shape))
-        params[name] = flat[start:stop].reshape((n,) + shape)
-        grads[name] = grad_flat[start:stop].reshape((n,) + shape)
+        views[name] = flat[..., start:stop].reshape(flat.shape[:-1] + (n,) + shape)
         start = stop
-    return ForecasterStack(kind, flat, params, grad_flat, grads)
+    return views
+
+
+def _bind(
+    kind: str, shapes: dict[str, tuple[int, ...]], n: int, flat: np.ndarray, grad_flat: np.ndarray | None = None
+) -> ForecasterStack:
+    """Stack of n models over `flat` itself, and `grad_flat` or new zeros: a (n, ...) view per parameter."""
+    grad_flat = np.zeros_like(flat) if grad_flat is None else grad_flat
+    return ForecasterStack(kind, flat, _views(shapes, n, flat), grad_flat, _views(shapes, n, grad_flat))
 
 
 def stack_params(kind: str, models: Sequence[dict[str, np.ndarray]]) -> ForecasterStack:
@@ -147,6 +161,55 @@ def stack_at(stack: ForecasterStack, flat: np.ndarray) -> ForecasterStack:
         raise ValueError(f"stack_at: flat buffer has shape {flat.shape}, expected {stack.flat.shape}")
     shapes = {name: p.shape[1:] for name, p in stack.params.items()}
     return _bind(stack.kind, shapes, stack.n_models, flat)
+
+
+@dataclass(eq=False)
+class BoundStacks:
+    """E same-shaped stacks whose parameters are the rows of one (E, P) buffer.
+
+    `params[name]` is an (E, B, ...) view of `flat`, so one forward over
+    `params` runs all E * B models. Stack e of the group has `bound` set to
+    this object and `row` to e; its own `flat` is row e of the buffer.
+    """
+
+    flat: np.ndarray
+    params: dict[str, np.ndarray]
+
+    @property
+    def n_stacks(self) -> int:
+        return len(self.flat)
+
+
+def bind_rows(
+    stacks: Sequence[ForecasterStack], flat: np.ndarray | None = None, grad_flat: np.ndarray | None = None
+) -> list[ForecasterStack]:
+    """Copies of same-shaped stacks, in order, bound to the rows of one (E, P) buffer.
+
+    Each copy is bitwise equal to the stack it copies, keeps its gradients
+    on the same row of a second (E, P) buffer, and names the group in
+    `bound`. `flat` receives the parameters and `grad_flat`, zeroed, holds
+    the gradients; each is allocated here unless given. The stacks passed
+    in are left alone.
+    """
+    if not stacks:
+        raise ValueError("bind_rows: need at least one stack")
+    first = stacks[0]
+    layout = [(name, p.shape) for name, p in first.params.items()]
+    for i, s in enumerate(stacks):
+        if s.kind != first.kind or [(name, p.shape) for name, p in s.params.items()] != layout:
+            raise ValueError(f"bind_rows: stack {i} differs from stack 0 in kind or parameter shapes")
+    want = (len(stacks), first.flat.size)
+    for name, buf in (("flat", flat), ("grad_flat", grad_flat)):
+        if buf is not None and buf.shape != want:
+            raise ValueError(f"bind_rows: {name} has shape {buf.shape}, expected {want}")
+    flat = np.stack([s.flat for s in stacks], out=flat)
+    grad_flat = np.zeros_like(flat) if grad_flat is None else grad_flat
+    shapes = {name: shape[1:] for name, shape in layout}
+    group = BoundStacks(flat, _views(shapes, first.n_models, flat))
+    bound = [_bind(first.kind, shapes, first.n_models, row, grad) for row, grad in zip(flat, grad_flat)]
+    for e, s in enumerate(bound):
+        s.bound, s.row = group, e
+    return bound
 
 
 class EpochCurve(Sequence):
@@ -201,9 +264,13 @@ def _check_input(model: ForecasterStack, history: np.ndarray) -> np.ndarray:
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w[m].T + b[m] for every model m: (N, I) or (B, N, I) inputs, (B, N, O) out."""
+    """x @ w[m].T + b[m] for every model m: (N, I) or (B, N, I) inputs, (B, N, O) out.
+
+    Leading model axes broadcast: (E, B, O, I) weights and (E, B, O) biases
+    give (E, B, N, O), each model's matmul the call a (B, ...) stack makes.
+    """
     out = np.matmul(x, w.swapaxes(-1, -2))
-    out += b[:, None, :]
+    out += b[..., None, :]
     return out
 
 

@@ -6,7 +6,8 @@ list of per-band parameter dicts, one per model of its stack) and `router`
 (the gate's parameter dict, or null). The config is the only copy of a
 setting: load rebuilds every expert's stack and the gate from it, and each
 stored parameter dict must match the names and shapes the config gives one
-model.
+model. The loaded experts are bound to one buffer (`expert.bind_experts`),
+as a trained chain's are, so a forecast runs them as one stack.
 
 Arrays are stored as nested lists of full-precision floats (repr round-trips
 a float64 exactly), so save, load, save again produces identical bytes. The
@@ -27,7 +28,7 @@ from . import backbone as bb
 from .config import PipelineConfig
 from .dataset import Normalizer, RarityThresholds
 from .ewt import Boundaries, FilterBank
-from .expert import ExpertModel
+from .expert import ExpertModel, bind_experts
 from .pipeline import TrainedPipeline
 from .router import Router
 
@@ -154,6 +155,7 @@ def _pipeline_from(payload: dict) -> TrainedPipeline:
         experts.append(ExpertModel(
             level=level, stack=bb.stack_params(cfg.backbone, arrays), bank=bank, gamma=cfg.gamma,
         ))
+    bind_experts(experts)
     bank_shape = (cfg.n_bands, cfg.history_len // 2 + 1)
     if bank is not None and bank.filters.shape != bank_shape:
         raise ValueError(

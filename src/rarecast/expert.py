@@ -6,7 +6,10 @@ forecasts on the decomposed history. It trains through `bb.fit`, supplying
 only its minibatch gather and its loss gradient. Experts are trained level
 by level, normal first, each rare expert distilling from the level below it
 through the bounded distillation term: the frozen teacher forecasts once, on
-the component rows its student trains on.
+the component rows its student trains on. Once the last expert has trained,
+`bind_experts` copies the chain's stacks onto the rows of one buffer, bit
+for bit, so that a forecast can run every expert's bands as one stack
+(router.stack_expert_outputs).
 """
 
 from __future__ import annotations
@@ -141,11 +144,20 @@ def decompose_histories(
     return ewt.decompose_windows(x, n_bands, gamma)
 
 
-def _band_sum(bands: np.ndarray) -> np.ndarray:
-    """Sum of (B, N, H) per-band forecasts over the band axis."""
-    out = bands[0]
-    for y in bands[1:]:  # sequential band order keeps the bits of the sum
-        out = out + y
+def _band_sum(bands: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of per-band forecasts over the leading band axis, into out or a new array.
+
+    bands is (B, N, H), or (B, E, N, H) for E experts at once, and out may
+    be a strided view such as one column of a larger result.
+    """
+    if out is None:
+        out = np.empty(bands.shape[1:])
+    if len(bands) == 1:
+        np.copyto(out, bands[0])
+    else:
+        np.add(bands[0], bands[1], out=out)
+    for y in bands[2:]:  # sequential band order keeps the bits of the sum
+        out += y
     return out
 
 
@@ -318,6 +330,13 @@ def build_expert_chain(
     check_level_coverage(windows.window_levels, cfg.n_experts)
     wlev = collapse_level(windows.window_levels, cfg.n_experts)
 
+    # The chain's buffers are allocated before any expert trains: small arrays
+    # that outlive training, allocated after its large temporaries, would sit
+    # above them on the heap and keep it from shrinking once they are freed.
+    history_len, horizon = windows.histories.shape[1], windows.targets.shape[1]
+    model_size = sum(int(np.prod(s)) for s in bb.param_shapes(cfg.backbone, history_len, horizon).values())
+    flat = np.empty((cfg.n_experts, cfg.n_bands * model_size))
+    grad_flat = np.zeros_like(flat)
     result = ChainResult(experts=[])
     teacher: ExpertModel | None = None
     for c in range(cfg.n_experts):
@@ -328,4 +347,17 @@ def build_expert_chain(
         result.curves[c] = curve
         result.counts[c] = sel.size
         teacher = expert
+    bind_experts(result.experts, flat, grad_flat)
     return result
+
+
+def bind_experts(
+    experts: list[ExpertModel], flat: np.ndarray | None = None, grad_flat: np.ndarray | None = None
+) -> None:
+    """Move the experts' stacks, in order, onto the rows of one buffer (`bb.bind_rows`).
+
+    The parameter values keep their bits. `router.stack_expert_outputs`
+    recognises the list and runs every expert's bands as one stack.
+    """
+    for e, stack in zip(experts, bb.bind_rows([e.stack for e in experts], flat, grad_flat)):
+        e.stack = stack

@@ -13,20 +13,22 @@ inputs).
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import backbone as bb
+from . import parallel
 from .config import PipelineConfig
 from .dataset import Windows
 from .expert import (
     ExpertModel,
+    _band_sum,
     check_history_len,
     collapse_level,
     decompose_histories,
     expert_level,
-    expert_predict_batch,
 )
 from .rng import ROUTER_INIT, ROUTER_SHUFFLE, substream
 
@@ -185,11 +187,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 # What every expert of one forecast tensor must share with expert 0, beyond its mode and bank.
-_SHARED = ("history_len", "horizon", "n_bands", "gamma")
+_SHARED = ("history_len", "horizon", "n_bands", "gamma", "backbone", "parameter count")
 
 
 def _shared(e: ExpertModel) -> tuple:
-    return e.history_len, e.horizon, e.n_bands, e.gamma
+    return e.history_len, e.horizon, e.n_bands, e.gamma, e.stack.kind, e.stack.flat.size
 
 
 def _differs(i: int, attr: str, got: object, want: object) -> ValueError:
@@ -206,10 +208,21 @@ def stack_expert_outputs(
 
     components, when given, are the histories' (n_bands, N, T) band components.
     Every expert reads the same histories and components into one tensor, so
-    the experts must agree on history length, horizon and how histories are
-    decomposed: a list that mixes any of these, or banks, raises ValueError
-    naming the first expert that differs.
+    the experts must agree on history length, horizon, backbone and how
+    histories are decomposed: a list that mixes any of these, or banks,
+    raises ValueError naming the first expert that differs.
+
+    Below 2 * parallel.MIN_ROWS rows one forward runs every expert's bands
+    as one (E, B) stack, over the shared buffer of a chain bound by
+    `bind_experts` and given whole and in order, otherwise over stacked
+    copies of the parameters, and the band sums go straight into the
+    result. Larger calls run one expert at a time, its bands spread over
+    threads, so only one expert's band forecasts and hidden layer exist at
+    once. Each band sum is one (N, H) column, stacked at the end: a result
+    allocated up front would be held through every expert's forward.
     """
+    if not experts:
+        raise ValueError("stack_expert_outputs: needs at least one expert")
     check_history_len("stack_expert_outputs", histories, experts[0].history_len)
     first = experts[0]
     want = _shared(first)
@@ -229,13 +242,30 @@ def stack_expert_outputs(
                 )
     if components is None:
         components = decompose_histories(histories, first.n_bands, first.mode, first.bank, first.gamma)
-    elif np.ndim(components) != 3 or np.shape(components)[1] != len(histories):
-        raise ValueError(
-            f"stack_expert_outputs: components shaped {np.shape(components)}, needs (n_bands, N, T) "
-            f"with N = {len(histories)} histories; pass the components of these histories"
-        )
-    cols = [expert_predict_batch(e, histories, components) for e in experts]
-    return np.stack(cols, axis=-1)
+    else:
+        components = np.asarray(components, dtype=np.float64)
+        if components.shape != (first.n_bands, len(histories), first.history_len):
+            raise ValueError(
+                f"stack_expert_outputs: components shaped {components.shape}, needs (n_bands, N, T) "
+                f"with N = {len(histories)} histories, n_bands = {first.n_bands} and "
+                f"T = {first.history_len}; pass the components of these histories"
+            )
+    stack = first.stack
+    n = components.shape[1]
+    if n >= 2 * parallel.MIN_ROWS:
+        cols = [_band_sum(bb._forward(stack.kind, e.stack.params, components)[0]) for e in experts]
+        return np.stack(cols, axis=-1)
+    group = stack.bound
+    if group is not None and group.n_stacks == len(experts) and all(
+        e.stack.bound is group and e.stack.row == i for i, e in enumerate(experts)
+    ):
+        params = group.params
+    else:
+        params = {name: np.stack([e.stack.params[name] for e in experts]) for name in stack.params}
+    bands = bb._forward(stack.kind, params, components)[0]  # (E, B, N, H)
+    out = np.empty((n, first.horizon, len(experts)))
+    _band_sum(bands.swapaxes(0, 1), out.transpose(2, 0, 1))
+    return out
 
 
 def train_router(
@@ -316,10 +346,22 @@ def pipeline_predict_batch(
     """Fused forecasts for stacked histories.
 
     Returns (predictions (N, H), alphas (N, E), sparse weights (N, E)).
-    k overrides the router's stored arity for inference-time sweeps. A
-    history holding NaN or an infinity raises ValueError.
+    k overrides the router's stored arity for inference-time sweeps; it must
+    be an integer (numpy integers included). A history holding NaN or an
+    infinity raises ValueError, and so does an expert list whose length is
+    not the router's expert count, before any history is decomposed.
     """
-    k = router.k if k is None else int(k)
+    if k is None:
+        k = router.k
+    else:
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise ValueError(f"pipeline_predict_batch: k must be an integer, got {k!r}") from None
+    if len(experts) != router.n_experts:
+        raise ValueError(
+            f"pipeline_predict_batch: {len(experts)} experts, the router gates {router.n_experts}"
+        )
     outputs = stack_expert_outputs(experts, histories)
     _, alphas = gate_forward(router, outputs)
     sparse = select_topk_batch(alphas, k)

@@ -5,7 +5,9 @@ import pytest
 
 from rarecast.backbone import (
     OptimizerState,
+    _forward,
     backward,
+    bind_rows,
     fit,
     forecast,
     forward,
@@ -283,6 +285,54 @@ def test_stack_at_reads_a_saved_buffer_and_leaves_the_stack_alone():
     assert all(np.shares_memory(p, s.flat) for p in s.params.values())
     with pytest.raises(ValueError, match="stack_at"):
         stack_at(s, saved[:-1])
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_bind_rows_puts_stacks_on_one_buffer_and_one_forward_runs_them_all(kind):
+    rng = np.random.default_rng(11)
+    stacks = [stack_params(kind, [init_params(kind, 6, 3, 4, rng) for _ in range(2)]) for _ in range(3)]
+    saved = [s.flat.copy() for s in stacks]
+    bound = bind_rows(stacks)
+    group = bound[0].bound
+    assert group.flat.shape == (3, saved[0].size) and group.n_stacks == 3
+    assert [s.bound for s in bound] == [group] * 3 and [s.row for s in bound] == [0, 1, 2]
+    assert all(s.bound is None for s in stacks)
+    for e, (s, b) in enumerate(zip(stacks, bound)):
+        assert b.kind == kind and np.shares_memory(b.flat, group.flat) and not np.shares_memory(b.flat, s.flat)
+        np.testing.assert_array_equal(b.flat, saved[e])
+        assert not np.shares_memory(b.grad_flat, group.flat) and not b.grad_flat.any()
+        for name, p in b.params.items():
+            assert np.shares_memory(p, group.flat)
+            np.testing.assert_array_equal(group.params[name][e], p)
+    for name, view in group.params.items():
+        assert view.shape == (3,) + stacks[0].params[name].shape and np.shares_memory(view, group.flat)
+    # one forward over the (E, B, ...) views is each stack's own forward, bit for bit
+    x = rng.standard_normal((2, 5, 6))
+    out, hidden = _forward(kind, group.params, x)
+    assert out.shape == (3, 2, 5, 3)
+    for e, s in enumerate(stacks):
+        want, want_hidden = forward(s, x)
+        np.testing.assert_array_equal(out[e], want)
+        if kind == "mlp":
+            np.testing.assert_array_equal(hidden[e], want_hidden)
+    # an edit through a bound stack is an edit of the group, and the inputs stay alone
+    bound[1].flat *= 2.0
+    np.testing.assert_array_equal(group.flat[1], 2.0 * saved[1])
+    for s, f in zip(stacks, saved):
+        np.testing.assert_array_equal(s.flat, f)
+    # given buffers take the parameters and hold the gradients
+    flat, grad_flat = np.empty((3, saved[0].size)), np.zeros((3, saved[0].size))
+    given = bind_rows(stacks, flat, grad_flat)
+    np.testing.assert_array_equal(flat, np.stack(saved))
+    assert given[0].bound.flat is flat and given[2].grad_flat.base is grad_flat
+    with pytest.raises(ValueError, match=r"^bind_rows: grad_flat has shape \(2, \d+\), expected \(3, "):
+        bind_rows(stacks, flat, grad_flat[:2])
+    with pytest.raises(ValueError, match="at least one"):
+        bind_rows([])
+    other = "mlp" if kind == "linear" else "linear"
+    for odd in (_single(other, 6, 3, 4, rng), stack_params(kind, [init_params(kind, 6, 3, 4, rng)])):
+        with pytest.raises(ValueError, match="^bind_rows: stack 1 differs from stack 0"):
+            bind_rows([stacks[0], odd])
 
 
 @pytest.mark.parametrize("band", [0, 2, 3])

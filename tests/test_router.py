@@ -11,11 +11,12 @@ from rarecast import backbone as bb
 from rarecast import ewt
 from rarecast import expert as expert_mod
 from rarecast import router as router_mod
+from rarecast.bundle import load_bundle, save_bundle
 from rarecast.config import PipelineConfig
 from rarecast.dataset import RarityLevel, Windows
 from rarecast.expert import ExpertModel, collapse_level, expert_predict_batch
 from rarecast.losses import rare_loss
-from rarecast.pipeline import baseline_predict, train_pipeline
+from rarecast.pipeline import baseline_predict, prepare_data, train_pipeline
 from rarecast.router import (
     Router,
     _exp_shifted,
@@ -493,3 +494,114 @@ def test_sparse_weights_stay_on_simplex(tiny_pipeline, tiny_data):
     np.testing.assert_allclose(sparse.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(sparse >= 0.0)
     assert (np.count_nonzero(sparse, axis=1) <= tp.router.k).all()
+
+
+# ------------------------------------------------------- the chain as one stack
+
+
+@pytest.fixture(scope="module", params=[("linear", "per_window"), ("mlp", "global")], ids=lambda p: "-".join(p))
+def trained_and_loaded(request, tmp_path_factory):
+    backbone, mode = request.param
+    cfg = PipelineConfig(synth_n=6000, epochs=1, router_epochs=1, backbone=backbone, mode=mode, seed=3)
+    data = prepare_data(cfg)
+    tp, _ = train_pipeline(data, cfg)
+    path = tmp_path_factory.mktemp("chain") / "bundle.json"
+    save_bundle(tp, path)
+    return tp, load_bundle(path), data
+
+
+def _per_expert(experts, hist, comps):
+    return np.stack([expert_predict_batch(e, hist, comps) for e in experts], axis=-1)
+
+
+def test_a_chain_runs_as_one_stack_with_the_bits_of_one_expert_at_a_time(trained_and_loaded):
+    # Below 2 * parallel.MIN_ROWS rows a bound chain runs one forward over its
+    # shared buffer, other lists one over stacked copies; above, one expert at
+    # a time. Every path must give each expert's own forecast bit for bit.
+    trained, loaded, data = trained_and_loaded
+    first = trained.experts[0]
+    hist = np.resize(data.test_windows.histories, (4096, first.history_len))
+    comps = expert_mod.decompose_histories(hist, first.n_bands, first.mode, first.bank, first.gamma)
+    for tp in (trained, loaded):
+        group = tp.experts[0].stack.bound
+        assert group is not None and [e.stack.bound for e in tp.experts] == [group] * 3
+        assert [e.stack.row for e in tp.experts] == [0, 1, 2]
+    t, l = trained.experts, loaded.experts
+    lists = [t, l, t[::-1], l[1:], t[:1], [t[0], l[1], t[2]], [l[2], l[2]]]
+    for n in (0, 1, 2, 75, 511, 512, 4096):
+        h, c = hist[:n], comps[:, :n]
+        for experts in lists:
+            want = _per_expert(experts, h, c)
+            np.testing.assert_array_equal(stack_expert_outputs(experts, h, c), want)
+            assert stack_expert_outputs(experts, h, c).shape == (n, first.horizon, len(experts))
+    for n in (1, 600):
+        np.testing.assert_array_equal(stack_expert_outputs(t, hist[:n]), _per_expert(t, hist[:n], None))
+
+
+def test_an_in_place_edit_of_an_expert_reaches_the_next_forecast(trained_and_loaded):
+    _, tp, data = trained_and_loaded
+    hist = data.test_windows.histories[:5]
+    before = stack_expert_outputs(tp.experts, hist)
+    expert = tp.experts[1]
+    saved = expert.stack.flat.copy()
+    try:
+        expert.stack.flat *= 2.0
+        after = stack_expert_outputs(tp.experts, hist)
+        np.testing.assert_array_equal(after[..., 1], expert_predict_batch(expert, hist))
+        np.testing.assert_array_equal(after[..., [0, 2]], before[..., [0, 2]])
+        assert not np.array_equal(after[..., 1], before[..., 1])
+    finally:
+        expert.stack.flat[:] = saved
+    np.testing.assert_array_equal(stack_expert_outputs(tp.experts, hist), before)
+
+
+def test_stack_expert_outputs_refuses_experts_of_another_backbone():
+    # Each expert used to run alone, so a list mixing backbones forecast; one
+    # stack holds one backbone, and no config or bundle can mix them.
+    rng = np.random.default_rng(4)
+    mlp = [bb.stack_params("mlp", [bb.init_params("mlp", 16, 4, hidden=h, rng=rng)]) for h in (8, 6)]
+    experts = [ExpertModel(level=c, stack=s) for c, s in enumerate([_linear(16, 4, rng), mlp[0]])]
+    with pytest.raises(ValueError, match="^stack_expert_outputs: expert 1 has backbone 'mlp', expert 0 has 'linear';"):
+        stack_expert_outputs(experts, np.zeros((3, 16)))
+    experts = [ExpertModel(level=c, stack=s) for c, s in enumerate(mlp)]
+    with pytest.raises(ValueError, match="^stack_expert_outputs: expert 1 has parameter count 130, expert 0 has 172;"):
+        stack_expert_outputs(experts, np.zeros((3, 16)))
+
+
+def test_no_experts_is_a_value_error_naming_the_function():
+    # Both used to raise IndexError: list index out of range, from experts[0].
+    hist = np.zeros((2, 16))
+    with pytest.raises(ValueError, match="^stack_expert_outputs: needs at least one expert"):
+        stack_expert_outputs([], hist)
+    with pytest.raises(ValueError, match="^pipeline_predict_batch: 0 experts, the router gates 3"):
+        pipeline_predict_batch([], Router(_gate(4, 3), k=2), hist)
+
+
+def test_an_expert_list_of_another_length_fails_before_any_work(tiny_pipeline, tiny_data, monkeypatch):
+    # A list one expert short used to be decomposed and run in full and then
+    # fail in the gate as "expected expert outputs shaped (..., 8, 3), got
+    # (5, 8, 2)", naming no function and no counts.
+    tp, _ = tiny_pipeline
+    hist = tiny_data.test_windows[:5].histories
+
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("histories were decomposed for a list the router cannot gate")
+
+    monkeypatch.setattr(router_mod, "decompose_histories", no_decompose)
+    for experts in (tp.experts[:2], tp.experts + tp.experts[:1]):
+        with pytest.raises(ValueError, match=f"^pipeline_predict_batch: {len(experts)} experts, the router gates 3$"):
+            pipeline_predict_batch(experts, tp.router, hist)
+
+
+def test_pipeline_predict_batch_takes_k_as_an_integer(tiny_pipeline, tiny_data):
+    # k=1.5 used to forecast silently with k = 1, and k="2" was taken as 2.
+    tp, _ = tiny_pipeline
+    hist = tiny_data.test_windows[:5].histories
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"pipeline_predict_batch: k must be an integer, got {bad!r}")):
+            pipeline_predict_batch(tp.experts, tp.router, hist, k=bad)
+    for got, want in zip(
+        pipeline_predict_batch(tp.experts, tp.router, hist, k=np.int64(2)),
+        pipeline_predict_batch(tp.experts, tp.router, hist, k=2),
+    ):
+        np.testing.assert_array_equal(got, want)
