@@ -122,11 +122,9 @@ def _views(shapes: dict[str, tuple[int, ...]], n: int, flat: np.ndarray) -> dict
     return views
 
 
-def _bind(
-    kind: str, shapes: dict[str, tuple[int, ...]], n: int, flat: np.ndarray, grad_flat: np.ndarray | None = None
-) -> ForecasterStack:
-    """Stack of n models over `flat` itself, and `grad_flat` or new zeros: a (n, ...) view per parameter."""
-    grad_flat = np.zeros_like(flat) if grad_flat is None else grad_flat
+def _bind(kind: str, shapes: dict[str, tuple[int, ...]], n: int, flat: np.ndarray) -> ForecasterStack:
+    """Stack of n models over `flat` itself: a (n, ...) view per parameter."""
+    grad_flat = np.zeros_like(flat)
     return ForecasterStack(kind, flat, _views(shapes, n, flat), grad_flat, _views(shapes, n, grad_flat))
 
 
@@ -180,16 +178,12 @@ class BoundStacks:
         return len(self.flat)
 
 
-def bind_rows(
-    stacks: Sequence[ForecasterStack], flat: np.ndarray | None = None, grad_flat: np.ndarray | None = None
-) -> list[ForecasterStack]:
-    """Copies of same-shaped stacks, in order, bound to the rows of one (E, P) buffer.
+def bind_rows(stacks: Sequence[ForecasterStack]) -> list[ForecasterStack]:
+    """Copies of same-shaped stacks, in order, bound to the rows of one new (E, P) buffer.
 
-    Each copy is bitwise equal to the stack it copies, keeps its gradients
-    on the same row of a second (E, P) buffer, and names the group in
-    `bound`. `flat` receives the parameters and `grad_flat`, zeroed, holds
-    the gradients; each is allocated here unless given. The stacks passed
-    in are left alone.
+    Each copy is bitwise equal to the stack it copies, has its own zeroed
+    gradients, and names the group in `bound`. The stacks passed in are
+    left alone.
     """
     if not stacks:
         raise ValueError("bind_rows: need at least one stack")
@@ -198,15 +192,10 @@ def bind_rows(
     for i, s in enumerate(stacks):
         if s.kind != first.kind or [(name, p.shape) for name, p in s.params.items()] != layout:
             raise ValueError(f"bind_rows: stack {i} differs from stack 0 in kind or parameter shapes")
-    want = (len(stacks), first.flat.size)
-    for name, buf in (("flat", flat), ("grad_flat", grad_flat)):
-        if buf is not None and buf.shape != want:
-            raise ValueError(f"bind_rows: {name} has shape {buf.shape}, expected {want}")
-    flat = np.stack([s.flat for s in stacks], out=flat)
-    grad_flat = np.zeros_like(flat) if grad_flat is None else grad_flat
+    flat = np.stack([s.flat for s in stacks])
     shapes = {name: shape[1:] for name, shape in layout}
     group = BoundStacks(flat, _views(shapes, first.n_models, flat))
-    bound = [_bind(first.kind, shapes, first.n_models, row, grad) for row, grad in zip(flat, grad_flat)]
+    bound = [_bind(first.kind, shapes, first.n_models, row) for row in flat]
     for e, s in enumerate(bound):
         s.bound, s.row = group, e
     return bound

@@ -330,13 +330,6 @@ def build_expert_chain(
     check_level_coverage(windows.window_levels, cfg.n_experts)
     wlev = collapse_level(windows.window_levels, cfg.n_experts)
 
-    # The chain's buffers are allocated before any expert trains: small arrays
-    # that outlive training, allocated after its large temporaries, would sit
-    # above them on the heap and keep it from shrinking once they are freed.
-    history_len, horizon = windows.histories.shape[1], windows.targets.shape[1]
-    model_size = sum(int(np.prod(s)) for s in bb.param_shapes(cfg.backbone, history_len, horizon).values())
-    flat = np.empty((cfg.n_experts, cfg.n_bands * model_size))
-    grad_flat = np.zeros_like(flat)
     result = ChainResult(experts=[])
     teacher: ExpertModel | None = None
     for c in range(cfg.n_experts):
@@ -347,17 +340,15 @@ def build_expert_chain(
         result.curves[c] = curve
         result.counts[c] = sel.size
         teacher = expert
-    bind_experts(result.experts, flat, grad_flat)
+    bind_experts(result.experts)
     return result
 
 
-def bind_experts(
-    experts: list[ExpertModel], flat: np.ndarray | None = None, grad_flat: np.ndarray | None = None
-) -> None:
+def bind_experts(experts: list[ExpertModel]) -> None:
     """Move the experts' stacks, in order, onto the rows of one buffer (`bb.bind_rows`).
 
     The parameter values keep their bits. `router.stack_expert_outputs`
     recognises the list and runs every expert's bands as one stack.
     """
-    for e, stack in zip(experts, bb.bind_rows([e.stack for e in experts], flat, grad_flat)):
+    for e, stack in zip(experts, bb.bind_rows([e.stack for e in experts])):
         e.stack = stack

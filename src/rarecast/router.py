@@ -29,6 +29,7 @@ from .expert import (
     collapse_level,
     decompose_histories,
     expert_level,
+    expert_predict_batch,
 )
 from .rng import ROUTER_INIT, ROUTER_SHUFFLE, substream
 
@@ -216,8 +217,8 @@ def stack_expert_outputs(
     as one (E, B) stack, over the shared buffer of a chain bound by
     `bind_experts` and given whole and in order, otherwise over stacked
     copies of the parameters, and the band sums go straight into the
-    result. Larger calls run one expert at a time, its bands spread over
-    threads, so only one expert's band forecasts and hidden layer exist at
+    result. Larger calls run `expert_predict_batch` one expert at a time,
+    its bands spread over threads, so only one expert's band forecasts and hidden layer exist at
     once. Each band sum is one (N, H) column, stacked at the end: a result
     allocated up front would be held through every expert's forward.
     """
@@ -253,8 +254,7 @@ def stack_expert_outputs(
     stack = first.stack
     n = components.shape[1]
     if n >= 2 * parallel.MIN_ROWS:
-        cols = [_band_sum(bb._forward(stack.kind, e.stack.params, components)[0]) for e in experts]
-        return np.stack(cols, axis=-1)
+        return np.stack([expert_predict_batch(e, histories, components) for e in experts], axis=-1)
     group = stack.bound
     if group is not None and group.n_stacks == len(experts) and all(
         e.stack.bound is group and e.stack.row == i for i, e in enumerate(experts)

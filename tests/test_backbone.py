@@ -320,13 +320,6 @@ def test_bind_rows_puts_stacks_on_one_buffer_and_one_forward_runs_them_all(kind)
     np.testing.assert_array_equal(group.flat[1], 2.0 * saved[1])
     for s, f in zip(stacks, saved):
         np.testing.assert_array_equal(s.flat, f)
-    # given buffers take the parameters and hold the gradients
-    flat, grad_flat = np.empty((3, saved[0].size)), np.zeros((3, saved[0].size))
-    given = bind_rows(stacks, flat, grad_flat)
-    np.testing.assert_array_equal(flat, np.stack(saved))
-    assert given[0].bound.flat is flat and given[2].grad_flat.base is grad_flat
-    with pytest.raises(ValueError, match=r"^bind_rows: grad_flat has shape \(2, \d+\), expected \(3, "):
-        bind_rows(stacks, flat, grad_flat[:2])
     with pytest.raises(ValueError, match="at least one"):
         bind_rows([])
     other = "mlp" if kind == "linear" else "linear"
