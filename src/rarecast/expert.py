@@ -145,18 +145,19 @@ def decompose_histories(
 
 
 def _band_sum(bands: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum of per-band forecasts over the leading band axis, into out or a new array.
+    """Sum of per-band forecasts over the leading band axis, in band order (which keeps the bits).
 
-    bands is (B, N, H), or (B, E, N, H) for E experts at once, and out may
-    be a strided view such as one column of a larger result.
+    bands is (B, N, H), or (B, E, N, H) for E experts at once. Given out,
+    a view such as one column of a larger result, the sum is written there;
+    otherwise each partial sum is a new array.
     """
     if out is None:
-        out = np.empty(bands.shape[1:])
-    if len(bands) == 1:
-        np.copyto(out, bands[0])
-    else:
-        np.add(bands[0], bands[1], out=out)
-    for y in bands[2:]:  # sequential band order keeps the bits of the sum
+        out = bands[0]
+        for y in bands[1:]:
+            out = out + y
+        return out
+    out[...] = bands[0]
+    for y in bands[1:]:
         out += y
     return out
 
