@@ -196,8 +196,8 @@ def bind_rows(stacks: Sequence[ForecasterStack]) -> list[ForecasterStack]:
     # Both buffers live in one anonymous mapping rather than on the malloc
     # heap. A chain is bound after training, while training's large arrays
     # are still held; on the heap the buffers would sit above those arrays
-    # and keep glibc from returning them once freed (peak RSS of the
-    # `forecast` benchmark rose from 146 to 157-184 MiB).
+    # and keep glibc from returning them once freed, which raised the peak
+    # RSS of a process that trains several models by up to 37 MiB.
     nbytes = len(stacks) * first.flat.nbytes
     flat, grad_flat = np.frombuffer(mmap.mmap(-1, 2 * nbytes), dtype=np.float64).reshape(2, len(stacks), -1)
     np.stack([s.flat for s in stacks], out=flat)
